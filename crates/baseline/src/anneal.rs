@@ -4,8 +4,6 @@
 //! included as the classic point of comparison for the ablation
 //! benches.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -117,13 +115,6 @@ impl AnnealingMapper {
     /// annealing cell).
     pub fn set_cancel(&mut self, flag: CancelFlag) {
         self.cancel = Some(flag);
-    }
-
-    /// Installs a cooperative cancellation flag from a raw shared
-    /// atomic.
-    #[deprecated(since = "0.1.0", note = "use `set_cancel(CancelFlag::from_arc(flag))`")]
-    pub fn set_cancel_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.set_cancel(CancelFlag::from_arc(flag));
     }
 
     fn cancelled(&self) -> bool {
@@ -495,18 +486,6 @@ mod tests {
         let flag = CancelFlag::new();
         flag.cancel();
         mapper.set_cancel(flag);
-        assert!(matches!(mapper.map(&dfg), Err(MapError::Timeout { .. })));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_set_cancel_flag_shim_still_works() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let cgra = Cgra::new(3, 3).unwrap();
-        let dfg = running_example();
-        let mut mapper = AnnealingMapper::new(&cgra);
-        mapper.set_cancel_flag(Arc::new(AtomicBool::new(true)));
         assert!(matches!(mapper.map(&dfg), Err(MapError::Timeout { .. })));
     }
 

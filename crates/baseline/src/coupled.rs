@@ -18,8 +18,6 @@
 //! formulation, by contrast, references the CGRA only through two
 //! scalar constants.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Instant;
 
 use cgra_base::CancelFlag;
@@ -155,13 +153,6 @@ impl CoupledMapper {
     /// Installs a cooperative cancellation flag.
     pub fn set_cancel(&mut self, flag: CancelFlag) {
         self.cancel = Some(flag);
-    }
-
-    /// Installs a cooperative cancellation flag from a raw shared
-    /// atomic.
-    #[deprecated(since = "0.1.0", note = "use `set_cancel(CancelFlag::from_arc(flag))`")]
-    pub fn set_cancel_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.set_cancel(CancelFlag::from_arc(flag));
     }
 
     fn cancelled(&self) -> bool {
@@ -585,16 +576,6 @@ mod tests {
         let flag = CancelFlag::new();
         flag.cancel();
         mapper.set_cancel(flag);
-        assert!(matches!(mapper.map(&dfg), Err(MapError::Timeout { .. })));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_set_cancel_flag_shim_still_works() {
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = running_example();
-        let mut mapper = CoupledMapper::new(&cgra);
-        mapper.set_cancel_flag(Arc::new(AtomicBool::new(true)));
         assert!(matches!(mapper.map(&dfg), Err(MapError::Timeout { .. })));
     }
 

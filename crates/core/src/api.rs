@@ -173,17 +173,6 @@ pub enum MapEvent {
         /// How the attempt ended.
         outcome: SpaceAttemptOutcome,
     },
-    /// The persistent incremental time solver proved an `(II, slack)`
-    /// level unsatisfiable by widening its live instance, so the fresh
-    /// per-level encode was skipped entirely (emitted only with
-    /// [`MapperConfig::time_incremental`] on, immediately before the
-    /// level's [`MapEvent::Escalated`]).
-    LevelReused {
-        /// The iteration interval of the reused solver.
-        ii: usize,
-        /// The window slack the live instance was widened to.
-        slack: usize,
-    },
     /// An `(II, slack)` level was exhausted and the search moved on
     /// (next slack, or next II after the last slack).
     Escalated {
@@ -658,11 +647,11 @@ pub fn run_request<R>(req: &MapRequest, f: impl FnOnce(CancelFlag) -> R) -> R {
         return f(req.cancel.clone().unwrap_or_default());
     };
     let engine_flag = CancelFlag::new();
-    // An already-expired deadline (zero, or negative on the wire) must
-    // time out deterministically: raise the flag before the engine
-    // starts rather than racing its first solve against the watchdog
-    // thread getting scheduled.
-    if deadline.is_zero() {
+    // An already-expired deadline (zero, or negative on the wire) or an
+    // already-raised caller flag must time out deterministically: raise
+    // the flag before the engine starts rather than racing its first
+    // solve against the watchdog thread getting scheduled.
+    if deadline.is_zero() || req.cancel.as_ref().is_some_and(CancelFlag::is_cancelled) {
         engine_flag.cancel();
         return f(engine_flag);
     }
@@ -950,6 +939,27 @@ mod tests {
         assert!(req.cgra.is_none());
         assert_eq!(req.config.max_window_slack, 2, "defaults apply");
         assert!(req.deadline().is_none());
+    }
+
+    #[test]
+    fn retired_time_incremental_key_is_ignored() {
+        // Old clients still send the screen switch this build no longer
+        // has: the request parses, maps, never re-emits the key, and
+        // shares the default config's cache identity.
+        let dfg_json = serde_json::to_string(&running_example()).unwrap();
+        let json = format!(
+            r#"{{"engine":"Decoupled","dfg":{dfg_json},"config":{{"time_incremental":false}}}}"#
+        );
+        let req: MapRequest = serde_json::from_str(&json).unwrap();
+        assert!(!serde_json::to_string(&req)
+            .unwrap()
+            .contains("time_incremental"));
+        assert_eq!(
+            fingerprint(&req.config),
+            fingerprint(&MapperConfig::default())
+        );
+        let report = MappingService::new(&Cgra::new(2, 2).unwrap()).map(&req);
+        assert_eq!(report.outcome.ii(), Some(4));
     }
 
     #[test]

@@ -49,19 +49,6 @@ pub struct MapperConfig {
     pub strict_connectivity: bool,
     /// Optional SAT budget per time-solve call.
     pub time_budget: Option<Budget>,
-    /// Keep one live incremental SAT instance per II as an UNSAT screen
-    /// across window-slack levels (performance switch).
-    ///
-    /// When a `(II, slack)` level proves unsatisfiable, the mapper
-    /// retains the level's CDCL state (learnt clauses, branching
-    /// activity) on a persistent [`cgra_sched::IncrementalTimeSolver`]
-    /// and, at the next slack, first asks that instance — widened by
-    /// guarded clause additions, never rebuilt — whether the new level
-    /// is also unsatisfiable. A proved-Unsat level skips the fresh
-    /// encode entirely. Levels that produce schedules always run on the
-    /// fresh per-level solver, so mappings are byte-identical with the
-    /// switch on or off; `false` forces the always-rebuild path.
-    pub time_incremental: bool,
     /// Which algorithm produces time solutions.
     pub time_strategy: TimeStrategy,
     /// Route-length bound `k` of the routing model: a dependence may
@@ -99,7 +86,6 @@ impl Default for MapperConfig {
             connectivity_constraints: true,
             strict_connectivity: false,
             time_budget: None,
-            time_incremental: true,
             time_strategy: TimeStrategy::Smt,
             max_route_hops: 1,
             space_parallelism: 1,
@@ -165,13 +151,6 @@ impl MapperConfig {
     /// Sets a SAT budget per time-solve call.
     pub fn with_time_budget(mut self, budget: Budget) -> Self {
         self.time_budget = Some(budget);
-        self
-    }
-
-    /// Toggles the persistent incremental UNSAT screen of the time
-    /// phase (performance switch; mappings are identical either way).
-    pub fn with_time_incremental(mut self, incremental: bool) -> Self {
-        self.time_incremental = incremental;
         self
     }
 
@@ -256,10 +235,6 @@ impl Serialize for MapperConfig {
                 "time_budget".to_string(),
                 budget.unwrap_or(serde::Value::Null),
             ),
-            (
-                "time_incremental".to_string(),
-                self.time_incremental.to_value(),
-            ),
             ("time_strategy".to_string(), self.time_strategy.to_value()),
             (
                 "space_parallelism".to_string(),
@@ -324,7 +299,6 @@ impl Deserialize for MapperConfig {
             strict_connectivity: opt_field(v, "strict_connectivity")?
                 .unwrap_or(d.strict_connectivity),
             time_budget,
-            time_incremental: opt_field(v, "time_incremental")?.unwrap_or(d.time_incremental),
             time_strategy: opt_field(v, "time_strategy")?.unwrap_or(d.time_strategy),
             max_route_hops,
             space_parallelism,
@@ -422,17 +396,6 @@ mod tests {
         assert_eq!(c.max_ii, Some(8));
         assert_eq!(c.max_window_slack, MapperConfig::default().max_window_slack);
         assert_eq!(c.space_parallelism, 1);
-    }
-
-    #[test]
-    fn time_incremental_defaults_on_and_roundtrips() {
-        assert!(MapperConfig::default().time_incremental);
-        let c = MapperConfig::new().with_time_incremental(false);
-        assert!(!c.time_incremental);
-        assert!(!roundtrip(&c).time_incremental);
-        // An absent field keeps the default (on).
-        let c: MapperConfig = serde_json::from_str("{}").unwrap();
-        assert!(c.time_incremental);
     }
 
     #[test]

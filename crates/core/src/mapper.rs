@@ -1,6 +1,6 @@
 //! The decoupled space/time mapper (paper §IV).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -12,8 +12,8 @@ use cgra_arch::{Cgra, MAX_ROUTE_HOPS};
 use cgra_dfg::Dfg;
 use cgra_iso::{MonoOutcome, SearchConfig, Searcher};
 use cgra_sched::{
-    ims_schedule, min_ii, unsupported_op_class, EnumerationEnd, IncrementalTimeSolver,
-    SolveOutcome, TimeSolution, TimeSolver, TimeSolverConfig, TimeSolverError,
+    ims_schedule, min_ii, unsupported_op_class, EnumerationEnd, TimeSolution, TimeSolver,
+    TimeSolverConfig, TimeSolverError,
 };
 
 use crate::api::{emit, MapEvent, MapObserver, SpaceAttemptOutcome};
@@ -124,9 +124,9 @@ pub struct MapStats {
     pub total_seconds: f64,
     /// Wall-clock spent in the SMT time search.
     pub time_phase_seconds: f64,
-    /// Wall-clock spent building or extending time-phase encodings:
-    /// fresh per-level encodes plus incremental widenings (decoupled
-    /// SMT strategy only; part of [`MapStats::time_phase_seconds`]).
+    /// Wall-clock spent building the per-level time-phase encodings
+    /// (decoupled SMT strategy only; part of
+    /// [`MapStats::time_phase_seconds`]).
     pub time_encode_seconds: f64,
     /// Wall-clock spent inside time-phase SAT solve calls (decoupled
     /// SMT strategy only; part of [`MapStats::time_phase_seconds`]).
@@ -144,15 +144,10 @@ pub struct MapStats {
     pub mono_steps: u64,
     /// Number of II values attempted.
     pub iis_tried: usize,
-    /// `(II, slack)` levels the persistent incremental time solver
-    /// proved unsatisfiable by widening its live instance, skipping the
-    /// fresh per-level encode entirely
-    /// ([`MapperConfig::time_incremental`]; decoupled engine only).
+    /// Always 0: every `(II, slack)` level encodes a fresh time solver.
+    /// Kept because the frozen benchmark reads it (`core.solver_reuses`);
+    /// it goes with that row in a later benchmark change.
     pub solver_reuses: usize,
-    /// Learnt clauses alive on the persistent solver at each reused
-    /// level, summed over reuses — the search state a from-scratch
-    /// rebuild would have discarded.
-    pub clauses_retained: u64,
     /// Window slack of the successful attempt.
     pub window_slack: usize,
     /// Which algorithm produced time solutions; `None` for engines
@@ -188,7 +183,6 @@ impl Default for MapStats {
             mono_steps: 0,
             iis_tried: 0,
             solver_reuses: 0,
-            clauses_retained: 0,
             window_slack: 0,
             time_strategy: None,
             space_parallelism: 1,
@@ -197,21 +191,6 @@ impl Default for MapStats {
             route_hops_histogram: RouteHopsHistogram::default(),
         }
     }
-}
-
-/// How one `(II, slack)` level of the SMT path ended.
-enum LevelOutcome {
-    /// A schedule embedded: the search is over.
-    Found(TimeSolution, Vec<usize>),
-    /// The time solver proved the level unsatisfiable before producing
-    /// a single schedule. Barren levels are where the incremental
-    /// UNSAT screen earns its keep: their (cheap) unsatisfiability
-    /// proofs are the only work the screen ever repeats.
-    BarrenUnsat,
-    /// The level ended without a mapping in any other way — schedules
-    /// that failed to embed, the enumeration cap, or a per-solve budget
-    /// running out. The II can no longer be screened incrementally.
-    Exhausted,
 }
 
 /// The mapper: SMT time solve, then monomorphism space solve, with
@@ -264,13 +243,6 @@ impl DecoupledMapper {
         self.cancel = Some(flag);
     }
 
-    /// Installs a cooperative cancellation flag from a raw shared
-    /// atomic.
-    #[deprecated(since = "0.1.0", note = "use `set_cancel(CancelFlag::from_arc(flag))`")]
-    pub fn set_cancel_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.set_cancel(CancelFlag::from_arc(flag));
-    }
-
     fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelFlag::is_cancelled)
     }
@@ -284,19 +256,12 @@ impl DecoupledMapper {
     /// MRRG target is built once per II by a [`SpaceEngine`] and shared
     /// by every slack level and time solution at that II.
     ///
-    /// With [`MapperConfig::space_parallelism`] above 1, each
-    /// `(II, slack)` level pulls up to
-    /// [`MapperConfig::max_time_solutions`] schedules from the SMT
-    /// enumerator and races their monomorphism searches across worker
-    /// threads; the first success cancels the rest.
-    ///
-    /// With [`MapperConfig::time_incremental`] (the default), each II
-    /// keeps its unsatisfiable slack levels alive on one persistent
-    /// [`IncrementalTimeSolver`]: the next level is first widened onto
-    /// that instance, and a proved Unsat skips the fresh per-level
-    /// encode entirely. Levels that may carry schedules always run the
-    /// fresh path, so the produced mappings are byte-identical with the
-    /// switch on or off.
+    /// Each `(II, slack)` level takes its schedules from one fresh
+    /// [`TimeSolver`], the mapper's only SMT path. With
+    /// [`MapperConfig::space_parallelism`] above 1 the level pulls them
+    /// in batches of that size and races each batch's monomorphism
+    /// searches across worker threads; the first success cancels the
+    /// rest.
     ///
     /// # Errors
     ///
@@ -366,146 +331,14 @@ impl DecoupledMapper {
             emit(obs, MapEvent::IiStarted { ii });
             // Targets for earlier IIs are never revisited.
             engine.retain_ii(ii);
-            // The II's persistent UNSAT screen: one live incremental
-            // solver retaining learnt clauses across slack levels. It
-            // exists only while every level of this II so far ended
-            // barren-Unsat; any level that produces a schedule (or times
-            // out) retires it, so the model-producing path below stays
-            // byte-identical to the always-rebuild mode.
-            let mut screen: Option<IncrementalTimeSolver<'_>> = None;
-            let mut all_barren = true;
             for slack in 0..=self.config.max_window_slack {
                 if self.cancelled() {
                     return Err(MapError::Timeout { ii });
                 }
-                let mut ts_config = TimeSolverConfig::for_cgra(&self.cgra)
-                    .with_window_slack(slack)
-                    .with_strict_connectivity(self.config.strict_connectivity)
-                    .with_capacity_constraints(self.config.capacity_constraints)
-                    .with_connectivity_constraints(self.config.connectivity_constraints);
-                if let Some(b) = &self.config.time_budget {
-                    ts_config = ts_config.with_budget(b.clone());
-                }
-
-                if self.config.time_strategy == TimeStrategy::Heuristic {
-                    // Heuristic time phase: one IMS attempt per
-                    // (II, slack) level, no enumeration (and nothing to
-                    // race in portfolio mode).
-                    let t0 = Instant::now();
-                    let sol = ims_schedule(dfg, ii, &ts_config);
-                    stats.time_phase_seconds += t0.elapsed().as_secs_f64();
-                    if let Some(sol) = sol {
-                        stats.time_solutions += 1;
-                        emit(obs, MapEvent::TimeSolutionFound { ii, slack });
-                        let t1 = Instant::now();
-                        let (space, steps) = engine.search(
-                            dfg,
-                            &sol,
-                            self.config.mono_step_limit,
-                            self.cancel.as_ref(),
-                        );
-                        stats.space_phase_seconds += t1.elapsed().as_secs_f64();
-                        stats.space_attempts += 1;
-                        stats.mono_steps += steps;
-                        emit(
-                            obs,
-                            MapEvent::SpaceAttempt {
-                                ii,
-                                slack,
-                                outcome: SpaceAttemptOutcome::from(&space),
-                            },
-                        );
-                        match space {
-                            SpaceOutcome::Found(map) => {
-                                return Ok(self.finish(dfg, &sol, map, ii, slack, start, stats));
-                            }
-                            SpaceOutcome::Cancelled => return Err(MapError::Timeout { ii }),
-                            SpaceOutcome::Exhausted | SpaceOutcome::LimitReached => {}
-                        }
-                    }
-                    emit(obs, MapEvent::Escalated { ii, slack });
-                    continue;
-                }
-
-                // Ask the live instance first: widening it is a handful
-                // of guarded clause additions on a solver that already
-                // learnt why the narrower windows failed, and a proved
-                // Unsat skips the fresh encode below entirely.
-                if self.config.time_incremental && all_barren {
-                    if let Some(live) = screen.as_mut() {
-                        let t0 = Instant::now();
-                        live.widen_to(slack);
-                        let encode = t0.elapsed().as_secs_f64();
-                        stats.time_phase_seconds += encode;
-                        stats.time_encode_seconds += encode;
-                        let t1 = Instant::now();
-                        let screened = live.solve_outcome();
-                        let solve = t1.elapsed().as_secs_f64();
-                        stats.time_phase_seconds += solve;
-                        stats.time_solve_seconds += solve;
-                        match screened {
-                            SolveOutcome::Unsat => {
-                                stats.solver_reuses += 1;
-                                stats.clauses_retained += live.learnt_clauses() as u64;
-                                emit(obs, MapEvent::LevelReused { ii, slack });
-                                emit(obs, MapEvent::Escalated { ii, slack });
-                                continue;
-                            }
-                            SolveOutcome::Timeout if self.cancelled() => {
-                                return Err(MapError::Timeout { ii });
-                            }
-                            SolveOutcome::Solution(_) | SolveOutcome::Timeout => {
-                                // The level may have schedules (or the
-                                // budget ran out): retire the screen and
-                                // run the byte-identical fresh path.
-                                screen = None;
-                            }
-                        }
-                    }
-                }
-
-                let screen_config = ts_config.clone();
-                let outcome = if self.config.space_parallelism > 1 {
-                    self.portfolio_level(dfg, ii, slack, ts_config, &mut engine, &mut stats, obs)?
-                } else {
-                    self.serial_level(dfg, ii, slack, ts_config, &mut engine, &mut stats, obs)?
-                };
-                match outcome {
-                    LevelOutcome::Found(sol, map) => {
-                        return Ok(self.finish(dfg, &sol, map, ii, slack, start, stats));
-                    }
-                    LevelOutcome::BarrenUnsat => {
-                        if self.config.time_incremental && all_barren && screen.is_none() {
-                            // Build the screen now that the II has shown
-                            // a barren level, and seed-solve it: the
-                            // fresh proof was cheap, re-deriving it here
-                            // is too, and it leaves the learnt clauses
-                            // the next widening starts from.
-                            let t0 = Instant::now();
-                            let mut live = IncrementalTimeSolver::new(dfg, ii, screen_config)
-                                .expect("the fresh level already validated this instance");
-                            if let Some(flag) = &self.cancel {
-                                live.set_cancel_flag(flag.arc());
-                            }
-                            let encode = t0.elapsed().as_secs_f64();
-                            stats.time_phase_seconds += encode;
-                            stats.time_encode_seconds += encode;
-                            let t1 = Instant::now();
-                            let seeded = live.solve_outcome();
-                            let solve = t1.elapsed().as_secs_f64();
-                            stats.time_phase_seconds += solve;
-                            stats.time_solve_seconds += solve;
-                            // The fresh level proved this exact formula
-                            // Unsat; the seed can at worst run out of a
-                            // per-solve budget, never find a model.
-                            debug_assert!(!matches!(seeded, SolveOutcome::Solution(_)));
-                            screen = Some(live);
-                        }
-                    }
-                    LevelOutcome::Exhausted => {
-                        all_barren = false;
-                        screen = None;
-                    }
+                if let Some((sol, map)) =
+                    self.level(dfg, ii, slack, &mut engine, &mut stats, obs)?
+                {
+                    return Ok(self.finish(dfg, &sol, map, ii, slack, start, stats));
                 }
                 emit(obs, MapEvent::Escalated { ii, slack });
             }
@@ -513,209 +346,144 @@ impl DecoupledMapper {
         Err(MapError::NoSolution { mii, max_ii })
     }
 
-    /// Builds the time solver for one `(II, slack)` level, with the
-    /// user's cancellation flag installed.
-    fn level_solver<'d>(
-        &self,
-        dfg: &'d Dfg,
-        ii: usize,
-        ts_config: TimeSolverConfig,
-    ) -> Result<TimeSolver<'d>, MapError> {
-        let mut solver = match TimeSolver::new(dfg, ii, ts_config) {
-            Ok(s) => s,
-            Err(TimeSolverError::Dfg(e)) => return Err(MapError::InvalidDfg(e)),
-            Err(_) => unreachable!("ii and capacity are positive"),
-        };
-        if let Some(flag) = &self.cancel {
-            solver.set_cancel_flag(flag.arc());
+    /// The time-phase configuration of one slack level.
+    fn time_config(&self, slack: usize) -> TimeSolverConfig {
+        let mut ts_config = TimeSolverConfig::for_cgra(&self.cgra)
+            .with_window_slack(slack)
+            .with_strict_connectivity(self.config.strict_connectivity)
+            .with_capacity_constraints(self.config.capacity_constraints)
+            .with_connectivity_constraints(self.config.connectivity_constraints);
+        if let Some(b) = &self.config.time_budget {
+            ts_config = ts_config.with_budget(b.clone());
         }
-        Ok(solver)
+        ts_config
     }
 
-    /// The serial (deterministic) `(II, slack)` level: interleaves SMT
-    /// enumeration with one monomorphism search per schedule, exactly in
-    /// enumeration order.
+    /// One `(II, slack)` level, the paper's §IV-D loop: take schedules
+    /// from the level's one source, search each for a monomorphism, and
+    /// block-and-enumerate on failure.
     ///
-    /// Returns [`LevelOutcome::Found`] with the winning
-    /// `(schedule, monomorphism)`, or how the level ended otherwise
-    /// (the caller escalates either way).
-    #[allow(clippy::too_many_arguments)]
-    fn serial_level(
+    /// The source is a [`TimeSolver`] encoded fresh for the level, or
+    /// the single IMS schedule under [`TimeStrategy::Heuristic`]. The
+    /// fresh solver is the mapper's only SMT path on purpose:
+    /// [`cgra_sched::IncrementalTimeSolver`] stays in `cgra-sched` (the
+    /// benchmark's `sched.*` probe drives it and learned-clause feedback
+    /// needs a live instance), but its encoding's model order embeds far
+    /// worse, and screening Unsat levels on it re-encodes more than it
+    /// saves (README, "The time phase", has both measurements).
+    ///
+    /// Schedules are pulled in batches of up to
+    /// [`MapperConfig::space_parallelism`], never more than
+    /// [`MapperConfig::max_time_solutions`] per level. A batch of one is
+    /// searched inline, so the serial path runs solve → search → block →
+    /// solve exactly in enumeration order; a larger batch is raced by
+    /// [`DecoupledMapper::race_batch`] and reports one coalesced
+    /// [`MapEvent::SpaceAttempt`] (per-worker attempts finish in
+    /// nondeterministic order).
+    ///
+    /// Returns the winning `(schedule, monomorphism)`, or `None` when
+    /// the level ended without one — no schedule left, the enumeration
+    /// cap, or a per-solve budget running out — and the caller
+    /// escalates.
+    fn level(
         &self,
         dfg: &Dfg,
         ii: usize,
         slack: usize,
-        ts_config: TimeSolverConfig,
         engine: &mut SpaceEngine<'_>,
         stats: &mut MapStats,
         obs: Option<&dyn MapObserver>,
-    ) -> Result<LevelOutcome, MapError> {
-        let t0 = Instant::now();
-        let mut solver = self.level_solver(dfg, ii, ts_config)?;
-        let encode = t0.elapsed().as_secs_f64();
-        stats.time_phase_seconds += encode;
-        stats.time_encode_seconds += encode;
-        let t1 = Instant::now();
-        let mut outcome = solver.solve_outcome();
-        let solve = t1.elapsed().as_secs_f64();
-        stats.time_phase_seconds += solve;
-        stats.time_solve_seconds += solve;
-
-        let mut tries = 0usize;
-        loop {
-            match outcome {
-                SolveOutcome::Solution(sol) => {
-                    tries += 1;
-                    stats.time_solutions += 1;
-                    emit(obs, MapEvent::TimeSolutionFound { ii, slack });
-                    let t1 = Instant::now();
-                    let (space, steps) =
-                        engine.search(dfg, &sol, self.config.mono_step_limit, self.cancel.as_ref());
-                    stats.space_phase_seconds += t1.elapsed().as_secs_f64();
-                    stats.space_attempts += 1;
-                    stats.mono_steps += steps;
-                    emit(
-                        obs,
-                        MapEvent::SpaceAttempt {
-                            ii,
-                            slack,
-                            outcome: SpaceAttemptOutcome::from(&space),
-                        },
-                    );
-                    match space {
-                        SpaceOutcome::Found(map) => return Ok(LevelOutcome::Found(sol, map)),
-                        SpaceOutcome::Cancelled => return Err(MapError::Timeout { ii }),
-                        SpaceOutcome::Exhausted | SpaceOutcome::LimitReached => {}
-                    }
-                    if tries >= self.config.max_time_solutions {
-                        return Ok(LevelOutcome::Exhausted);
-                    }
-                    let t2 = Instant::now();
-                    outcome = solver.next_outcome();
-                    let solve = t2.elapsed().as_secs_f64();
-                    stats.time_phase_seconds += solve;
-                    stats.time_solve_seconds += solve;
+    ) -> Result<Option<(TimeSolution, Vec<usize>)>, MapError> {
+        let mut solver = match self.config.time_strategy {
+            TimeStrategy::Heuristic => None,
+            TimeStrategy::Smt => {
+                let t0 = Instant::now();
+                let mut solver = match TimeSolver::new(dfg, ii, self.time_config(slack)) {
+                    Ok(s) => s,
+                    Err(TimeSolverError::Dfg(e)) => return Err(MapError::InvalidDfg(e)),
+                    Err(_) => unreachable!("ii and capacity are positive"),
+                };
+                if let Some(flag) = &self.cancel {
+                    solver.set_cancel_flag(flag.arc());
                 }
-                SolveOutcome::Unsat => {
-                    return Ok(if tries == 0 {
-                        LevelOutcome::BarrenUnsat
-                    } else {
-                        LevelOutcome::Exhausted
-                    });
-                }
-                SolveOutcome::Timeout => {
-                    // User cancellation aborts the whole search; a
-                    // per-solve budget running out only ends this level.
-                    if self.cancelled() {
-                        return Err(MapError::Timeout { ii });
-                    }
-                    return Ok(LevelOutcome::Exhausted);
-                }
+                let encode = t0.elapsed().as_secs_f64();
+                stats.time_phase_seconds += encode;
+                stats.time_encode_seconds += encode;
+                Some(solver)
             }
-        }
-    }
-
-    /// The portfolio `(II, slack)` level: pulls up to
-    /// [`MapperConfig::max_time_solutions`] schedules, then races their
-    /// monomorphism searches across
-    /// [`MapperConfig::space_parallelism`] scoped worker threads against
-    /// the II's shared cached target. The first success raises a race
-    /// flag that cancels the remaining searches; a supervisor loop
-    /// forwards user cancellation into the race.
-    /// Schedules are pulled in batches of `space_parallelism` rather
-    /// than all `max_time_solutions` up front: the common case (the
-    /// first schedule embeds, per the paper's §IV-D argument) then pays
-    /// for one small batch of SMT solves, not the whole enumeration cap.
-    #[allow(clippy::too_many_arguments)]
-    fn portfolio_level(
-        &self,
-        dfg: &Dfg,
-        ii: usize,
-        slack: usize,
-        ts_config: TimeSolverConfig,
-        engine: &mut SpaceEngine<'_>,
-        stats: &mut MapStats,
-        obs: Option<&dyn MapObserver>,
-    ) -> Result<LevelOutcome, MapError> {
-        let t_enc = Instant::now();
-        let mut solver = self.level_solver(dfg, ii, ts_config)?;
-        let encode = t_enc.elapsed().as_secs_f64();
-        stats.time_phase_seconds += encode;
-        stats.time_encode_seconds += encode;
-        let mut remaining = self.config.max_time_solutions;
-        let mut pulled = 0usize;
-        loop {
-            if self.cancelled() {
-                return Err(MapError::Timeout { ii });
-            }
-            let batch_cap = self.config.space_parallelism.min(remaining);
-            if batch_cap == 0 {
-                return Ok(LevelOutcome::Exhausted);
-            }
+        };
+        // A level always tries its first schedule, even under a cap of 0.
+        let mut remaining = self.config.max_time_solutions.max(1);
+        while remaining > 0 {
+            let batch_cap = self.config.space_parallelism.clamp(1, remaining);
             let t0 = Instant::now();
-            let (solutions, batch_end) = solver.enumerate_solutions(batch_cap);
+            let (mut batch, batch_end) = match &mut solver {
+                Some(solver) => solver.enumerate_solutions(batch_cap),
+                // IMS is single-shot: one schedule at most, then the end.
+                None => (
+                    Vec::from_iter(ims_schedule(dfg, ii, &self.time_config(slack))),
+                    EnumerationEnd::Unsat,
+                ),
+            };
             let solve = t0.elapsed().as_secs_f64();
             stats.time_phase_seconds += solve;
-            stats.time_solve_seconds += solve;
-            stats.time_solutions += solutions.len();
-            remaining -= solutions.len();
-            pulled += solutions.len();
+            if solver.is_some() {
+                stats.time_solve_seconds += solve;
+            }
+            stats.time_solutions += batch.len();
+            remaining -= batch.len();
 
-            if !solutions.is_empty() {
-                for _ in &solutions {
+            if !batch.is_empty() {
+                for _ in &batch {
                     emit(obs, MapEvent::TimeSolutionFound { ii, slack });
                 }
                 let t1 = Instant::now();
-                // Built only once a schedule exists (Unsat levels never
-                // pay for target construction); cache hit after the
-                // first batch.
-                let target = engine.target(ii);
-                let winner = self.race_batch(dfg, &target, &solutions, stats);
-                // Wall-clock of the race (the Table III phase
+                let (winner, attempts, steps, outcome) = if let [sol] = batch.as_slice() {
+                    let (space, steps) =
+                        engine.search(dfg, sol, self.config.mono_step_limit, self.cancel.as_ref());
+                    let outcome = SpaceAttemptOutcome::from(&space);
+                    let winner = match space {
+                        SpaceOutcome::Found(map) => Some((0, map)),
+                        _ => None,
+                    };
+                    (winner, 1, steps, outcome)
+                } else {
+                    // Built only once a schedule exists (Unsat levels
+                    // never pay for target construction).
+                    let target = engine.target(ii);
+                    let (winner, attempts, steps) = self.race_batch(dfg, &target, &batch);
+                    let outcome = match winner {
+                        Some(_) => SpaceAttemptOutcome::Found,
+                        None => SpaceAttemptOutcome::Exhausted,
+                    };
+                    (winner, attempts, steps, outcome)
+                };
+                // Wall-clock of the batch (the Table III phase
                 // semantics), not the sum over parallel workers.
                 stats.space_phase_seconds += t1.elapsed().as_secs_f64();
-                // One coalesced event per raced batch: the per-worker
-                // attempts complete in nondeterministic order.
-                emit(
-                    obs,
-                    MapEvent::SpaceAttempt {
-                        ii,
-                        slack,
-                        outcome: if winner.is_some() {
-                            SpaceAttemptOutcome::Found
-                        } else {
-                            SpaceAttemptOutcome::Exhausted
-                        },
-                    },
-                );
+                stats.space_attempts += attempts;
+                stats.mono_steps += steps;
+                emit(obs, MapEvent::SpaceAttempt { ii, slack, outcome });
                 if let Some((idx, map)) = winner {
-                    return Ok(LevelOutcome::Found(solutions[idx].clone(), map));
+                    return Ok(Some((batch.swap_remove(idx), map)));
                 }
                 if self.cancelled() {
                     return Err(MapError::Timeout { ii });
                 }
             }
             match batch_end {
-                EnumerationEnd::CapReached => continue,
-                EnumerationEnd::Unsat => {
-                    return Ok(if pulled == 0 {
-                        LevelOutcome::BarrenUnsat
-                    } else {
-                        LevelOutcome::Exhausted
-                    });
+                EnumerationEnd::CapReached => {}
+                EnumerationEnd::Unsat => return Ok(None),
+                // The flag may have been raised while the SMT solve was
+                // blocked: user cancellation aborts the whole search, a
+                // per-solve budget running out ends only this level.
+                EnumerationEnd::Timeout if self.cancelled() => {
+                    return Err(MapError::Timeout { ii });
                 }
-                EnumerationEnd::Timeout => {
-                    // The flag may have been raised while the SMT solve
-                    // was blocked: user cancellation aborts, a per-solve
-                    // budget running out ends only this level and the
-                    // caller escalates.
-                    if self.cancelled() {
-                        return Err(MapError::Timeout { ii });
-                    }
-                    return Ok(LevelOutcome::Exhausted);
-                }
+                EnumerationEnd::Timeout => return Ok(None),
             }
         }
+        Ok(None)
     }
 
     /// Races the monomorphism searches of one batch of schedules across
@@ -724,15 +492,15 @@ impl DecoupledMapper {
     /// loop wakes on worker completion and forwards user cancellation
     /// into the race between wake-ups.
     ///
-    /// Returns the winning `(index into solutions, monomorphism)`,
-    /// preferring the earliest schedule when several workers win.
+    /// Returns the winning `(index into solutions, monomorphism)` —
+    /// preferring the earliest schedule when several workers win — with
+    /// the searches dispatched and their summed steps.
     fn race_batch(
         &self,
         dfg: &Dfg,
         target: &Arc<cgra_iso::Target>,
         solutions: &[TimeSolution],
-        stats: &mut MapStats,
-    ) -> Option<(usize, Vec<usize>)> {
+    ) -> (Option<(usize, Vec<usize>)>, usize, u64) {
         let race = CancelFlag::new();
         let next = AtomicUsize::new(0);
         let dispatched = AtomicUsize::new(0);
@@ -794,9 +562,11 @@ impl DecoupledMapper {
                 }
             }
         });
-        stats.space_attempts += dispatched.load(Ordering::Relaxed);
-        stats.mono_steps += total_steps.load(Ordering::Relaxed);
-        best.into_inner().expect("winner lock")
+        (
+            best.into_inner().expect("winner lock"),
+            dispatched.into_inner(),
+            total_steps.into_inner(),
+        )
     }
 
     /// Converts a found monomorphism into the final [`Mapping`] and
@@ -949,16 +719,6 @@ mod tests {
         let flag = CancelFlag::new();
         flag.cancel();
         mapper.set_cancel(flag);
-        assert!(matches!(mapper.map(&dfg), Err(MapError::Timeout { .. })));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_set_cancel_flag_shim_still_works() {
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = running_example();
-        let mut mapper = DecoupledMapper::new(&cgra);
-        mapper.set_cancel_flag(Arc::new(AtomicBool::new(true)));
         assert!(matches!(mapper.map(&dfg), Err(MapError::Timeout { .. })));
     }
 
@@ -1246,8 +1006,7 @@ mod tests {
     }
 
     /// One producer feeding `k` same-slot consumers: connectivity-bound,
-    /// so low IIs burn through barren-Unsat slack levels — the shape the
-    /// incremental UNSAT screen exists for.
+    /// so low IIs burn through Unsat slack levels before one embeds.
     fn star_k(k: usize) -> Dfg {
         let mut b = DfgBuilder::new();
         let x = b.input("x");
@@ -1258,112 +1017,145 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn incremental_screen_skips_barren_levels() {
-        // star6 on a 2x2: II 2 is connectivity-infeasible at every
-        // slack, so after the barren (2, 0) level the live instance
-        // proves (2, 1) and (2, 2) Unsat by widening.
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = star_k(6);
-        let on = DecoupledMapper::new(&cgra).map(&dfg).unwrap();
-        assert_eq!(on.stats.solver_reuses, 2, "{:?}", on.stats);
-        assert!(on.stats.clauses_retained > 0, "reuses carry learnt state");
+    /// Maps `dfg` on a 2x2 with the default (serial) configuration,
+    /// returning the mapping's JSON, the stats and the event stream.
+    fn observed_serial_map(dfg: &Dfg) -> (String, MapStats, Vec<MapEvent>) {
+        let collector = crate::api::EventCollector::new();
+        let result = DecoupledMapper::new(&Cgra::new(2, 2).unwrap())
+            .map_observed(dfg, Some(&collector))
+            .unwrap();
+        let json = serde_json::to_string(&result.mapping).unwrap();
+        (json, result.stats, collector.events())
+    }
 
-        let cfg = MapperConfig::new().with_time_incremental(false);
-        let off = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
-        assert_eq!(off.stats.solver_reuses, 0, "rebuild mode never screens");
-        assert_eq!(off.stats.clauses_retained, 0);
-        // The screen only ever skips Unsat proofs: the mapping and the
-        // search trajectory the stats describe are identical.
+    /// One rung of a pinned ladder: the schedule found at `(ii, slack)`
+    /// and how its monomorphism search ended.
+    fn attempt(ii: usize, slack: usize, outcome: SpaceAttemptOutcome) -> [MapEvent; 2] {
+        [
+            MapEvent::TimeSolutionFound { ii, slack },
+            MapEvent::SpaceAttempt { ii, slack, outcome },
+        ]
+    }
+
+    /// The close of a pinned ladder that mapped at `(ii, slack)`.
+    fn mapped_at(ii: usize, slack: usize) -> Vec<MapEvent> {
+        let mut tail = attempt(ii, slack, SpaceAttemptOutcome::Found).to_vec();
+        let ii = Some(ii);
+        tail.push(MapEvent::Finished { mapped: true, ii });
+        tail
+    }
+
+    #[test]
+    fn serial_event_ladders_are_pinned() {
+        // Captured at the commit before the serial / portfolio /
+        // heuristic levels were folded into `level()`: the serial path's
+        // stream and mappings are a contract, not an accident.
+        use MapEvent::{Escalated, IiStarted};
+        let (mapping, _, events) = observed_serial_map(&running_example());
         assert_eq!(
-            serde_json::to_string(&on.mapping).unwrap(),
-            serde_json::to_string(&off.mapping).unwrap()
+            events,
+            [vec![IiStarted { ii: 4 }], mapped_at(4, 0)].concat()
         );
-        assert_eq!(on.stats.time_solutions, off.stats.time_solutions);
-        assert_eq!(on.stats.space_attempts, off.stats.space_attempts);
-        assert_eq!(on.stats.mono_steps, off.stats.mono_steps);
-        assert_eq!(on.stats.window_slack, off.stats.window_slack);
-    }
+        assert_eq!(
+            mapping,
+            r#"{"dfg_name":"running-example","ii":4,"placements":[{"pe":0,"slot":1,"time":1},{"pe":2,"slot":2,"time":2},{"pe":3,"slot":2,"time":2},{"pe":2,"slot":0,"time":0},{"pe":0,"slot":0,"time":0},{"pe":1,"slot":1,"time":1},{"pe":0,"slot":2,"time":2},{"pe":0,"slot":3,"time":3},{"pe":1,"slot":3,"time":3},{"pe":3,"slot":0,"time":4},{"pe":2,"slot":1,"time":5},{"pe":1,"slot":2,"time":2},{"pe":1,"slot":0,"time":4},{"pe":3,"slot":1,"time":5}]}"#
+        );
 
-    #[test]
-    fn incremental_and_rebuild_mappings_are_byte_identical() {
-        let cgra = Cgra::new(5, 5).unwrap();
-        for name in ["susan", "gsm", "bitcount"] {
-            let dfg = suite::generate(name);
-            let on = DecoupledMapper::new(&cgra).map(&dfg).unwrap();
-            let cfg = MapperConfig::new().with_time_incremental(false);
-            let off = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
-            assert_eq!(
-                serde_json::to_string(&on.mapping).unwrap(),
-                serde_json::to_string(&off.mapping).unwrap(),
-                "{name}: the screen must not change the mapping"
-            );
+        // star6 escalates: II 2 is Unsat at every slack, II 3 needs one
+        // slack level.
+        let (mapping, _, events) = observed_serial_map(&star_k(6));
+        let mut expected = vec![IiStarted { ii: 2 }];
+        expected.extend((0..=2).map(|slack| Escalated { ii: 2, slack }));
+        expected.extend([IiStarted { ii: 3 }, Escalated { ii: 3, slack: 0 }]);
+        expected.extend(mapped_at(3, 1));
+        assert_eq!(events, expected);
+        assert_eq!(
+            mapping,
+            r#"{"dfg_name":"unnamed","ii":3,"placements":[{"pe":0,"slot":1,"time":1},{"pe":0,"slot":2,"time":2},{"pe":1,"slot":1,"time":4},{"pe":0,"slot":0,"time":3},{"pe":2,"slot":1,"time":4},{"pe":1,"slot":0,"time":3},{"pe":2,"slot":0,"time":3},{"pe":1,"slot":2,"time":5}]}"#
+        );
+
+        // star8 burns the whole enumeration cap at (3, 1) and (3, 2) —
+        // sixteen solve → search → block rounds each, never a
+        // seventeenth solve — before II 4 embeds.
+        let (mapping, stats, events) = observed_serial_map(&star_k(8));
+        let mut expected = vec![IiStarted { ii: 3 }, Escalated { ii: 3, slack: 0 }];
+        for slack in [1, 2] {
+            for _ in 0..16 {
+                expected.extend(attempt(3, slack, SpaceAttemptOutcome::Exhausted));
+            }
+            expected.push(Escalated { ii: 3, slack });
         }
+        expected.extend([IiStarted { ii: 4 }, Escalated { ii: 4, slack: 0 }]);
+        expected.extend(mapped_at(4, 1));
+        assert_eq!(events, expected);
+        assert_eq!(
+            (stats.time_solutions, stats.space_attempts, stats.mono_steps),
+            (33, 33, 10)
+        );
+        assert_eq!(
+            mapping,
+            r#"{"dfg_name":"unnamed","ii":4,"placements":[{"pe":0,"slot":1,"time":1},{"pe":0,"slot":3,"time":3},{"pe":0,"slot":0,"time":4},{"pe":1,"slot":1,"time":5},{"pe":2,"slot":1,"time":5},{"pe":0,"slot":2,"time":6},{"pe":1,"slot":2,"time":6},{"pe":1,"slot":0,"time":4},{"pe":2,"slot":0,"time":4},{"pe":2,"slot":2,"time":6}]}"#
+        );
     }
 
     #[test]
-    fn incremental_screen_emits_level_reused_events() {
-        use crate::api::EventCollector;
-        use std::sync::Arc;
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = star_k(6);
-        let collector = Arc::new(EventCollector::new());
-        let result = DecoupledMapper::new(&cgra)
-            .map_observed(&dfg, Some(collector.as_ref()))
+    fn portfolio_remainder_batch_never_exceeds_the_enumeration_cap() {
+        // 16 is not a multiple of 3: the sixth batch of a level is
+        // capped at one schedule, never a 17th pull. star8 exhausts the
+        // cap at two levels, so an uncapped remainder would show.
+        let collector = crate::api::EventCollector::new();
+        let cfg = MapperConfig::new()
+            .with_max_time_solutions(16)
+            .with_space_parallelism(3);
+        let result = DecoupledMapper::with_config(&Cgra::new(2, 2).unwrap(), cfg)
+            .map_observed(&star_k(8), Some(&collector))
             .unwrap();
+        assert_eq!(result.mapping.ii(), 4);
         let events = collector.events();
-        let reused: Vec<_> = events
+        let levels = events
             .iter()
-            .filter(|e| matches!(e, MapEvent::LevelReused { .. }))
-            .collect();
-        assert_eq!(reused.len(), result.stats.solver_reuses);
-        // Every reuse is immediately followed by its level's Escalated.
-        for (i, e) in events.iter().enumerate() {
-            if let MapEvent::LevelReused { ii, slack } = e {
-                assert_eq!(
-                    events.get(i + 1),
-                    Some(&MapEvent::Escalated {
-                        ii: *ii,
-                        slack: *slack
-                    })
-                );
-            }
+            .filter(|e| matches!(e, MapEvent::Escalated { .. }))
+            .count()
+            + 1;
+        assert!(
+            result.stats.time_solutions <= 16 * levels,
+            "{:?}",
+            result.stats
+        );
+        for (ii, slack) in [(3, 1), (3, 2)] {
+            let pulled = events
+                .iter()
+                .filter(|e| **e == MapEvent::TimeSolutionFound { ii, slack })
+                .count();
+            assert_eq!(pulled, 16, "level ({ii}, {slack})");
         }
-        // Rebuild mode emits none.
-        let collector = Arc::new(EventCollector::new());
-        let cfg = MapperConfig::new().with_time_incremental(false);
-        DecoupledMapper::with_config(&cgra, cfg)
-            .map_observed(&dfg, Some(collector.as_ref()))
-            .unwrap();
-        assert!(collector
-            .events()
-            .iter()
-            .all(|e| !matches!(e, MapEvent::LevelReused { .. })));
     }
 
     #[test]
-    fn budget_exhaustion_escalates_identically_with_screen_on_and_off() {
-        // Satellite regression: a time budget running out mid-search
-        // must escalate exactly like the from-scratch path, whether or
-        // not the incremental screen is enabled.
-        use cgra_smt::Budget;
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = star_k(6);
-        for budget in [Budget::conflicts(0), Budget::conflicts(4)] {
-            let on = MapperConfig::new()
-                .with_max_ii(4)
-                .with_time_budget(budget.clone());
-            let off = on.clone().with_time_incremental(false);
-            let a = DecoupledMapper::with_config(&cgra, on).map(&dfg);
-            let b = DecoupledMapper::with_config(&cgra, off).map(&dfg);
-            match (&a, &b) {
-                (Ok(x), Ok(y)) => assert_eq!(
-                    serde_json::to_string(&x.mapping).unwrap(),
-                    serde_json::to_string(&y.mapping).unwrap()
-                ),
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                _ => panic!("screened {a:?} vs rebuild {b:?} diverged"),
-            }
+    fn heuristic_strategy_ignores_space_parallelism() {
+        // One IMS schedule per level is a batch of one: it is searched
+        // inline (the event carries the search's own outcome and the
+        // attempt count is one per schedule, as on the serial path), so
+        // the mapping is the serial one byte for byte.
+        let cgra = Cgra::new(4, 4).unwrap();
+        for name in ["susan", "bitcount", "gsm"] {
+            let dfg = suite::generate(name);
+            let run = |workers| {
+                let cfg = MapperConfig::new()
+                    .with_time_strategy(TimeStrategy::Heuristic)
+                    .with_space_parallelism(workers);
+                let collector = crate::api::EventCollector::new();
+                let result = DecoupledMapper::with_config(&cgra, cfg)
+                    .map_observed(&dfg, Some(&collector))
+                    .unwrap();
+                (result, collector.events())
+            };
+            let (one, events_one) = run(1);
+            let (four, events_four) = run(4);
+            assert_eq!(four.mapping, one.mapping, "{name}");
+            assert_eq!(events_four, events_one, "{name}");
+            assert_eq!(four.stats.space_attempts, four.stats.time_solutions);
+            assert_eq!(four.stats.mono_steps, one.stats.mono_steps, "{name}");
         }
     }
 

@@ -31,14 +31,14 @@
 //! from `TimeSolver`'s Tseitin bi-implications, so the two solvers may
 //! enumerate models in different orders — but they agree exactly on
 //! satisfiability and on the solution *set* at every `(II, slack)`
-//! level. The mapper exploits the cheap direction of that guarantee: it
-//! uses a live instance to prove exhausted levels unsatisfiable (and
-//! skip re-encoding them) while taking actual schedules from the
-//! byte-stable fresh path.
+//! level, which is what this crate's tests check against `TimeSolver`.
 //!
-//! [`TimeSolverConfig::incremental`] is the escape hatch: when `false`,
-//! [`IncrementalTimeSolver::widen_to`] rebuilds the whole encoding from
-//! scratch instead, reproducing the historical cost model exactly.
+//! The mapper does not use this solver: its model order embeds far
+//! worse than the fresh encoding's, and screening Unsat levels on a
+//! live instance re-encoded more than it saved (README, "The time
+//! phase"). It stays because the benchmark's `sched.*` probe measures
+//! it and because learned-clause feedback from the space phase needs a
+//! live instance to put clauses in.
 
 use std::fmt;
 use std::sync::atomic::AtomicBool;
@@ -80,8 +80,6 @@ pub struct IncrementalTimeSolver<'a> {
     conn_len: Vec<Vec<usize>>,
     stats: TimeSolverStats,
     widenings: usize,
-    rebuilds: usize,
-    cancel: Option<Arc<AtomicBool>>,
     have_model: bool,
 }
 
@@ -92,7 +90,6 @@ impl fmt::Debug for IncrementalTimeSolver<'_> {
             .field("ii", &self.ii)
             .field("slack", &self.slack)
             .field("widenings", &self.widenings)
-            .field("rebuilds", &self.rebuilds)
             .field("stats", &self.stats)
             .finish()
     }
@@ -124,37 +121,25 @@ impl<'a> IncrementalTimeSolver<'a> {
             mobility,
             fd: FdSolver::new(),
             vars: Vec::new(),
-            guard: Lit::from_code(0), // replaced by encode_fresh
+            guard: Lit::from_code(0), // replaced by encode
             slot_y: vec![vec![None; ii]; n],
             cap_len: vec![0; ii],
             class_len: Vec::new(),
             conn_len: vec![vec![0; ii]; n],
             stats: TimeSolverStats::default(),
             widenings: 0,
-            rebuilds: 0,
-            cancel: None,
             have_model: false,
         };
         solver.class_len = vec![vec![0; ii]; solver.config.class_capacities.len()];
-        solver.encode_fresh();
+        solver.encode();
         Ok(solver)
     }
 
-    /// Encodes the formulation at `self.slack` into a fresh `FdSolver`,
-    /// resetting all incremental bookkeeping. Used by `new` and by the
-    /// rebuild escape hatch.
-    fn encode_fresh(&mut self) {
+    /// Encodes the formulation at the starting slack level into the
+    /// (still empty) `FdSolver`.
+    fn encode(&mut self) {
         let ii = self.ii;
         let n = self.dfg.num_nodes();
-        self.fd = FdSolver::new();
-        self.slot_y = vec![vec![None; ii]; n];
-        self.cap_len = vec![0; ii];
-        self.class_len = vec![vec![0; ii]; self.config.class_capacities.len()];
-        self.conn_len = vec![vec![0; ii]; n];
-        self.have_model = false;
-        if let Some(flag) = &self.cancel {
-            self.fd.set_cancel_flag(flag.clone());
-        }
 
         self.guard = self.fd.new_bool();
         let guard = self.guard;
@@ -287,12 +272,10 @@ impl<'a> IncrementalTimeSolver<'a> {
     }
 
     /// Widens every node's window to slack level `target` on the live
-    /// instance (or rebuilds from scratch when
-    /// [`TimeSolverConfig::incremental`] is off).
+    /// instance.
     ///
     /// Learnt clauses, variable activity and blocking clauses all
-    /// survive an incremental widening; the current model (if any) is
-    /// invalidated either way.
+    /// survive the widening; the current model (if any) is invalidated.
     ///
     /// # Panics
     ///
@@ -305,13 +288,6 @@ impl<'a> IncrementalTimeSolver<'a> {
             self.slack
         );
         if target == self.slack {
-            return;
-        }
-        if !self.config.incremental {
-            self.slack = target;
-            self.config.window_slack = target;
-            self.rebuilds += 1;
-            self.encode_fresh();
             return;
         }
         self.widenings += 1;
@@ -394,11 +370,6 @@ impl<'a> IncrementalTimeSolver<'a> {
         self.widenings
     }
 
-    /// Number of from-scratch rebuilds performed (escape-hatch mode).
-    pub fn rebuilds(&self) -> usize {
-        self.rebuilds
-    }
-
     /// Learnt clauses currently alive in the SAT core — the search
     /// state a widening carries over instead of discarding.
     pub fn learnt_clauses(&self) -> usize {
@@ -421,10 +392,9 @@ impl<'a> IncrementalTimeSolver<'a> {
     }
 
     /// Installs a cooperative cancellation flag on the underlying SAT
-    /// core (survives rebuilds).
+    /// core.
     pub fn set_cancel_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.fd.set_cancel_flag(flag.clone());
-        self.cancel = Some(flag);
+        self.fd.set_cancel_flag(flag);
     }
 
     /// Attempts to find a schedule at the current slack level.
@@ -563,7 +533,6 @@ mod tests {
         let sol = inc.solve().expect("slack spreads the nodes");
         sol.validate(&dfg, &cfg1).unwrap();
         assert_eq!(inc.widenings(), 1);
-        assert_eq!(inc.rebuilds(), 0);
     }
 
     #[test]
@@ -652,25 +621,6 @@ mod tests {
         inc2.widen_to(1);
         inc2.config.budget = None;
         assert_eq!(inc2.solve_outcome(), SolveOutcome::Unsat);
-    }
-
-    #[test]
-    fn rebuild_mode_matches_incremental_answers() {
-        let dfg = running_example();
-        for ii in [3, 4] {
-            let mut inc = IncrementalTimeSolver::new(&dfg, ii, cfg2x2()).unwrap();
-            let mut reb =
-                IncrementalTimeSolver::new(&dfg, ii, cfg2x2().with_incremental(false)).unwrap();
-            for slack in 0..=2 {
-                inc.widen_to(slack);
-                reb.widen_to(slack);
-                let a = matches!(inc.solve_outcome(), SolveOutcome::Solution(_));
-                let b = matches!(reb.solve_outcome(), SolveOutcome::Solution(_));
-                assert_eq!(a, b, "ii={ii} slack={slack}");
-            }
-            assert_eq!(reb.widenings(), 0);
-            assert_eq!(reb.rebuilds(), 2);
-        }
     }
 
     #[test]

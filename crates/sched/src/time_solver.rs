@@ -53,13 +53,6 @@ pub struct TimeSolverConfig {
     pub window_slack: usize,
     /// Optional resource budget per solve call.
     pub budget: Option<Budget>,
-    /// Let [`IncrementalTimeSolver`](crate::IncrementalTimeSolver) widen
-    /// windows on its live instance (assumption flips plus monotone
-    /// clause additions). When `false` every widening rebuilds the
-    /// encoding from scratch — the escape hatch for comparing against,
-    /// or falling back to, the historical behaviour. [`TimeSolver`]
-    /// itself ignores the flag (it always encodes fresh).
-    pub incremental: bool,
 }
 
 impl TimeSolverConfig {
@@ -85,7 +78,6 @@ impl TimeSolverConfig {
             strict_connectivity: false,
             window_slack: 0,
             budget: None,
-            incremental: true,
         }
     }
 
@@ -118,13 +110,6 @@ impl TimeSolverConfig {
     /// Returns the configuration with a solve budget.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Returns the configuration with incremental widening toggled (see
-    /// [`TimeSolverConfig::incremental`]).
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
         self
     }
 }

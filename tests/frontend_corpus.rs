@@ -13,29 +13,33 @@
 use std::fs;
 use std::path::PathBuf;
 
+use cgra_arch::Cgra;
 use cgra_dfg::suite;
+use monomap_core::DecoupledMapper;
 use monomap_frontend::{class_counts, compile_one};
 
 /// Canonical digests of the 17 suite kernels, as emitted by
-/// `gen_kernels` (and re-derived from the generators below).
-const EXPECTED: [(&str, &str); 17] = [
-    ("aes", "b699bfeffed615b3b2e03eee22be90d5"),
-    ("backprop", "6dac77f00e3e90730549b7108d1077c4"),
-    ("basicmath", "d9646cf29caf969ef3ce45af998034dd"),
-    ("bitcount", "382f2bd5b9c8b149ee6776de23b54912"),
-    ("cfd", "79ded41987bb395f833fe4a7714c370a"),
-    ("crc32", "dde15849d48f1a48aaf5e9ae2c5f123b"),
-    ("fft", "53790559ccba7bc78d0ddb3954c6af03"),
-    ("gsm", "440eac73c7ec60f25f07bf5a613bc40d"),
-    ("heartwall", "403dfd47207fd9edb19f2efe416c27a6"),
-    ("hotspot3D", "9b1fe8d5153f8f3a0720359350745af8"),
-    ("lud", "4835d04387bb8ba423b077e011c7a19d"),
-    ("nw", "90a99f0e80ca79268b86da928bf76bef"),
-    ("particlefilter", "2af8e7647f4d3169fbf193857fbd54c9"),
-    ("sha1", "246ad119c52e430df80e974d0da9059d"),
-    ("sha2", "007053fea9f6d53ca82695c78685b8ff"),
-    ("stringsearch", "20f8f21cf6ac1144ae7cada77d51b7d4"),
-    ("susan", "5af99dc9c09007f2e935efce101b900e"),
+/// `gen_kernels` (and re-derived from the generators below), and the II
+/// each compiled kernel reaches on the homogeneous 4×4 with the default
+/// decoupled mapper.
+const EXPECTED: [(&str, &str, usize); 17] = [
+    ("aes", "b699bfeffed615b3b2e03eee22be90d5", 14),
+    ("backprop", "6dac77f00e3e90730549b7108d1077c4", 5),
+    ("basicmath", "d9646cf29caf969ef3ce45af998034dd", 7),
+    ("bitcount", "382f2bd5b9c8b149ee6776de23b54912", 3),
+    ("cfd", "79ded41987bb395f833fe4a7714c370a", 4),
+    ("crc32", "dde15849d48f1a48aaf5e9ae2c5f123b", 8),
+    ("fft", "53790559ccba7bc78d0ddb3954c6af03", 7),
+    ("gsm", "440eac73c7ec60f25f07bf5a613bc40d", 4),
+    ("heartwall", "403dfd47207fd9edb19f2efe416c27a6", 3),
+    ("hotspot3D", "9b1fe8d5153f8f3a0720359350745af8", 4),
+    ("lud", "4835d04387bb8ba423b077e011c7a19d", 3),
+    ("nw", "90a99f0e80ca79268b86da928bf76bef", 3),
+    ("particlefilter", "2af8e7647f4d3169fbf193857fbd54c9", 9),
+    ("sha1", "246ad119c52e430df80e974d0da9059d", 2),
+    ("sha2", "007053fea9f6d53ca82695c78685b8ff", 7),
+    ("stringsearch", "20f8f21cf6ac1144ae7cada77d51b7d4", 3),
+    ("susan", "5af99dc9c09007f2e935efce101b900e", 3),
 ];
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -44,7 +48,7 @@ fn repo_path(rel: &str) -> PathBuf {
 
 #[test]
 fn every_suite_kernel_compiles_to_its_generated_digest() {
-    for (name, expected_hex) in EXPECTED {
+    for (name, expected_hex, _) in EXPECTED {
         let path = repo_path(&format!("kernels/{name}.mk"));
         let source = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{}: {e} (run gen_kernels?)", path.display()));
@@ -67,6 +71,22 @@ fn every_suite_kernel_compiles_to_its_generated_digest() {
             generated.num_nodes(),
             "{name}: node count drift"
         );
+    }
+}
+
+#[test]
+fn compiled_corpus_maps_on_4x4_at_the_pinned_iis() {
+    // What the text front door hands the mapper must map, in the
+    // numbering the compiler emits, at the suite's known IIs.
+    let cgra = Cgra::new(4, 4).unwrap();
+    for (name, _, ii) in EXPECTED {
+        let source = fs::read_to_string(repo_path(&format!("kernels/{name}.mk"))).unwrap();
+        let compiled = compile_one(&source).expect("compiles");
+        let result = DecoupledMapper::new(&cgra)
+            .map(&compiled)
+            .unwrap_or_else(|e| panic!("{name}.mk does not map on 4x4: {e}"));
+        assert_eq!(result.mapping.ii(), ii, "{name}: II drift");
+        result.mapping.validate(&compiled, &cgra).unwrap();
     }
 }
 

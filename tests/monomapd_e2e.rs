@@ -241,6 +241,29 @@ fn malformed_and_unknown_requests_get_http_errors() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_not_a_stack_overflow() {
+    // Regression: the JSON parser recursed once per `[` with no bound,
+    // so a body well inside `max_body_bytes` overflowed a pool thread's
+    // stack and took the whole daemon down.
+    let (server, client) = start_server(1);
+    let body = "[".repeat(1 << 20);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    write!(
+        stream,
+        "POST /map HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    use std::io::Read;
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(response.contains("nesting"), "{response}");
+    assert!(client.healthz().is_ok(), "the daemon keeps serving");
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn client_disconnect_cancels_the_solve() {
     let (server, client) = start_server(2);
     // A deliberately slow request: the coupled (SAT-MapIt-style)

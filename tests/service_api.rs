@@ -187,7 +187,6 @@ fn observer_events_serialize() {
             slack: 0,
             outcome: SpaceAttemptOutcome::Found,
         },
-        MapEvent::LevelReused { ii: 4, slack: 1 },
         MapEvent::Escalated { ii: 4, slack: 2 },
         MapEvent::Finished {
             mapped: true,
