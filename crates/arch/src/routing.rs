@@ -129,6 +129,87 @@ impl RoutingModel {
         self.reach_with_self[a.index()].contains(b)
     }
 
+    /// One PE per orbit of the grid symmetries that this model
+    /// *verifies*: the lowest-indexed PE of every class of PEs the
+    /// symmetries carry onto one another.
+    ///
+    /// The candidates are the unit row and column translations, the two
+    /// reflections and (on square grids) the transpose. A candidate is
+    /// kept only if it maps every distance tier of every PE onto the
+    /// same tier of the image PE and preserves every capability mask, so
+    /// the kept ones are automorphisms of the routed,
+    /// capability-labelled PE graph whatever the topology, route bound
+    /// or capability profile; orbits are the connected components of
+    /// "some kept candidate maps `p` to `q`". A homogeneous torus has
+    /// one orbit (PE 0); a grid with no surviving candidate has one per
+    /// PE.
+    ///
+    /// `cgra` must be the CGRA the model was built from.
+    pub fn orbit_representatives(&self, cgra: &Cgra) -> PeSet {
+        let n = cgra.num_pes();
+        assert_eq!(n, self.reach.len(), "the model's own CGRA");
+        let mut leader: Vec<usize> = (0..n).collect();
+        fn find(leader: &mut [usize], mut p: usize) -> usize {
+            while leader[p] != p {
+                leader[p] = leader[leader[p]];
+                p = leader[p];
+            }
+            p
+        }
+        for sigma in self.symmetries(cgra) {
+            for (p, &q) in sigma.iter().enumerate() {
+                let (a, b) = (find(&mut leader, p), find(&mut leader, q));
+                // The lower index leads, so a leader is its orbit's minimum.
+                leader[a.max(b)] = a.min(b);
+            }
+        }
+        let mut reps = PeSet::new(n);
+        for p in 0..n {
+            if find(&mut leader, p) == p {
+                reps.insert(PeId::from_index(p));
+            }
+        }
+        reps
+    }
+
+    /// The candidate grid symmetries (as PE permutations) that are
+    /// automorphisms of every tier and every capability mask.
+    fn symmetries(&self, cgra: &Cgra) -> Vec<Vec<usize>> {
+        let (rows, cols) = (cgra.rows(), cgra.cols());
+        let image = |candidate: usize, (r, c): (usize, usize)| match candidate {
+            0 => ((r + 1) % rows, c),
+            1 => (r, (c + 1) % cols),
+            2 => (rows - 1 - r, c),
+            3 => (r, cols - 1 - c),
+            _ => (c, r),
+        };
+        // The transpose only maps a square grid onto itself.
+        let candidates = if rows == cols { 5 } else { 4 };
+        (0..candidates)
+            .map(|candidate| -> Vec<usize> {
+                cgra.pes()
+                    .map(|pe| {
+                        let (r, c) = image(candidate, cgra.coords(pe));
+                        cgra.pe(r, c).index()
+                    })
+                    .collect()
+            })
+            .filter(|sigma| {
+                cgra.pes().all(|pe| {
+                    let image = PeId::from_index(sigma[pe.index()]);
+                    cgra.capability(pe) == cgra.capability(image)
+                        && self.tiers.iter().all(|tier| {
+                            let (from, to) = (&tier[pe.index()], &tier[image.index()]);
+                            from.len() == to.len()
+                                && from
+                                    .iter()
+                                    .all(|q| to.contains(PeId::from_index(sigma[q.index()])))
+                        })
+                })
+            })
+            .collect()
+    }
+
     /// Shortest-path distance, when within the model's bound: `Some(0)`
     /// for `a == b`, `Some(d)` for routed pairs, `None` beyond `k`.
     pub fn distance(&self, a: PeId, b: PeId) -> Option<usize> {
@@ -221,6 +302,65 @@ mod tests {
                 assert!(!model.connected(pe, pe));
             }
         }
+    }
+
+    #[test]
+    fn kept_symmetries_are_automorphisms_of_every_tier_and_mask() {
+        use crate::CapabilityProfile;
+        for (rows, cols) in [(2, 2), (3, 3), (3, 4), (4, 4), (5, 2)] {
+            for topo in [Topology::Torus, Topology::Mesh, Topology::Diagonal] {
+                for profile in CapabilityProfile::ALL {
+                    let cgra = Cgra::with_topology(rows, cols, topo)
+                        .unwrap()
+                        .with_capability_profile(profile);
+                    for k in 1..=3 {
+                        let model = RoutingModel::new(&cgra, k);
+                        for sigma in model.symmetries(&cgra) {
+                            let at = |pe: PeId| PeId::from_index(sigma[pe.index()]);
+                            let mut image: Vec<usize> = sigma.clone();
+                            image.sort_unstable();
+                            assert!(image.into_iter().eq(0..cgra.num_pes()), "a permutation");
+                            for p in cgra.pes() {
+                                assert_eq!(cgra.capability(p), cgra.capability(at(p)));
+                                for q in cgra.pes() {
+                                    assert_eq!(
+                                        model.distance(p, q),
+                                        model.distance(at(p), at(q)),
+                                        "{rows}x{cols} {topo} {profile:?} k={k}: {p} {q}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn orbits_follow_the_grid_symmetry() {
+        use crate::CapabilityProfile;
+        let reps = |cgra: &Cgra, k| -> Vec<usize> {
+            RoutingModel::new(cgra, k)
+                .orbit_representatives(cgra)
+                .iter()
+                .map(PeId::index)
+                .collect()
+        };
+        // Corner, edge, centre.
+        let mesh = Cgra::with_topology(3, 3, Topology::Mesh).unwrap();
+        assert_eq!(reps(&mesh, 1), [0, 1, 4]);
+        assert_eq!(reps(&mesh, 2), [0, 1, 4]);
+        // Translations carry every PE of a homogeneous torus to PE 0.
+        let torus = Cgra::new(4, 4).unwrap();
+        assert_eq!(reps(&torus, 1), [0]);
+        // A memory column breaks the column translation: row translations
+        // and the row reflection remain, so orbits are whole columns and
+        // the memory column (col 0) stays apart from the others.
+        let mem = Cgra::new(4, 4)
+            .unwrap()
+            .with_capability_profile(CapabilityProfile::MemLeftColumn);
+        assert_eq!(reps(&mem, 1), [0, 1, 2, 3]);
     }
 
     #[test]

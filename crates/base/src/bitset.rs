@@ -149,70 +149,6 @@ impl DenseBitSet {
         self.words.copy_from_slice(&other.words);
     }
 
-    /// Sets `self = base \ exclude` in one word-parallel pass,
-    /// reporting whether any member remains.
-    ///
-    /// Fuses [`DenseBitSet::copy_from`], [`DenseBitSet::subtract`] and
-    /// the emptiness test that search inner loops would otherwise run
-    /// as three separate passes over the backing words. Occupancy is
-    /// accumulated bitwise alongside the stores, so the loop body stays
-    /// branch-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn assign_difference(&mut self, base: &DenseBitSet, exclude: &DenseBitSet) -> bool {
-        assert_eq!(self.capacity, base.capacity, "capacity mismatch");
-        assert_eq!(self.capacity, exclude.capacity, "capacity mismatch");
-        let mut any = 0u64;
-        for ((d, &b), &e) in self.words.iter_mut().zip(&base.words).zip(&exclude.words) {
-            let w = b & !e;
-            *d = w;
-            any |= w;
-        }
-        any != 0
-    }
-
-    /// In-place intersection (`self ∩= other`) reporting whether any
-    /// member remains — the emptiness check comes free with the pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn intersect_any(&mut self, other: &DenseBitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        let mut any = 0u64;
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-            any |= *a;
-        }
-        any != 0
-    }
-
-    /// The smallest member at or after `from`, if any.
-    ///
-    /// Together with a cursor this supports allocation-free iteration
-    /// over a set that may be mutated between calls (the monomorphism
-    /// engine's domain stack): `next_member(cursor)` then advance the
-    /// cursor past the returned index.
-    pub fn next_member(&self, from: usize) -> Option<usize> {
-        if from >= self.capacity {
-            return None;
-        }
-        let mut wi = from / 64;
-        let mut word = self.words[wi] & (!0u64 << (from % 64));
-        loop {
-            if word != 0 {
-                return Some(wi * 64 + word.trailing_zeros() as usize);
-            }
-            wi += 1;
-            if wi >= self.words.len() {
-                return None;
-            }
-            word = self.words[wi];
-        }
-    }
-
     /// Iterates over members in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -566,106 +502,12 @@ mod tests {
     }
 
     #[test]
-    fn next_member_scans_from_cursor() {
-        let s: DenseBitSet = [0usize, 5, 63, 64, 129].iter().copied().collect();
-        assert_eq!(s.next_member(0), Some(0));
-        assert_eq!(s.next_member(1), Some(5));
-        assert_eq!(s.next_member(6), Some(63));
-        assert_eq!(s.next_member(64), Some(64));
-        assert_eq!(s.next_member(65), Some(129));
-        assert_eq!(s.next_member(130), None);
-        assert_eq!(s.next_member(10_000), None);
-        // Cursor-style walk visits exactly the members, in order.
-        let mut cursor = 0;
-        let mut seen = Vec::new();
-        while let Some(i) = s.next_member(cursor) {
-            seen.push(i);
-            cursor = i + 1;
-        }
-        assert_eq!(seen, s.iter().collect::<Vec<_>>());
-        assert_eq!(DenseBitSet::new(0).next_member(0), None);
-    }
-
-    #[test]
     fn zero_capacity_is_workable() {
         let s = DenseBitSet::new(0);
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert_eq!(s.iter().count(), 0);
         assert_eq!(DenseBitSet::full(0), s);
-    }
-
-    #[test]
-    fn fused_ops_match_their_separate_passes() {
-        let a: DenseBitSet = [0usize, 5, 63, 64, 100].iter().copied().collect();
-        let mut a129 = DenseBitSet::new(129);
-        a129.extend(a.iter());
-        let mut b = DenseBitSet::new(129);
-        b.extend([5usize, 64, 128]);
-        let mut fused = DenseBitSet::new(129);
-        let any = fused.assign_difference(&a129, &b);
-        let mut split = a129.clone();
-        split.subtract(&b);
-        assert_eq!(fused, split);
-        assert_eq!(any, !split.is_empty());
-        let mut c = DenseBitSet::new(129);
-        c.extend([0usize, 100]);
-        let any = fused.intersect_any(&c);
-        assert!(any);
-        assert_eq!(fused.iter().collect::<Vec<_>>(), vec![0, 100]);
-        let empty = DenseBitSet::new(129);
-        assert!(!fused.intersect_any(&empty));
-        assert!(fused.is_empty());
-    }
-
-    /// Randomized model check of the fused passes against a `HashSet`
-    /// oracle, xorshift-driven (the workspace has no property-testing
-    /// dependency by design).
-    #[test]
-    fn fused_ops_agree_with_a_hashset_oracle() {
-        use std::collections::HashSet;
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for round in 0..200 {
-            // Capacities straddle the word boundaries.
-            let cap = 1 + (rng() % 200) as usize;
-            let random_set = |rng: &mut dyn FnMut() -> u64| {
-                let mut s = DenseBitSet::new(cap);
-                let mut o = HashSet::new();
-                let n = (rng() % 64) as usize;
-                for _ in 0..n {
-                    let i = (rng() % cap as u64) as usize;
-                    s.insert(i);
-                    o.insert(i);
-                }
-                (s, o)
-            };
-            let (base, base_o) = random_set(&mut rng);
-            let (excl, excl_o) = random_set(&mut rng);
-            let (row, row_o) = random_set(&mut rng);
-            let mut dom = DenseBitSet::new(cap);
-            let any = dom.assign_difference(&base, &excl);
-            let expect: HashSet<usize> = base_o.difference(&excl_o).copied().collect();
-            assert_eq!(
-                dom.iter().collect::<HashSet<_>>(),
-                expect,
-                "round {round}: difference"
-            );
-            assert_eq!(any, !expect.is_empty(), "round {round}: occupancy");
-            let any = dom.intersect_any(&row);
-            let expect: HashSet<usize> = expect.intersection(&row_o).copied().collect();
-            assert_eq!(
-                dom.iter().collect::<HashSet<_>>(),
-                expect,
-                "round {round}: intersection"
-            );
-            assert_eq!(any, !expect.is_empty(), "round {round}: occupancy");
-        }
     }
 
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]

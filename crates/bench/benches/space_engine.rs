@@ -1,23 +1,19 @@
-//! Criterion benchmarks for the reworked space phase.
+//! Criterion benchmarks for the space phase.
 //!
-//! * `target_reuse` — the tentpole amortisation: at a fixed II on the
-//!   5×5 CGRA, running the monomorphism search over several enumerated
-//!   time solutions with a per-attempt `build_target` rebuild (the old
-//!   `space_search` behaviour) vs one [`SpaceEngine`] whose cached
-//!   target every attempt shares. The engine variant constructs the
-//!   target exactly once per batch.
 //! * `portfolio` — end-to-end mapping of the 5×5 suite kernels with the
 //!   serial path vs the racing portfolio; the achieved II is asserted
 //!   identical.
-//! * `capability_domains` — per-attempt space search on the 5×5 suite,
-//!   homogeneous vs the heterogeneous mem-left/mul-checkerboard grid:
-//!   compatibility filtering must not regress the search (the filtered
-//!   candidate domains are strictly smaller, so hard instances tend to
-//!   get faster per attempt).
+//! * `capability_domains` — monomorphism search over several enumerated
+//!   schedules on one [`SpaceEngine`], homogeneous vs the heterogeneous
+//!   mem-left/mul-checkerboard grid: compatibility filtering must not
+//!   regress the search (the filtered candidate domains are strictly
+//!   smaller, so hard instances tend to get faster per attempt).
 //!
-//! Both `target_reuse` and `portfolio` run a heterogeneous variant of
-//! every kernel alongside the homogeneous rows, so the cached-target
-//! and racing paths are exercised on non-uniform grids too.
+//! Both groups run a heterogeneous variant of every kernel alongside
+//! the homogeneous rows. (A `target_reuse` group used to time the
+//! per-II target cache against per-attempt rebuilds; the engine's
+//! target no longer depends on the II and costs microseconds to build,
+//! so there is no rebuild left to compare against.)
 
 use std::time::Duration;
 
@@ -26,7 +22,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cgra_arch::{CapabilityProfile, Cgra};
 use cgra_dfg::suite;
 use cgra_sched::{TimeSolution, TimeSolver, TimeSolverConfig};
-use monomap_core::{space_search, DecoupledMapper, MapperConfig, SpaceEngine, SpaceOutcome};
+use monomap_core::{DecoupledMapper, MapperConfig, SpaceEngine, SpaceOutcome};
 
 const KERNELS: [&str; 3] = ["susan", "gsm", "bitcount"];
 const ATTEMPTS: usize = 8;
@@ -58,55 +54,6 @@ fn schedules(cgra: &Cgra, name: &str) -> (cgra_dfg::Dfg, Vec<TimeSolution>) {
         }
     }
     panic!("{name} has no schedule near mII on 5x5");
-}
-
-fn bench_target_reuse(c: &mut Criterion) {
-    let mut g = c.benchmark_group("target_reuse");
-    g.measurement_time(Duration::from_secs(3)).sample_size(10);
-    for (grid, cgra) in grids() {
-        for name in KERNELS {
-            let (dfg, sols) = schedules(&cgra, name);
-            let id = format!("{name}/{grid}");
-            // Old shape: every attempt rebuilds the full MRRG target.
-            g.bench_with_input(
-                BenchmarkId::new("rebuild_per_attempt", &id),
-                &sols,
-                |b, sols| {
-                    b.iter(|| {
-                        let mut found = 0usize;
-                        for sol in sols {
-                            let (outcome, _) = space_search(&dfg, &cgra, sol, 2_000_000, None);
-                            if matches!(outcome, SpaceOutcome::Found(_)) {
-                                found += 1;
-                            }
-                        }
-                        found
-                    })
-                },
-            );
-            // New shape: one engine per batch; the target is built once
-            // and shared by all attempts at this II.
-            g.bench_with_input(
-                BenchmarkId::new("engine_amortised", &id),
-                &sols,
-                |b, sols| {
-                    b.iter(|| {
-                        let mut engine = SpaceEngine::new(&cgra);
-                        let mut found = 0usize;
-                        for sol in sols {
-                            let (outcome, _) = engine.search(&dfg, sol, 2_000_000, None);
-                            if matches!(outcome, SpaceOutcome::Found(_)) {
-                                found += 1;
-                            }
-                        }
-                        assert_eq!(engine.target_builds(), 1, "one build per batch");
-                        found
-                    })
-                },
-            );
-        }
-    }
-    g.finish();
 }
 
 fn bench_portfolio(c: &mut Criterion) {
@@ -156,7 +103,7 @@ fn bench_capability_domains(c: &mut Criterion) {
             let (dfg, sols) = schedules(&cgra, name);
             g.bench_with_input(BenchmarkId::new(grid, name), &sols, |b, sols| {
                 b.iter(|| {
-                    let mut engine = SpaceEngine::new(&cgra);
+                    let engine = SpaceEngine::new(&cgra);
                     let mut found = 0usize;
                     let mut steps = 0u64;
                     for sol in sols {
@@ -174,10 +121,5 @@ fn bench_capability_domains(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_target_reuse,
-    bench_portfolio,
-    bench_capability_domains
-);
+criterion_group!(benches, bench_portfolio, bench_capability_domains);
 criterion_main!(benches);

@@ -16,7 +16,7 @@
 //! The captured file is committed as `tests/golden/routing_parity.tsv`
 //! and asserted byte-identical by `tests/routing_parity.rs`: the
 //! routing-aware space phase at its default `max_route_hops = 1` must
-//! reproduce the pre-change serial mappings bit for bit, for the
+//! reproduce the committed serial mappings bit for bit, for the
 //! decoupled, coupled and annealing engines alike.
 
 use cgra_arch::{CapabilityProfile, Cgra};

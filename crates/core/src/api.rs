@@ -146,10 +146,23 @@ impl From<&SpaceOutcome> for SpaceAttemptOutcome {
 ///
 /// On the decoupled serial path the event stream is deterministic; in
 /// portfolio mode the raced space searches of one batch coalesce into
-/// a single [`MapEvent::SpaceAttempt`]. The baselines reuse the same
-/// vocabulary: the coupled mapper reports each joint `(II, slack)` SAT
-/// attempt as a `SpaceAttempt` (it has no separate time phase), the
-/// annealer reports each restart.
+/// a single [`MapEvent::SpaceAttempt`].
+///
+/// The decoupled engine searches one II under a rising ladder of step
+/// budgets (a thousandth, a hundredth, a tenth of
+/// `MapperConfig::mono_step_limit`, then the limit). The first rung
+/// reads as the plain loop: per slack level, `TimeSolutionFound` /
+/// `SpaceAttempt` pairs closed by one [`MapEvent::Escalated`]. A
+/// `SpaceAttempt` ending `LimitReached` there decided nothing — its
+/// schedule is kept. After the II's last `Escalated`, each further rung
+/// emits one bare `SpaceAttempt` (no `TimeSolutionFound`: nothing is
+/// solved again) per kept schedule or raced batch of them, carrying the
+/// slack of the level that found it; only when the last rung is through
+/// does the next [`MapEvent::IiStarted`] follow.
+///
+/// The baselines reuse the same vocabulary: the coupled mapper reports
+/// each joint `(II, slack)` SAT attempt as a `SpaceAttempt` (it has no
+/// separate time phase), the annealer reports each restart.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MapEvent {
     /// The search started attempting a new iteration interval.
@@ -164,7 +177,9 @@ pub enum MapEvent {
         /// The window slack of the level.
         slack: usize,
     },
-    /// A space-phase attempt finished.
+    /// A space-phase attempt finished: the search of one schedule, or
+    /// of one raced batch of them (`Found` if any embedded, else
+    /// `LimitReached` if any stopped at its step budget).
     SpaceAttempt {
         /// The iteration interval.
         ii: usize,
@@ -173,8 +188,10 @@ pub enum MapEvent {
         /// How the attempt ended.
         outcome: SpaceAttemptOutcome,
     },
-    /// An `(II, slack)` level was exhausted and the search moved on
-    /// (next slack, or next II after the last slack).
+    /// An `(II, slack)` level ran out of schedules — or reached the
+    /// enumeration cap — without a mapping and the search moved on: to
+    /// the next slack, or after the last slack to re-searching the
+    /// schedules left undecided at this II and then to the next II.
     Escalated {
         /// The exhausted iteration interval.
         ii: usize,

@@ -38,7 +38,12 @@ pub struct MapperConfig {
     /// Maximum number of alternative time solutions to try per
     /// `(II, slack)` before widening.
     pub max_time_solutions: usize,
-    /// Step budget for each monomorphism search attempt.
+    /// The most placements one monomorphism search may try — exactly:
+    /// a search stops *at* this many, not one past it. Within one II
+    /// the mapper first searches every schedule under a thousandth, a
+    /// hundredth and a tenth of the limit and re-searches only the
+    /// schedules still undecided, so each has had this full budget
+    /// before the II rises, at no more than 11.1 % extra steps.
     pub mono_step_limit: u64,
     /// Enable the capacity constraint family (ablation switch).
     pub capacity_constraints: bool,
@@ -122,7 +127,8 @@ impl MapperConfig {
         self
     }
 
-    /// Sets the per-attempt monomorphism step budget.
+    /// Sets the per-search monomorphism step limit (see
+    /// [`MapperConfig::mono_step_limit`]).
     pub fn with_mono_step_limit(mut self, steps: u64) -> Self {
         self.mono_step_limit = steps;
         self

@@ -1,7 +1,7 @@
 //! The decoupled space/time mapper (paper §IV).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -10,7 +10,6 @@ use cgra_base::CancelFlag;
 
 use cgra_arch::{Cgra, MAX_ROUTE_HOPS};
 use cgra_dfg::Dfg;
-use cgra_iso::{MonoOutcome, SearchConfig, Searcher};
 use cgra_sched::{
     ims_schedule, min_ii, unsupported_op_class, EnumerationEnd, TimeSolution, TimeSolver,
     TimeSolverConfig, TimeSolverError,
@@ -18,7 +17,7 @@ use cgra_sched::{
 
 use crate::api::{emit, MapEvent, MapObserver, SpaceAttemptOutcome};
 use crate::config::TimeStrategy;
-use crate::space::{build_pattern, SpaceEngine, SpaceOutcome};
+use crate::space::{SpaceEngine, SpaceOutcome};
 use crate::{MapError, MapperConfig, Mapping, Placement};
 
 /// How often the portfolio supervisor polls for user cancellation while
@@ -193,6 +192,19 @@ impl Default for MapStats {
     }
 }
 
+/// What searching one batch of schedules under one step budget gave.
+struct Searched {
+    /// The winning `(index into the batch, monomorphism)`.
+    winner: Option<(usize, Vec<usize>)>,
+    /// Per schedule: its search stopped at the budget, so it is still
+    /// undecided.
+    limited: Vec<bool>,
+    /// Searches run (a decided race leaves the rest of its batch
+    /// unsearched) and their summed steps.
+    attempts: usize,
+    steps: u64,
+}
+
 /// The mapper: SMT time solve, then monomorphism space solve, with
 /// fall-back enumeration and II escalation.
 ///
@@ -252,16 +264,20 @@ impl DecoupledMapper {
     /// Searches II values from `mII` upward; for each II tries window
     /// slacks `0..=max_window_slack`, and for each time solution runs
     /// the monomorphism search, enumerating alternative schedules when
-    /// the space phase fails (paper §IV-D guarantees this is rare). The
-    /// MRRG target is built once per II by a [`SpaceEngine`] and shared
-    /// by every slack level and time solution at that II.
+    /// the space phase fails (paper §IV-D guarantees this is rare). One
+    /// [`SpaceEngine`] holds the MRRG in its II-independent form for the
+    /// whole request.
     ///
     /// Each `(II, slack)` level takes its schedules from one fresh
     /// [`TimeSolver`], the mapper's only SMT path. With
     /// [`MapperConfig::space_parallelism`] above 1 the level pulls them
     /// in batches of that size and races each batch's monomorphism
     /// searches across worker threads; the first success cancels the
-    /// rest.
+    /// rest. Within one II the searches run under a rising ladder of
+    /// step budgets that ends at [`MapperConfig::mono_step_limit`], so
+    /// one hard schedule cannot hold up the easy ones behind it, and the
+    /// II rises only after every undecided schedule has had the full
+    /// limit.
     ///
     /// # Errors
     ///
@@ -324,23 +340,15 @@ impl DecoupledMapper {
             space_parallelism: self.config.space_parallelism,
             ..MapStats::default()
         };
-        let mut engine = SpaceEngine::with_route_hops(&self.cgra, self.config.max_route_hops);
+        let t0 = Instant::now();
+        let engine = SpaceEngine::with_route_hops(&self.cgra, self.config.max_route_hops);
+        stats.space_phase_seconds += t0.elapsed().as_secs_f64();
 
         for ii in mii..=max_ii {
             stats.iis_tried += 1;
             emit(obs, MapEvent::IiStarted { ii });
-            // Targets for earlier IIs are never revisited.
-            engine.retain_ii(ii);
-            for slack in 0..=self.config.max_window_slack {
-                if self.cancelled() {
-                    return Err(MapError::Timeout { ii });
-                }
-                if let Some((sol, map)) =
-                    self.level(dfg, ii, slack, &mut engine, &mut stats, obs)?
-                {
-                    return Ok(self.finish(dfg, &sol, map, ii, slack, start, stats));
-                }
-                emit(obs, MapEvent::Escalated { ii, slack });
+            if let Some((sol, map, slack)) = self.ladder(dfg, ii, &engine, &mut stats, obs)? {
+                return Ok(self.finish(dfg, &sol, map, ii, slack, start, stats));
             }
         }
         Err(MapError::NoSolution { mii, max_ii })
@@ -359,9 +367,78 @@ impl DecoupledMapper {
         ts_config
     }
 
+    /// One II under a geometric ladder of step budgets — a thousandth, a
+    /// hundredth, a tenth of [`MapperConfig::mono_step_limit`], then the
+    /// limit itself (rungs a small limit rounds to zero are skipped).
+    ///
+    /// The first rung walks the slack levels `0..=max_window_slack`
+    /// through [`DecoupledMapper::level`], giving every enumerated
+    /// schedule the smallest budget: an embeddable schedule typically
+    /// needs tens of steps, so a schedule that would burn the whole
+    /// limit no longer stands in front of the next slack level's easy
+    /// one. A search that exhausts its space settles its schedule; one
+    /// that stops at the budget leaves it undecided, and only those are
+    /// kept. Every later rung searches the kept schedules again under
+    /// the next budget, without re-encoding or re-solving anything. The
+    /// II is given up only after the last rung, so every schedule has
+    /// been searched under the full limit before the II rises, and the
+    /// earlier rungs add at most 11.1 % to the work of the last.
+    ///
+    /// Returns the winning `(schedule, monomorphism, slack)`.
+    fn ladder(
+        &self,
+        dfg: &Dfg,
+        ii: usize,
+        engine: &SpaceEngine,
+        stats: &mut MapStats,
+        obs: Option<&dyn MapObserver>,
+    ) -> Result<Option<(TimeSolution, Vec<usize>, usize)>, MapError> {
+        let limit = self.config.mono_step_limit;
+        let mut budgets = [1000, 100, 10]
+            .into_iter()
+            .map(|part| limit / part)
+            .filter(|&budget| budget > 0)
+            .chain([limit]);
+        let first = budgets.next().expect("the limit itself is a rung");
+        // Undecided schedules per slack level, in enumeration order.
+        let mut kept: Vec<(usize, Vec<TimeSolution>)> = Vec::new();
+        for slack in 0..=self.config.max_window_slack {
+            if self.cancelled() {
+                return Err(MapError::Timeout { ii });
+            }
+            let mut undecided = Vec::new();
+            if let Some((sol, map)) =
+                self.level(dfg, ii, slack, first, engine, &mut undecided, stats, obs)?
+            {
+                return Ok(Some((sol, map, slack)));
+            }
+            emit(obs, MapEvent::Escalated { ii, slack });
+            kept.push((slack, undecided));
+        }
+        let workers = self.config.space_parallelism.max(1);
+        for budget in budgets {
+            for (slack, sols) in &mut kept {
+                let mut undecided = Vec::with_capacity(sols.len());
+                for batch in sols.chunks(workers) {
+                    let searched = self.attempt(dfg, ii, *slack, batch, budget, engine, stats, obs);
+                    if let Some((idx, map)) = searched.winner {
+                        return Ok(Some((batch[idx].clone(), map, *slack)));
+                    }
+                    if self.cancelled() {
+                        return Err(MapError::Timeout { ii });
+                    }
+                    undecided.extend(searched.limited);
+                }
+                let mut undecided = undecided.into_iter();
+                sols.retain(|_| undecided.next().expect("one flag per schedule"));
+            }
+        }
+        Ok(None)
+    }
+
     /// One `(II, slack)` level, the paper's §IV-D loop: take schedules
-    /// from the level's one source, search each for a monomorphism, and
-    /// block-and-enumerate on failure.
+    /// from the level's one source, search each for a monomorphism
+    /// under `budget` steps, and block-and-enumerate on failure.
     ///
     /// The source is a [`TimeSolver`] encoded fresh for the level, or
     /// the single IMS schedule under [`TimeStrategy::Heuristic`]. The
@@ -374,23 +451,23 @@ impl DecoupledMapper {
     ///
     /// Schedules are pulled in batches of up to
     /// [`MapperConfig::space_parallelism`], never more than
-    /// [`MapperConfig::max_time_solutions`] per level. A batch of one is
-    /// searched inline, so the serial path runs solve → search → block →
-    /// solve exactly in enumeration order; a larger batch is raced by
-    /// [`DecoupledMapper::race_batch`] and reports one coalesced
-    /// [`MapEvent::SpaceAttempt`] (per-worker attempts finish in
-    /// nondeterministic order).
+    /// [`MapperConfig::max_time_solutions`] per level, and each batch is
+    /// one [`DecoupledMapper::attempt`]: the serial path runs solve →
+    /// search → block → solve exactly in enumeration order.
     ///
     /// Returns the winning `(schedule, monomorphism)`, or `None` when
     /// the level ended without one — no schedule left, the enumeration
-    /// cap, or a per-solve budget running out — and the caller
-    /// escalates.
+    /// cap, or a per-solve budget running out. The schedules whose
+    /// search stopped at `budget` are appended to `undecided`.
+    #[allow(clippy::too_many_arguments)]
     fn level(
         &self,
         dfg: &Dfg,
         ii: usize,
         slack: usize,
-        engine: &mut SpaceEngine<'_>,
+        budget: u64,
+        engine: &SpaceEngine,
+        undecided: &mut Vec<TimeSolution>,
         stats: &mut MapStats,
         obs: Option<&dyn MapObserver>,
     ) -> Result<Option<(TimeSolution, Vec<usize>)>, MapError> {
@@ -437,39 +514,15 @@ impl DecoupledMapper {
                 for _ in &batch {
                     emit(obs, MapEvent::TimeSolutionFound { ii, slack });
                 }
-                let t1 = Instant::now();
-                let (winner, attempts, steps, outcome) = if let [sol] = batch.as_slice() {
-                    let (space, steps) =
-                        engine.search(dfg, sol, self.config.mono_step_limit, self.cancel.as_ref());
-                    let outcome = SpaceAttemptOutcome::from(&space);
-                    let winner = match space {
-                        SpaceOutcome::Found(map) => Some((0, map)),
-                        _ => None,
-                    };
-                    (winner, 1, steps, outcome)
-                } else {
-                    // Built only once a schedule exists (Unsat levels
-                    // never pay for target construction).
-                    let target = engine.target(ii);
-                    let (winner, attempts, steps) = self.race_batch(dfg, &target, &batch);
-                    let outcome = match winner {
-                        Some(_) => SpaceAttemptOutcome::Found,
-                        None => SpaceAttemptOutcome::Exhausted,
-                    };
-                    (winner, attempts, steps, outcome)
-                };
-                // Wall-clock of the batch (the Table III phase
-                // semantics), not the sum over parallel workers.
-                stats.space_phase_seconds += t1.elapsed().as_secs_f64();
-                stats.space_attempts += attempts;
-                stats.mono_steps += steps;
-                emit(obs, MapEvent::SpaceAttempt { ii, slack, outcome });
-                if let Some((idx, map)) = winner {
+                let searched = self.attempt(dfg, ii, slack, &batch, budget, engine, stats, obs);
+                if let Some((idx, map)) = searched.winner {
                     return Ok(Some((batch.swap_remove(idx), map)));
                 }
                 if self.cancelled() {
                     return Err(MapError::Timeout { ii });
                 }
+                let stopped = batch.into_iter().zip(searched.limited);
+                undecided.extend(stopped.filter_map(|(sol, limited)| limited.then_some(sol)));
             }
             match batch_end {
                 EnumerationEnd::CapReached => {}
@@ -486,87 +539,111 @@ impl DecoupledMapper {
         Ok(None)
     }
 
-    /// Races the monomorphism searches of one batch of schedules across
-    /// scoped worker threads sharing `target`. The first success raises
-    /// a race flag that cancels the remaining searches; the supervisor
-    /// loop wakes on worker completion and forwards user cancellation
-    /// into the race between wake-ups.
+    /// Searches one batch of schedules of `(ii, slack)` for a
+    /// monomorphism under `budget` steps each, books the work in
+    /// `stats` and reports it as one [`MapEvent::SpaceAttempt`].
     ///
-    /// Returns the winning `(index into solutions, monomorphism)` —
-    /// preferring the earliest schedule when several workers win — with
-    /// the searches dispatched and their summed steps.
-    fn race_batch(
+    /// A batch of one is searched inline; a larger one is raced across
+    /// scoped worker threads sharing the engine. The first success
+    /// raises a race flag that cancels the remaining searches; the
+    /// supervisor loop wakes on worker completion and forwards user
+    /// cancellation into the race between wake-ups. When several
+    /// workers win, the earliest schedule's monomorphism is kept.
+    #[allow(clippy::too_many_arguments)]
+    fn attempt(
         &self,
         dfg: &Dfg,
-        target: &Arc<cgra_iso::Target>,
-        solutions: &[TimeSolution],
-    ) -> (Option<(usize, Vec<usize>)>, usize, u64) {
+        ii: usize,
+        slack: usize,
+        batch: &[TimeSolution],
+        budget: u64,
+        engine: &SpaceEngine,
+        stats: &mut MapStats,
+        obs: Option<&dyn MapObserver>,
+    ) -> Searched {
+        let t0 = Instant::now();
         let race = CancelFlag::new();
         let next = AtomicUsize::new(0);
-        let dispatched = AtomicUsize::new(0);
-        let total_steps = AtomicU64::new(0);
-        let best: Mutex<Option<(usize, Vec<usize>)>> = Mutex::new(None);
-        let workers = self.config.space_parallelism.min(solutions.len());
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let done = done_tx.clone();
-                let race = race.clone();
-                let target = Arc::clone(target);
-                let next = &next;
-                let dispatched = &dispatched;
-                let total_steps = &total_steps;
-                let best = &best;
-                scope.spawn(move || {
-                    loop {
-                        if race.is_cancelled() {
-                            break;
-                        }
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= solutions.len() {
-                            break;
-                        }
-                        dispatched.fetch_add(1, Ordering::Relaxed);
-                        let sol = &solutions[idx];
-                        let pattern = build_pattern(dfg, sol);
-                        let config = SearchConfig::steps(self.config.mono_step_limit)
-                            .with_cancel_flag(race.clone());
-                        let mut searcher = Searcher::with_config(&pattern, &target, config);
-                        let outcome = searcher.run();
-                        total_steps.fetch_add(searcher.stats().steps, Ordering::Relaxed);
-                        if let MonoOutcome::Found(map) = outcome {
-                            let mut w = best.lock().expect("winner lock");
-                            // Keep the earliest schedule's win for
-                            // run-to-run stability.
-                            if w.as_ref().is_none_or(|(b, _)| idx < *b) {
-                                *w = Some((idx, map));
-                            }
-                            drop(w);
-                            race.cancel(); // first win cancels the rest
-                        }
-                    }
-                    let _ = done.send(());
-                });
-            }
-            drop(done_tx);
-            let mut running = workers;
-            while running > 0 {
-                match done_rx.recv_timeout(PORTFOLIO_POLL) {
-                    Ok(()) => running -= 1,
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        if self.cancelled() {
-                            race.cancel();
-                        }
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
+        let result = Mutex::new(Searched {
+            winner: None,
+            limited: vec![false; batch.len()],
+            attempts: 0,
+            steps: 0,
         });
-        (
-            best.into_inner().expect("winner lock"),
-            dispatched.into_inner(),
-            total_steps.into_inner(),
-        )
+        // Takes schedules off the batch until it is empty or the race
+        // is decided.
+        let work = |cancel: Option<&CancelFlag>| loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= batch.len() || race.is_cancelled() {
+                break;
+            }
+            let (outcome, steps) = engine.search(dfg, &batch[idx], budget, cancel);
+            let mut result = result.lock().expect("no search panics holding the lock");
+            result.attempts += 1;
+            result.steps += steps;
+            match outcome {
+                SpaceOutcome::Found(map) => {
+                    if result.winner.as_ref().is_none_or(|(best, _)| idx < *best) {
+                        result.winner = Some((idx, map));
+                    }
+                    race.cancel(); // first win cancels the rest
+                }
+                SpaceOutcome::LimitReached => result.limited[idx] = true,
+                SpaceOutcome::Exhausted | SpaceOutcome::Cancelled => {}
+            }
+        };
+        let workers = self.config.space_parallelism.clamp(1, batch.len().max(1));
+        if workers == 1 {
+            work(self.cancel.as_ref());
+        } else {
+            let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    let done = done_tx.clone();
+                    let work = &work;
+                    let race = &race;
+                    scope.spawn(move || {
+                        work(Some(race));
+                        let _ = done.send(());
+                    });
+                }
+                // Only the workers hold senders now: one that panics
+                // drops its own, the channel disconnects instead of
+                // blocking forever, and `scope` re-raises the panic.
+                drop(done_tx);
+                let mut running = workers;
+                while running > 0 {
+                    match done_rx.recv_timeout(PORTFOLIO_POLL) {
+                        Ok(()) => running -= 1,
+                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                            if self.cancelled() {
+                                race.cancel();
+                            }
+                        }
+                        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                    }
+                }
+            });
+        }
+        let searched = result
+            .into_inner()
+            .expect("no search panics holding the lock");
+        // Wall-clock of the batch (the Table III phase semantics), not
+        // the sum over parallel workers.
+        stats.space_phase_seconds += t0.elapsed().as_secs_f64();
+        stats.space_attempts += searched.attempts;
+        stats.mono_steps += searched.steps;
+        let outcome = if searched.winner.is_some() {
+            SpaceAttemptOutcome::Found
+        } else if searched.limited.contains(&true) {
+            SpaceAttemptOutcome::LimitReached
+        } else if self.cancelled() {
+            SpaceAttemptOutcome::Cancelled
+        } else {
+            SpaceAttemptOutcome::Exhausted
+        };
+        emit(obs, MapEvent::SpaceAttempt { ii, slack, outcome });
+        searched
     }
 
     /// Converts a found monomorphism into the final [`Mapping`] and
@@ -1047,9 +1124,12 @@ mod tests {
 
     #[test]
     fn serial_event_ladders_are_pinned() {
-        // Captured at the commit before the serial / portfolio /
-        // heuristic levels were folded into `level()`: the serial path's
-        // stream and mappings are a contract, not an accident.
+        // The serial path's stream and mappings are a contract, not an
+        // accident. Events, counts and the two star mappings are as
+        // captured before the levels were folded into `level()`; the
+        // running example's placement was re-captured when the
+        // propagating search replaced the static-order DFS (same
+        // schedule, same II, another of its embeddings).
         use MapEvent::{Escalated, IiStarted};
         let (mapping, _, events) = observed_serial_map(&running_example());
         assert_eq!(
@@ -1058,7 +1138,7 @@ mod tests {
         );
         assert_eq!(
             mapping,
-            r#"{"dfg_name":"running-example","ii":4,"placements":[{"pe":0,"slot":1,"time":1},{"pe":2,"slot":2,"time":2},{"pe":3,"slot":2,"time":2},{"pe":2,"slot":0,"time":0},{"pe":0,"slot":0,"time":0},{"pe":1,"slot":1,"time":1},{"pe":0,"slot":2,"time":2},{"pe":0,"slot":3,"time":3},{"pe":1,"slot":3,"time":3},{"pe":3,"slot":0,"time":4},{"pe":2,"slot":1,"time":5},{"pe":1,"slot":2,"time":2},{"pe":1,"slot":0,"time":4},{"pe":3,"slot":1,"time":5}]}"#
+            r#"{"dfg_name":"running-example","ii":4,"placements":[{"pe":0,"slot":1,"time":1},{"pe":1,"slot":2,"time":2},{"pe":3,"slot":2,"time":2},{"pe":1,"slot":0,"time":0},{"pe":0,"slot":0,"time":0},{"pe":1,"slot":1,"time":1},{"pe":0,"slot":2,"time":2},{"pe":0,"slot":3,"time":3},{"pe":1,"slot":3,"time":3},{"pe":3,"slot":0,"time":4},{"pe":2,"slot":1,"time":5},{"pe":2,"slot":2,"time":2},{"pe":2,"slot":0,"time":4},{"pe":3,"slot":1,"time":5}]}"#
         );
 
         // star6 escalates: II 2 is Unsat at every slack, II 3 needs one
@@ -1095,6 +1175,94 @@ mod tests {
         assert_eq!(
             mapping,
             r#"{"dfg_name":"unnamed","ii":4,"placements":[{"pe":0,"slot":1,"time":1},{"pe":0,"slot":3,"time":3},{"pe":0,"slot":0,"time":4},{"pe":1,"slot":1,"time":5},{"pe":2,"slot":1,"time":5},{"pe":0,"slot":2,"time":6},{"pe":1,"slot":2,"time":6},{"pe":1,"slot":0,"time":4},{"pe":2,"slot":0,"time":4},{"pe":2,"slot":2,"time":6}]}"#
+        );
+    }
+
+    #[test]
+    fn ladder_re_searches_undecided_schedules_with_exact_step_sums() {
+        // A limit of 100 gives the rungs 1, 10, 100 (a thousandth rounds
+        // to zero and is skipped). With one schedule per level, the
+        // first rung stops each of the three slack levels' schedules
+        // after 1 step, the second stops the same three after 10, and
+        // the last embeds the slack-0 schedule: no schedule is solved
+        // or encoded twice, and the step total is the exact rung sum.
+        use MapEvent::{Escalated, IiStarted};
+        let dfg = running_example();
+        let (_, full, _) = observed_serial_map(&dfg);
+        let run = |space_parallelism| {
+            let cfg = MapperConfig {
+                space_parallelism,
+                ..MapperConfig::new()
+                    .with_mono_step_limit(100)
+                    .with_max_time_solutions(1)
+            };
+            let collector = crate::api::EventCollector::new();
+            let result = DecoupledMapper::with_config(&Cgra::new(2, 2).unwrap(), cfg)
+                .map_observed(&dfg, Some(&collector))
+                .unwrap();
+            (result, collector.events())
+        };
+        let (result, events) = run(1);
+        let mut expected = vec![IiStarted { ii: 4 }];
+        for slack in 0..=2 {
+            expected.extend(attempt(4, slack, SpaceAttemptOutcome::LimitReached));
+            expected.push(Escalated { ii: 4, slack });
+        }
+        // Re-searches carry the slack of the level that found the
+        // schedule and follow that II's last `Escalated`.
+        expected.extend((0..=2).map(|slack| MapEvent::SpaceAttempt {
+            ii: 4,
+            slack,
+            outcome: SpaceAttemptOutcome::LimitReached,
+        }));
+        expected.push(MapEvent::SpaceAttempt {
+            ii: 4,
+            slack: 0,
+            outcome: SpaceAttemptOutcome::Found,
+        });
+        let ii = Some(4);
+        expected.push(MapEvent::Finished { mapped: true, ii });
+        assert_eq!(events, expected);
+        let stats = result.stats;
+        assert_eq!((stats.time_solutions, stats.space_attempts), (3, 7));
+        assert_eq!(stats.mono_steps, 3 + 3 * 10 + full.mono_steps);
+        assert_eq!(stats.window_slack, 0);
+
+        // A struct-literal parallelism of 0 batches like 1 on every rung.
+        let (zero, zero_events) = run(0);
+        assert_eq!(zero_events, events);
+        assert_eq!(zero.mapping, result.mapping);
+    }
+
+    #[test]
+    fn raced_batch_that_stops_at_the_limit_reports_limit_reached() {
+        // Regression: a raced batch without a winner used to report
+        // `Exhausted` whatever its workers had stopped on. One step is
+        // never enough for the running example, so every batch here
+        // stops at the limit and none proves anything.
+        let collector = crate::api::EventCollector::new();
+        let cfg = MapperConfig::new()
+            .with_mono_step_limit(1)
+            .with_space_parallelism(2)
+            .with_max_ii(4);
+        let err = DecoupledMapper::with_config(&Cgra::new(2, 2).unwrap(), cfg)
+            .map_observed(&running_example(), Some(&collector))
+            .unwrap_err();
+        assert_eq!(err, MapError::NoSolution { mii: 4, max_ii: 4 });
+        let outcomes: Vec<SpaceAttemptOutcome> = collector
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                MapEvent::SpaceAttempt { outcome, .. } => Some(*outcome),
+                _ => None,
+            })
+            .collect();
+        assert!(!outcomes.is_empty());
+        assert!(
+            outcomes
+                .iter()
+                .all(|o| *o == SpaceAttemptOutcome::LimitReached),
+            "{outcomes:?}"
         );
     }
 

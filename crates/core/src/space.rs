@@ -1,15 +1,12 @@
 //! Construction of the monomorphism problem from a time solution
 //! (paper §IV-C): the scheduled DFG becomes the pattern, the MRRG the
-//! target — plus the [`SpaceEngine`] that amortises target construction
-//! across attempts.
+//! target — plus the [`SpaceEngine`] that holds the target in its
+//! II-independent layered form.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use cgra_arch::{Cgra, Mrrg, RoutingModel};
+use cgra_arch::{Cgra, Mrrg, PeId, PeSet, RoutingModel};
 use cgra_base::CancelFlag;
 use cgra_dfg::Dfg;
-use cgra_iso::{BitSet, MonoOutcome, Pattern, SearchConfig, Searcher, Target};
+use cgra_iso::{BitSet, LayeredTarget, MonoOutcome, Pattern, SearchConfig, Searcher, Target};
 use cgra_sched::TimeSolution;
 
 /// Builds the undirected labelled pattern graph from the DFG and its
@@ -18,13 +15,13 @@ use cgra_sched::TimeSolution;
 /// directionality of the edges becomes redundant and is removed").
 ///
 /// Each vertex additionally carries its operation class as a
-/// requirement mask, matched against the per-PE capability masks of
-/// [`build_target`]: on heterogeneous CGRAs the search's candidate
-/// domains are *compatibility-filtered* up front (an op lands only on
-/// PEs whose functional units cover it), which shrinks the space
-/// instead of growing it. On homogeneous CGRAs every target vertex
-/// carries the full mask, so the domains — and therefore the search —
-/// are exactly what they were without capabilities.
+/// requirement mask, matched against the per-PE capability masks of the
+/// target: on heterogeneous CGRAs the search's candidate domains are
+/// *compatibility-filtered* up front (an op lands only on PEs whose
+/// functional units cover it), which shrinks the space instead of
+/// growing it. On homogeneous CGRAs every PE carries the full mask, so
+/// the domains — and therefore the search — are exactly what they were
+/// without capabilities.
 pub fn build_pattern(dfg: &Dfg, solution: &TimeSolution) -> Pattern {
     let labels: Vec<u32> = dfg.nodes().map(|v| solution.slot(v) as u32).collect();
     let edges: Vec<(usize, usize)> = dfg
@@ -40,28 +37,25 @@ pub fn build_pattern(dfg: &Dfg, solution: &TimeSolution) -> Pattern {
     Pattern::new(labels, edges).with_requirements(requirements)
 }
 
-/// Builds the MRRG as a monomorphism target under a k-hop routing
-/// model: vertex `slot · |PEs| + pe` carries label `slot`, and the
-/// edge relation is assembled from the per-distance reachability rows
-/// of a [`RoutingModel`] as distance tiers (tier 0: the held-value
+/// Builds the MRRG as a *dense* monomorphism target under a k-hop
+/// routing model: vertex `slot · |PEs| + pe` carries label `slot`, and
+/// the edge relation is assembled from the per-distance reachability
+/// rows of a [`RoutingModel`] as distance tiers (tier 0: the held-value
 /// relation — the same PE in every other slot; tier `d`: the PEs at
 /// exactly `d` topology hops, in every slot for cross-slot pairs and
-/// excluding the producer's own slot only at `d = 0`). The DFS
-/// consumes the cumulative union of the tiers, so at `k = 1` the
-/// relation is exactly the classic register-file-readability relation
-/// of [`Mrrg`]: same-slot pairs must be neighbours, cross-slot pairs
-/// may also share the PE. Every vertex also carries its PE's
-/// capability bitmask, the counterpart of [`build_pattern`]'s
-/// requirement masks.
+/// excluding the producer's own slot only at `d = 0`). The cumulative
+/// union of the tiers is the search relation, so at `k = 1` it is
+/// exactly the classic register-file-readability relation of [`Mrrg`]:
+/// same-slot pairs must be neighbours, cross-slot pairs may also share
+/// the PE. Every vertex also carries its PE's capability bitmask, the
+/// counterpart of [`build_pattern`]'s requirement masks.
+///
+/// The mapper does not search this form — `|PEs|·II` rows of `|PEs|·II`
+/// bits repeat the same two `|PEs|`-row relations `II²` times, which
+/// [`SpaceEngine`] holds once. It stays as the oracle that form is
+/// tested against ([`target_matches_mrrg`], `tests/iso_oracle.rs`).
 pub fn build_target(cgra: &Cgra, ii: usize, max_route_hops: usize) -> Target {
     let routing = RoutingModel::new(cgra, max_route_hops);
-    build_target_with_routing(cgra, ii, &routing)
-}
-
-/// [`build_target`] against a prebuilt routing model (the
-/// [`SpaceEngine`] holds one model across every II it builds targets
-/// for).
-fn build_target_with_routing(cgra: &Cgra, ii: usize, routing: &RoutingModel) -> Target {
     let n = cgra.num_pes();
     let total = n * ii;
     let labels: Vec<u32> = (0..total).map(|i| (i / n) as u32).collect();
@@ -127,99 +121,74 @@ impl From<MonoOutcome> for SpaceOutcome {
 
 /// The reusable space-phase engine.
 ///
-/// The paper's headline claim is that decoupling makes the space phase
-/// cheap; rebuilding the MRRG [`Target`] for every attempt worked
-/// against that — at II `k` on an `n`-PE CGRA each rebuild allocates
-/// `n·k` bit rows of `n·k` bits. The engine caches the target per II
-/// (the target depends only on the CGRA and the II, never on the time
-/// solution or slack level), so all slack levels and all enumerated
-/// time solutions at one II share a single construction.
+/// An MRRG vertex's slot is its label, and whether two vertices are
+/// related depends only on their PEs and on whether they share a slot.
+/// The engine therefore holds the MRRG as a [`LayeredTarget`]: the
+/// routing model's two `|PEs|`-row relations
+/// ([`RoutingModel::reach_mask`] within a slot,
+/// [`RoutingModel::reach_mask_with_self`] across slots) and one
+/// capability mask per PE. That structure does not depend on the II, so
+/// one engine serves every II, slack level and time solution of a
+/// request, search domains are `|PEs|` bits wide at any II, and nothing
+/// is sized `|PEs|·II`.
 ///
-/// Targets are handed out as [`Arc`]s: the portfolio mapper shares one
-/// target across its worker threads without copying.
-pub struct SpaceEngine<'a> {
-    cgra: &'a Cgra,
-    routing: RoutingModel,
-    targets: HashMap<usize, Arc<Target>>,
-    /// Targets constructed (cache misses) — observable amortisation.
-    builds: usize,
+/// The first vertex a search places tries one PE per orbit of the
+/// CGRA's verified symmetries
+/// ([`RoutingModel::orbit_representatives`]): every other choice is the
+/// image of one of those under an automorphism of the MRRG, so it would
+/// only repeat the same subtree.
+pub struct SpaceEngine {
+    target: LayeredTarget,
 }
 
-impl<'a> SpaceEngine<'a> {
-    /// An engine for `cgra` under the paper's one-hop routing model,
-    /// with an empty target cache.
-    pub fn new(cgra: &'a Cgra) -> Self {
+impl SpaceEngine {
+    /// An engine for `cgra` under the paper's one-hop routing model.
+    pub fn new(cgra: &Cgra) -> Self {
         SpaceEngine::with_route_hops(cgra, 1)
     }
 
-    /// An engine whose targets relate vertices up to `max_route_hops`
+    /// An engine whose target relates vertices up to `max_route_hops`
     /// topology hops apart.
     ///
     /// # Panics
     ///
     /// Panics unless `1 <= max_route_hops <= MAX_ROUTE_HOPS`.
-    pub fn with_route_hops(cgra: &'a Cgra, max_route_hops: usize) -> Self {
-        SpaceEngine {
-            cgra,
-            routing: RoutingModel::new(cgra, max_route_hops),
-            targets: HashMap::new(),
-            builds: 0,
-        }
+    pub fn with_route_hops(cgra: &Cgra, max_route_hops: usize) -> Self {
+        let routing = RoutingModel::new(cgra, max_route_hops);
+        let rows = |mask: fn(&RoutingModel, PeId) -> &PeSet| -> Vec<BitSet> {
+            cgra.pes()
+                .map(|pe| mask(&routing, pe).as_raw().clone())
+                .collect()
+        };
+        let target = LayeredTarget::new(
+            rows(RoutingModel::reach_mask),
+            rows(RoutingModel::reach_mask_with_self),
+            cgra.pes()
+                .map(|pe| cgra.capability(pe).bits() as u32)
+                .collect(),
+        )
+        .with_roots(routing.orbit_representatives(cgra).as_raw().clone());
+        SpaceEngine { target }
     }
 
-    /// The CGRA this engine builds targets for.
-    pub fn cgra(&self) -> &Cgra {
-        self.cgra
-    }
-
-    /// The routing model the targets are assembled from.
-    pub fn routing(&self) -> &RoutingModel {
-        &self.routing
-    }
-
-    /// Number of targets constructed so far (cache misses).
-    pub fn target_builds(&self) -> usize {
-        self.builds
-    }
-
-    /// The monomorphism target for iteration interval `ii`, built on
-    /// first use and cached for every later attempt at the same II.
-    pub fn target(&mut self, ii: usize) -> Arc<Target> {
-        if let Some(t) = self.targets.get(&ii) {
-            return Arc::clone(t);
-        }
-        self.builds += 1;
-        let t = Arc::new(build_target_with_routing(self.cgra, ii, &self.routing));
-        self.targets.insert(ii, Arc::clone(&t));
-        t
-    }
-
-    /// Drops cached targets for IIs other than `ii` (the mapper calls
-    /// this when it escalates the II: earlier targets are never needed
-    /// again, and large-CGRA rows are not free to keep).
-    pub fn retain_ii(&mut self, ii: usize) {
-        self.targets.retain(|&k, _| k == ii);
-    }
-
-    /// Runs the monomorphism search for one time solution against the
-    /// cached target, with a step budget and an optional cancellation
-    /// flag polled inside the DFS.
+    /// Runs the monomorphism search for one time solution, with a step
+    /// budget and an optional cancellation flag polled inside the
+    /// search.
     ///
     /// Returns the outcome along with the number of search steps taken.
     pub fn search(
-        &mut self,
+        &self,
         dfg: &Dfg,
         solution: &TimeSolution,
         step_limit: u64,
         cancel: Option<&CancelFlag>,
     ) -> (SpaceOutcome, u64) {
-        let target = self.target(solution.ii());
         let pattern = build_pattern(dfg, solution);
         let mut config = SearchConfig::steps(step_limit);
         if let Some(flag) = cancel {
             config = config.with_cancel_flag(flag.clone());
         }
-        let mut searcher = Searcher::with_config(&pattern, &target, config);
+        let mut searcher = Searcher::layered(&pattern, &self.target, config);
         let outcome = SpaceOutcome::from(searcher.run());
         (outcome, searcher.stats().steps)
     }
@@ -228,9 +197,7 @@ impl<'a> SpaceEngine<'a> {
 /// Runs the monomorphism search for one time solution.
 ///
 /// Returns the found map along with the number of search steps taken.
-/// One-shot convenience over [`SpaceEngine`] (the target is built and
-/// dropped); callers with several attempts at one II should hold a
-/// [`SpaceEngine`] instead.
+/// One-shot convenience over [`SpaceEngine`].
 pub fn space_search(
     dfg: &Dfg,
     cgra: &Cgra,
@@ -241,10 +208,9 @@ pub fn space_search(
     SpaceEngine::new(cgra).search(dfg, solution, step_limit, cancel)
 }
 
-/// Verifies that target construction agrees with the [`Mrrg`]
-/// reachability oracle at the given route bound (used by tests; the
-/// target is the performance-oriented materialisation of the same
-/// graph).
+/// Verifies that [`build_target`] agrees with the [`Mrrg`] reachability
+/// oracle at the given route bound (used by tests: the dense target is
+/// in turn what the engine's layered form is checked against).
 pub fn target_matches_mrrg(cgra: &Cgra, ii: usize, max_route_hops: usize) -> bool {
     let target = build_target(cgra, ii, max_route_hops);
     let mrrg = Mrrg::with_route_hops(cgra, ii, max_route_hops);
@@ -339,44 +305,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_caches_target_per_ii() {
-        let cgra = Cgra::new(4, 4).unwrap();
-        let mut engine = SpaceEngine::new(&cgra);
-        let a = engine.target(3);
-        let b = engine.target(3);
-        assert!(Arc::ptr_eq(&a, &b), "same II shares one target");
-        assert_eq!(engine.target_builds(), 1);
-        let c = engine.target(4);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(engine.target_builds(), 2);
-        engine.retain_ii(4);
-        let a2 = engine.target(3);
-        assert!(
-            !Arc::ptr_eq(&a, &a2),
-            "retain_ii(4) evicted the II=3 target"
-        );
-        assert_eq!(engine.target_builds(), 3);
-    }
-
-    #[test]
     fn engine_search_matches_one_shot_search() {
         let dfg = running_example();
         let cgra = Cgra::new(2, 2).unwrap();
         let cfg = TimeSolverConfig::for_cgra(&cgra);
         let sol = TimeSolver::new(&dfg, 4, cfg).unwrap().solve().unwrap();
-        let mut engine = SpaceEngine::new(&cgra);
+        let engine = SpaceEngine::new(&cgra);
         let (a, steps_a) = engine.search(&dfg, &sol, 1_000_000, None);
         let (b, steps_b) = engine.search(&dfg, &sol, 1_000_000, None);
         let (c, steps_c) = space_search(&dfg, &cgra, &sol, 1_000_000, None);
         assert_eq!(a, b, "engine search is deterministic across reuse");
-        assert_eq!(a, c, "cached target gives the same result as a rebuild");
+        assert_eq!(a, c, "a fresh engine gives the same result");
         assert_eq!(steps_a, steps_b);
         assert_eq!(steps_a, steps_c);
-        assert_eq!(
-            engine.target_builds(),
-            1,
-            "second attempt reused the target"
-        );
     }
 
     #[test]
@@ -387,7 +328,7 @@ mod tests {
         let sol = TimeSolver::new(&dfg, 4, cfg).unwrap().solve().unwrap();
         let flag = CancelFlag::new();
         flag.cancel();
-        let mut engine = SpaceEngine::new(&cgra);
+        let engine = SpaceEngine::new(&cgra);
         let (outcome, steps) = engine.search(&dfg, &sol, 1_000_000, Some(&flag));
         assert_eq!(outcome, SpaceOutcome::Cancelled);
         assert_eq!(steps, 0);

@@ -110,14 +110,14 @@ impl Pattern {
 /// The (large) target graph: undirected, vertex-labelled, with bit-set
 /// adjacency rows.
 ///
-/// For the CGRA mapper this is the MRRG; the `monomap-core` crate builds
-/// the rows directly from the CGRA reachability masks without
-/// enumerating vertex pairs. Under a k-hop routing model the edge
-/// relation is "related via a route of at most `k` hops": the rows the
-/// DFS consults are the *cumulative union* over route lengths, so the
-/// consistency check remains a single bitset test for any `k`, and the
-/// per-distance structure (when built via [`Target::from_tiers`]) is
-/// kept alongside for [`Target::route_length`].
+/// Any labelled graph can be a target. `monomap-core` builds the dense
+/// MRRG in this form as the oracle its [`LayeredTarget`] is tested
+/// against. Under a k-hop routing model the edge relation is "related
+/// via a route of at most `k` hops": the rows the search consults are
+/// the *cumulative union* over route lengths, so the consistency check
+/// remains a single bitset test for any `k`, and the per-distance
+/// structure (when built via [`Target::from_tiers`]) is kept alongside
+/// for [`Target::route_length`].
 #[derive(Clone)]
 pub struct Target {
     labels: Vec<u32>,
@@ -302,6 +302,97 @@ impl Target {
             return self.rows[a].contains(b).then_some(1);
         }
         self.tiers.iter().position(|tier| tier[a].contains(b))
+    }
+}
+
+/// A target whose vertices come in identically wired *layers*: vertex
+/// `(layer, i)` carries label `layer`, and whether two vertices are
+/// adjacent depends only on their indices and on whether they share a
+/// layer. Two relations over `width` indices therefore describe a
+/// target of any number of layers, and a search reads `width`-bit rows
+/// however many layers the pattern's labels name.
+///
+/// For the CGRA mapper this is the MRRG as it really is — layer = kernel
+/// slot, index = PE, `same` = "within the route bound, excluding the PE
+/// itself", `cross` = the same plus the PE itself — so one structure,
+/// independent of II, serves every iteration interval. A found map
+/// reports vertex `(layer, i)` as `layer · width + i`, the numbering of
+/// the equivalent dense [`Target`].
+#[derive(Clone, Debug)]
+pub struct LayeredTarget {
+    /// `same[i]`: indices adjacent to `i` within one layer.
+    pub(crate) same: Vec<BitSet>,
+    /// `cross[i]`: indices adjacent to `i` in every other layer.
+    pub(crate) cross: Vec<BitSet>,
+    /// Per-index capability masks (shared by all layers).
+    pub(crate) capabilities: Vec<u32>,
+    /// `(|same[i]|, |cross[i]|)`, read once per pattern vertex and index
+    /// when a search sets up its domains.
+    pub(crate) degrees: Vec<(usize, usize)>,
+    /// Candidates of the first-placed pattern vertex; see
+    /// [`LayeredTarget::with_roots`].
+    pub(crate) roots: Option<BitSet>,
+}
+
+impl LayeredTarget {
+    /// Builds a layered target from its same-layer and cross-layer
+    /// relations and one capability mask per index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three vectors disagree in length or a row's
+    /// capacity is not that length. Symmetry of both relations is the
+    /// caller's responsibility (checked in debug builds).
+    pub fn new(same: Vec<BitSet>, cross: Vec<BitSet>, capabilities: Vec<u32>) -> Self {
+        let n = capabilities.len();
+        assert_eq!(same.len(), n, "one same-layer row per index");
+        assert_eq!(cross.len(), n, "one cross-layer row per index");
+        for rows in [&same, &cross] {
+            for (a, row) in rows.iter().enumerate() {
+                assert_eq!(row.capacity(), n, "row capacity must equal the width");
+                debug_assert!(
+                    row.iter().all(|b| rows[b].contains(a)),
+                    "relations must be symmetric (index {a})"
+                );
+            }
+        }
+        let degrees = same.iter().zip(&cross).map(|(s, c)| (s.len(), c.len()));
+        LayeredTarget {
+            degrees: degrees.collect(),
+            same,
+            cross,
+            capabilities,
+            roots: None,
+        }
+    }
+
+    /// Restricts the first pattern vertex a search places to `roots`.
+    ///
+    /// Sound — no embeddable pattern is reported [`Exhausted`] — when
+    /// `roots` holds one index per orbit of a group of permutations
+    /// that preserve both relations and the capability masks: such a
+    /// permutation applied to every layer at once is an automorphism of
+    /// the whole target, so any embedding can be moved until its first
+    /// vertex sits on its orbit's representative. Enumeration
+    /// ([`Searcher::find_all`]) then reports one embedding per orbit of
+    /// embeddings rather than all of them.
+    ///
+    /// [`Exhausted`]: crate::MonoOutcome::Exhausted
+    /// [`Searcher::find_all`]: crate::Searcher::find_all
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacity of `roots` is not the width.
+    #[must_use]
+    pub fn with_roots(mut self, roots: BitSet) -> Self {
+        assert_eq!(roots.capacity(), self.width(), "one root bit per index");
+        self.roots = Some(roots);
+        self
+    }
+
+    /// Indices per layer.
+    pub fn width(&self) -> usize {
+        self.capabilities.len()
     }
 }
 

@@ -6,22 +6,31 @@
 //! **injective, label-preserving, edge-preserving** map — a
 //! monomorphism (paper §IV-A, properties mono1–mono3).
 //!
-//! The engine is a VF2-family backtracking search in the spirit of the
-//! algorithms the paper cites (RI, VF3), specialised to the structure of
-//! the problem:
+//! The engine is a propagating backtracking search — forward checking
+//! with an all-different count, the pruning a coupled SAT encoding gets
+//! from unit propagation — specialised to the structure of the problem:
 //!
-//! * vertices are matched in a connectivity-first order (greatest
-//!   constraint first), so candidate sets shrink by neighbourhood
-//!   intersection rather than label scan;
-//! * candidate sets are bit sets; each extension intersects the
-//!   neighbourhood bit rows of already-mapped neighbours;
-//! * label partitioning (every DFG node can only map into its own MRRG
-//!   time layer) and degree pruning are applied up front;
-//! * a step budget makes the search interruptible for the mapper's
-//!   timeout handling.
+//! * every unplaced pattern vertex keeps a live candidate domain, a bit
+//!   set over the target vertices of *its own label* only (every DFG
+//!   node can only map into its own MRRG time layer);
+//! * placing a vertex intersects the domains of its unplaced neighbours
+//!   with the neighbourhood row of the chosen target vertex, under a
+//!   trail; injectivity costs one used-mask per label;
+//! * a vertex left without a candidate, or a label with more unplaced
+//!   vertices than candidates in the union of their domains, fails the
+//!   branch at once;
+//! * the next vertex is always the one with the fewest live candidates;
+//! * requirement/capability masks and per-label degrees filter the
+//!   domains up front, followed by an arc-consistency pass whenever
+//!   that filter removed anything;
+//! * a step budget (one step = one placement, stopped exactly) and a
+//!   cancellation flag make the search interruptible.
 //!
-//! The crate is independent of CGRA specifics: it works on any pair of
-//! labelled graphs.
+//! A target is either a general labelled graph ([`Target`]) or a
+//! [`LayeredTarget`], whose layers are wired identically — the MRRG's
+//! real shape, described by two relations over the PEs whatever the II.
+//! Both run through the same [`Searcher`] loop. Apart from that shape
+//! the crate is independent of CGRA specifics.
 //!
 //! ## Example
 //!
@@ -48,7 +57,7 @@ mod search;
 
 pub use bitset::BitSet;
 pub use cgra_base::CancelFlag;
-pub use graph::{Pattern, Target};
+pub use graph::{LayeredTarget, Pattern, Target};
 pub use search::{
     count_monomorphisms, find_monomorphism, is_monomorphism, MonoOutcome, MonoStats, SearchConfig,
     Searcher,

@@ -1,17 +1,18 @@
-//! The backtracking monomorphism search.
+//! The propagating backtracking monomorphism search.
 
 use std::time::Instant;
 
 use cgra_base::CancelFlag;
 
-use crate::{BitSet, Pattern, Target};
+use crate::{BitSet, LayeredTarget, Pattern, Target};
 
 /// How many search steps pass between deadline/cancellation polls.
 ///
 /// An atomic load is cheap but `Instant::now` is not; polling every
-/// `2^10` extension attempts keeps the overhead unmeasurable while
-/// bounding the reaction latency to well under a millisecond of search
-/// work.
+/// `2^10` placements keeps the overhead unmeasurable while bounding the
+/// reaction latency to about a millisecond of search work (a placement
+/// propagates, so it costs from a tenth of a microsecond on a 4×4 to a
+/// microsecond on a 20×20).
 const POLL_MASK: u64 = (1 << 10) - 1;
 
 /// Limits applied to one search run.
@@ -98,29 +99,185 @@ pub struct MonoStats {
     pub solutions: u64,
 }
 
+/// The target as the search loop reads it. Target vertices are grouped
+/// into *classes*, one per distinct pattern label, and addressed as
+/// `(class, index within the class)`; a domain is a bit set over the
+/// indices of one class, so its width is the largest class, not the
+/// target.
+enum View<'a> {
+    /// Classes are layers: adjacency depends on `(same class?, a, b)`.
+    Layered(&'a LayeredTarget),
+    /// A general [`Target`], its rows split by class up front.
+    Projected {
+        /// `members[c][a]`: the target vertex at index `a` of class `c`.
+        members: Vec<Vec<usize>>,
+        /// `offset[c] + a` numbers the vertices of all classes.
+        offset: Vec<usize>,
+        /// Row `(offset[ca] + a) · classes + cb`: the neighbours of
+        /// `(ca, a)` inside class `cb`.
+        rows: Vec<BitSet>,
+        /// Capability mask per numbered vertex.
+        capabilities: Vec<u32>,
+    },
+}
+
+impl View<'_> {
+    /// Splits `target` into the classes named by `labels` (sorted,
+    /// distinct).
+    fn project(target: &Target, labels: &[u32]) -> Self {
+        let classes = labels.len();
+        let mut members = vec![Vec::new(); classes];
+        let mut place = vec![None; target.num_vertices()];
+        for (t, slot) in place.iter_mut().enumerate() {
+            if let Ok(c) = labels.binary_search(&target.label(t)) {
+                *slot = Some((c, members[c].len()));
+                members[c].push(t);
+            }
+        }
+        let width = members.iter().map(Vec::len).max().unwrap_or(0);
+        let mut offset = Vec::with_capacity(classes);
+        let mut total = 0;
+        for m in &members {
+            offset.push(total);
+            total += m.len();
+        }
+        let mut rows = vec![BitSet::new(width); total * classes];
+        let mut capabilities = Vec::with_capacity(total);
+        for (ca, class) in members.iter().enumerate() {
+            for (a, &t) in class.iter().enumerate() {
+                capabilities.push(target.capability(t));
+                for (cb, b) in target.row(t).iter().filter_map(|b| place[b]) {
+                    rows[(offset[ca] + a) * classes + cb].insert(b);
+                }
+            }
+        }
+        View::Projected {
+            members,
+            offset,
+            rows,
+            capabilities,
+        }
+    }
+
+    /// Bits per domain.
+    fn width(&self) -> usize {
+        match self {
+            View::Layered(t) => t.width(),
+            View::Projected { rows, .. } => rows.first().map_or(0, BitSet::capacity),
+        }
+    }
+
+    /// Vertices in class `c`.
+    fn class_size(&self, c: usize) -> usize {
+        match self {
+            View::Layered(t) => t.width(),
+            View::Projected { members, .. } => members[c].len(),
+        }
+    }
+
+    /// The neighbours of `(ca, a)` inside class `cb`.
+    #[inline]
+    fn row(&self, ca: usize, a: usize, cb: usize) -> &BitSet {
+        match self {
+            View::Layered(t) if ca == cb => &t.same[a],
+            View::Layered(t) => &t.cross[a],
+            View::Projected { offset, rows, .. } => &rows[(offset[ca] + a) * offset.len() + cb],
+        }
+    }
+
+    /// The number of neighbours of `(ca, a)` inside class `cb`.
+    fn degree(&self, ca: usize, a: usize, cb: usize) -> usize {
+        match self {
+            View::Layered(t) if ca == cb => t.degrees[a].0,
+            View::Layered(t) => t.degrees[a].1,
+            View::Projected { .. } => self.row(ca, a, cb).len(),
+        }
+    }
+
+    fn capability(&self, c: usize, a: usize) -> u32 {
+        match self {
+            View::Layered(t) => t.capabilities[a],
+            View::Projected {
+                offset,
+                capabilities,
+                ..
+            } => capabilities[offset[c] + a],
+        }
+    }
+
+    /// The target vertex `(c, a)` as a found map reports it.
+    fn vertex(&self, c: usize, label: u32, a: usize) -> usize {
+        match self {
+            View::Layered(t) => label as usize * t.width() + a,
+            View::Projected { members, .. } => members[c][a],
+        }
+    }
+}
+
+/// One level of the search: the vertex chosen there and the trail
+/// length to restore before its next candidate.
+#[derive(Clone, Copy, Default)]
+struct Frame {
+    vertex: usize,
+    mark: usize,
+}
+
 /// A reusable monomorphism searcher over a pattern/target pair.
 ///
-/// All working storage (the per-depth candidate domains, the partial
-/// map, the used-vertex set) is allocated once at construction and
-/// reused across [`Searcher::run`] calls: the DFS loop itself performs
-/// no heap allocation.
+/// A propagating backtracking search. Every unplaced pattern vertex
+/// keeps a *live domain*; placing `u ↦ t`
+///
+/// * intersects the domains of `u`'s unplaced neighbours — and only
+///   those — with `t`'s row, saving the old words on a trail;
+/// * marks `t` in the used-mask of its class, which removes it from
+///   every other vertex of the class without touching their domains;
+/// * fails at once, without descending, when some unplaced vertex has
+///   no live candidate, or when the unplaced vertices of one class
+///   outnumber the union of their live domains (they cannot all be
+///   placed injectively).
+///
+/// The next vertex is the unplaced one with the fewest live candidates
+/// (ties: more placed neighbours, then higher degree, then lower index).
+/// [`Target`]s and [`LayeredTarget`]s run through this one loop; all
+/// working storage is allocated at construction and reused across
+/// [`Searcher::run`] calls.
 pub struct Searcher<'a> {
     pattern: &'a Pattern,
-    target: &'a Target,
+    view: View<'a>,
     config: SearchConfig,
-    /// Matching order of pattern vertices.
-    order: Vec<usize>,
-    /// Base candidate sets (label + degree compatible) per pattern
-    /// vertex.
-    base: Vec<BitSet>,
-    /// Per-depth candidate domains of the DFS (reused across runs).
-    domains: Vec<BitSet>,
-    /// Per-depth scan cursors into `domains`.
-    cursors: Vec<usize>,
-    /// Partial map under construction (`usize::MAX` = unmapped).
+    /// Candidates allowed for the first-placed vertex, when restricted.
+    roots: Option<&'a BitSet>,
+    /// Class of each pattern vertex.
+    class: Vec<usize>,
+    /// Words per domain.
+    words: usize,
+    /// Initial domains (capability- and degree-compatible), `words` per
+    /// pattern vertex.
+    base: Vec<u64>,
+    /// Live domains of the run, laid out like `base`.
+    dom: Vec<u64>,
+    /// Used-mask per class.
+    used: Vec<u64>,
+    /// Union of the live domains per class (scratch of `select`).
+    hall: Vec<u64>,
+    /// Unplaced vertices per class.
+    unplaced: Vec<usize>,
+    /// The unplaced vertices: the first `np - depth` entries, in no
+    /// particular order (`at[v]` is where `v` sits).
+    open: Vec<usize>,
+    at: Vec<usize>,
+    /// Placed neighbours per pattern vertex.
+    placed_nbrs: Vec<usize>,
+    /// Class-local target index per pattern vertex (`usize::MAX` =
+    /// unplaced).
     map: Vec<usize>,
-    /// Target vertices used by the partial map.
-    used: BitSet,
+    /// Per-depth chosen vertex and trail mark.
+    frames: Vec<Frame>,
+    /// Per-depth untried candidates, `words` each.
+    cand: Vec<u64>,
+    /// Vertices whose domain words are saved on `trail_words`.
+    trail: Vec<usize>,
+    trail_words: Vec<u64>,
     stats: MonoStats,
 }
 
@@ -142,67 +299,106 @@ impl<'a> Searcher<'a> {
 
     /// Prepares a search with explicit limits.
     pub fn with_config(pattern: &'a Pattern, target: &'a Target, config: SearchConfig) -> Self {
+        let labels = distinct_labels(pattern);
+        let view = View::project(target, &labels);
+        Searcher::prepare(pattern, view, &labels, None, config)
+    }
+
+    /// Prepares a search into a [`LayeredTarget`].
+    pub fn layered(pattern: &'a Pattern, target: &'a LayeredTarget, config: SearchConfig) -> Self {
+        let labels = distinct_labels(pattern);
+        let roots = target.roots.as_ref();
+        Searcher::prepare(pattern, View::Layered(target), &labels, roots, config)
+    }
+
+    fn prepare(
+        pattern: &'a Pattern,
+        view: View<'a>,
+        labels: &[u32],
+        roots: Option<&'a BitSet>,
+        config: SearchConfig,
+    ) -> Self {
         let np = pattern.num_vertices();
-        let nt = target.num_vertices();
-        // Base candidates: label equality + degree dominance +
-        // requirement/capability compatibility. The compatibility test
-        // only ever *removes* candidates, so constrained instances
-        // start from smaller domains than their unconstrained
-        // counterparts (and unconstrained instances are unchanged:
-        // a requirement of 0 passes every capability mask).
-        let mut base = Vec::with_capacity(np);
+        let classes = labels.len();
+        let words = view.width().div_ceil(64);
+        let class: Vec<usize> = (0..np)
+            .map(|u| labels.binary_search(&pattern.label(u)).expect("own label"))
+            .collect();
+        // Initial domains: the vertices of `u`'s class that cover its
+        // requirement mask and have, inside every class, at least as
+        // many neighbours as `u` has there.
+        let mut base = vec![0u64; np * words];
+        let mut nbrs_in = vec![0usize; classes];
+        let mut cut = false;
         for u in 0..np {
-            let req = pattern.requirement(u);
-            let mut s = BitSet::new(nt);
-            for t in 0..nt {
-                if target.label(t) == pattern.label(u)
-                    && target.degree(t) >= pattern.degree(u)
-                    && target.capability(t) & req == req
-                {
-                    s.insert(t);
+            nbrs_in.fill(0);
+            for &w in pattern.neighbors(u) {
+                nbrs_in[class[w]] += 1;
+            }
+            let (cu, req) = (class[u], pattern.requirement(u));
+            for a in 0..view.class_size(cu) {
+                let fits = view.capability(cu, a) & req == req
+                    && pattern
+                        .neighbors(u)
+                        .iter()
+                        .all(|&w| view.degree(cu, a, class[w]) >= nbrs_in[class[w]]);
+                if fits {
+                    base[u * words + a / 64] |= 1 << (a % 64);
+                } else {
+                    cut = true;
                 }
             }
-            base.push(s);
         }
-        // Greatest-constraint-first ordering: start at the most
-        // constrained vertex (fewest base candidates, then highest
-        // degree); grow by maximising already-ordered neighbours.
-        let mut order: Vec<usize> = Vec::with_capacity(np);
-        let mut placed = vec![false; np];
-        while order.len() < np {
-            let next = (0..np)
-                .filter(|&u| !placed[u])
-                .min_by_key(|&u| {
-                    let mapped_nbrs = pattern.neighbors(u).iter().filter(|&&w| placed[w]).count();
-                    // More mapped neighbours first, then fewer
-                    // candidates, then higher degree.
-                    (
-                        usize::MAX - mapped_nbrs,
-                        base[u].len(),
-                        usize::MAX - pattern.degree(u),
-                    )
-                })
-                .expect("unplaced vertex exists");
-            placed[next] = true;
-            order.push(next);
+        // Arc consistency, when a filter above removed anything: drop a
+        // candidate of `u` that leaves a neighbour of `u` no candidate
+        // at all, until nothing changes.
+        while cut {
+            cut = false;
+            for u in 0..np {
+                for a in 0..view.class_size(class[u]) {
+                    let bit = 1u64 << (a % 64);
+                    if base[u * words + a / 64] & bit == 0 {
+                        continue;
+                    }
+                    let supported = pattern.neighbors(u).iter().all(|&w| {
+                        let row = view.row(class[u], a, class[w]).words();
+                        let dom = &base[w * words..][..words];
+                        row.iter().zip(dom).any(|(r, d)| r & d != 0)
+                    });
+                    if !supported {
+                        base[u * words + a / 64] &= !bit;
+                        cut = true;
+                    }
+                }
+            }
         }
         Searcher {
             pattern,
-            target,
+            view,
             config,
-            order,
+            roots,
+            class,
+            words,
             base,
-            domains: (0..np).map(|_| BitSet::new(nt)).collect(),
-            cursors: vec![0; np],
+            dom: vec![0; np * words],
+            used: vec![0; classes * words],
+            hall: vec![0; classes * words],
+            unplaced: vec![0; classes],
+            open: (0..np).collect(),
+            at: (0..np).collect(),
+            placed_nbrs: vec![0; np],
             map: vec![usize::MAX; np],
-            used: BitSet::new(nt),
+            frames: vec![Frame::default(); np],
+            cand: vec![0; np * words],
+            // A vertex is saved once per placed neighbour at most.
+            trail: Vec::with_capacity(2 * pattern.num_edges()),
+            trail_words: Vec::with_capacity(2 * pattern.num_edges() * words),
             stats: MonoStats::default(),
         }
     }
 
-    /// Replaces the search limits (the prepared ordering and candidate
-    /// sets are kept, so one searcher can serve several attempts with
-    /// different budgets).
+    /// Replaces the search limits (the prepared domains are kept, so
+    /// one searcher can serve several attempts with different budgets).
     pub fn set_config(&mut self, config: SearchConfig) {
         self.config = config;
     }
@@ -240,130 +436,214 @@ impl<'a> Searcher<'a> {
     /// Core enumeration. Calls `on_solution` for each monomorphism; the
     /// callback returns `true` to stop.
     ///
-    /// Iterative depth-first search over a preallocated stack of bit-set
-    /// candidate domains with per-depth cursors: no allocation happens
-    /// inside the loop, and the cancellation flag / deadline is polled
-    /// every [`POLL_MASK`]`+1` steps.
+    /// Iterative depth-first search over preallocated frames: no
+    /// allocation happens inside the loop, a step is one placement,
+    /// `max_steps` stops before placement `max_steps + 1`, and the
+    /// cancellation flag / deadline is polled every [`POLL_MASK`]`+1`
+    /// steps.
     fn enumerate(&mut self, on_solution: &mut dyn FnMut(&[usize]) -> bool) -> EnumStop {
         self.stats = MonoStats::default();
-        let pattern = self.pattern;
-        let target = self.target;
-        let np = pattern.num_vertices();
-        let nt = target.num_vertices();
+        let np = self.pattern.num_vertices();
         if np == 0 {
             self.stats.solutions = 1;
             on_solution(&[]);
             return EnumStop::Exhausted;
         }
-        if np > nt {
-            return EnumStop::Exhausted; // injectivity is impossible
-        }
         if self.config.interrupted() {
             return EnumStop::Cancelled;
         }
-        for v in &mut self.map {
-            *v = usize::MAX;
+        self.dom.copy_from_slice(&self.base);
+        self.used.fill(0);
+        self.unplaced.fill(0);
+        for &c in &self.class {
+            self.unplaced[c] += 1;
         }
-        self.used.clear();
+        self.placed_nbrs.fill(0);
+        self.map.fill(usize::MAX);
+        self.trail.clear();
+        self.trail_words.clear();
 
+        let words = self.words;
         let mut depth = 0usize;
-        if !Self::fill_domain(
-            &mut self.domains[0],
-            &self.base[self.order[0]],
-            pattern,
-            target,
-            self.order[0],
-            &self.map,
-            &self.used,
-        ) {
+        if !self.select(0) {
             return EnumStop::Exhausted;
         }
-        self.cursors[0] = 0;
-
         loop {
-            let u = self.order[depth];
-            let Some(t) = self.domains[depth].next_member(self.cursors[depth]) else {
-                // Domain exhausted at this depth: backtrack.
+            let Frame { vertex: u, mark } = self.frames[depth];
+            let cand = &mut self.cand[depth * words..][..words];
+            let Some(wi) = cand.iter().position(|&w| w != 0) else {
+                // No candidate left at this depth: backtrack.
                 if depth == 0 {
                     return EnumStop::Exhausted;
                 }
                 depth -= 1;
                 self.stats.backtracks += 1;
-                let prev_u = self.order[depth];
-                self.used.remove(self.map[prev_u]);
-                self.map[prev_u] = usize::MAX;
+                self.unplace(self.frames[depth]);
                 continue;
             };
-            self.cursors[depth] = t + 1;
-            self.stats.steps += 1;
-            if let Some(max) = self.config.max_steps {
-                if self.stats.steps > max {
-                    return EnumStop::LimitReached;
-                }
+            let bit = cand[wi].trailing_zeros() as usize;
+            cand[wi] &= cand[wi] - 1;
+            if self.config.max_steps == Some(self.stats.steps) {
+                return EnumStop::LimitReached;
             }
+            self.stats.steps += 1;
             if self.stats.steps & POLL_MASK == 0 && self.config.interrupted() {
                 return EnumStop::Cancelled;
             }
-            self.map[u] = t;
-            self.used.insert(t);
+            let alive = self.place(u, wi * 64 + bit);
             if depth + 1 == np {
                 self.stats.solutions += 1;
-                if on_solution(&self.map) {
+                let found: Vec<usize> = (0..np)
+                    .map(|v| {
+                        self.view
+                            .vertex(self.class[v], self.pattern.label(v), self.map[v])
+                    })
+                    .collect();
+                if on_solution(&found) {
                     return EnumStop::Exhausted;
                 }
-                self.used.remove(t);
-                self.map[u] = usize::MAX;
+            } else if alive && self.select(depth + 1) {
+                depth += 1;
                 continue;
-            }
-            let next_u = self.order[depth + 1];
-            let viable = Self::fill_domain(
-                &mut self.domains[depth + 1],
-                &self.base[next_u],
-                pattern,
-                target,
-                next_u,
-                &self.map,
-                &self.used,
-            );
-            if !viable {
+            } else {
                 self.stats.backtracks += 1;
-                self.used.remove(t);
-                self.map[u] = usize::MAX;
-                continue;
             }
-            depth += 1;
-            self.cursors[depth] = 0;
+            self.unplace(Frame { vertex: u, mark });
         }
     }
 
-    /// Computes into `dom` the candidate targets for pattern vertex `u`
-    /// under the partial map: base set ∩ neighbourhoods of mapped
-    /// neighbours, minus used vertices. Returns `false` when the
-    /// resulting domain is empty, so the caller backtracks without a
-    /// separate occupancy scan.
-    ///
-    /// The fused [`BitSet::assign_difference`] / [`BitSet::intersect_any`]
-    /// passes track occupancy bitwise alongside the stores; a domain
-    /// that empties mid-way skips the remaining row intersections
-    /// (empty is absorbing).
-    #[allow(clippy::too_many_arguments)]
-    fn fill_domain(
-        dom: &mut BitSet,
-        base: &BitSet,
-        pattern: &Pattern,
-        target: &Target,
-        u: usize,
-        map: &[usize],
-        used: &BitSet,
-    ) -> bool {
-        let mut any = dom.assign_difference(base, used);
-        for &w in pattern.neighbors(u) {
-            if any && map[w] != usize::MAX {
-                any = dom.intersect_any(target.row(map[w]));
+    /// Chooses the vertex to place at `depth` and loads its candidates.
+    /// Returns `false` when the partial map cannot be completed: an
+    /// unplaced vertex has no live candidate, or a class has fewer live
+    /// candidates in total than unplaced vertices.
+    fn select(&mut self, depth: usize) -> bool {
+        let words = self.words;
+        self.hall.fill(0);
+        let mut best = None;
+        for &w in &self.open[..self.open.len() - depth] {
+            let c = self.class[w];
+            let dom = &self.dom[w * words..][..words];
+            let used = &self.used[c * words..][..words];
+            let hall = &mut self.hall[c * words..][..words];
+            let mut live = 0;
+            for ((d, u), h) in dom.iter().zip(used).zip(hall) {
+                let word = d & !u;
+                *h |= word;
+                live += word.count_ones();
+            }
+            if live == 0 {
+                return false;
+            }
+            // Fewest candidates, then most placed neighbours, then
+            // highest degree, then lowest index.
+            let key = (
+                live,
+                usize::MAX - self.placed_nbrs[w],
+                usize::MAX - self.pattern.degree(w),
+                w,
+            );
+            if best.is_none_or(|k| key < k) {
+                best = Some(key);
             }
         }
-        any
+        for (c, &open) in self.unplaced.iter().enumerate() {
+            let room: u32 = self.hall[c * words..][..words]
+                .iter()
+                .map(|w| w.count_ones())
+                .sum();
+            if (room as usize) < open {
+                return false;
+            }
+        }
+        let (.., u) = best.expect("select runs with a vertex unplaced");
+        // Move `u` to the end of the unplaced prefix, which the next
+        // depth leaves out; deeper levels only permute what is before it,
+        // so backtracking needs no undo.
+        let last = self.open.len() - depth - 1;
+        let swapped = self.open[last];
+        self.open.swap(self.at[u], last);
+        self.at[swapped] = self.at[u];
+        self.at[u] = last;
+        self.frames[depth] = Frame {
+            vertex: u,
+            mark: self.trail.len(),
+        };
+        let dom = &self.dom[u * words..][..words];
+        let used = &self.used[self.class[u] * words..][..words];
+        let cand = &mut self.cand[depth * words..][..words];
+        for ((c, d), u) in cand.iter_mut().zip(dom).zip(used) {
+            *c = d & !u;
+        }
+        if let (0, Some(roots)) = (depth, self.roots) {
+            for (c, r) in cand.iter_mut().zip(roots.words()) {
+                *c &= r;
+            }
+        }
+        true
     }
+
+    /// Places `u` on index `t` of its class and narrows the domains of
+    /// its unplaced neighbours. Returns `false` when one of them is left
+    /// without a live candidate.
+    fn place(&mut self, u: usize, t: usize) -> bool {
+        let words = self.words;
+        let pattern = self.pattern;
+        let cu = self.class[u];
+        self.map[u] = t;
+        self.used[cu * words + t / 64] |= 1 << (t % 64);
+        self.unplaced[cu] -= 1;
+        let mut alive = true;
+        for &w in pattern.neighbors(u) {
+            self.placed_nbrs[w] += 1;
+            if self.map[w] != usize::MAX || !alive {
+                continue;
+            }
+            let cw = self.class[w];
+            let row = self.view.row(cu, t, cw).words();
+            let dom = &mut self.dom[w * words..][..words];
+            self.trail.push(w);
+            self.trail_words.extend_from_slice(dom);
+            let used = &self.used[cw * words..][..words];
+            let mut live = 0;
+            for ((d, r), u) in dom.iter_mut().zip(row).zip(used) {
+                *d &= r;
+                live |= *d & !u;
+            }
+            alive = live != 0;
+        }
+        alive
+    }
+
+    /// Undoes the placement of `frame.vertex`: restores every domain
+    /// saved since `frame.mark` and frees its target index.
+    fn unplace(&mut self, frame: Frame) {
+        let words = self.words;
+        let pattern = self.pattern;
+        let u = frame.vertex;
+        while self.trail.len() > frame.mark {
+            let w = self.trail.pop().expect("trail above the mark");
+            let saved = self.trail_words.len() - words;
+            self.dom[w * words..][..words].copy_from_slice(&self.trail_words[saved..]);
+            self.trail_words.truncate(saved);
+        }
+        let (cu, t) = (self.class[u], self.map[u]);
+        self.used[cu * words + t / 64] &= !(1 << (t % 64));
+        self.unplaced[cu] += 1;
+        self.map[u] = usize::MAX;
+        for &w in pattern.neighbors(u) {
+            self.placed_nbrs[w] -= 1;
+        }
+    }
+}
+
+/// The distinct labels of `pattern`, ascending.
+fn distinct_labels(pattern: &Pattern) -> Vec<u32> {
+    let mut labels: Vec<u32> = (0..pattern.num_vertices())
+        .map(|u| pattern.label(u))
+        .collect();
+    labels.sort_unstable();
+    labels.dedup();
+    labels
 }
 
 /// Finds one monomorphism from `pattern` into `target`, if any.
@@ -529,7 +809,11 @@ mod tests {
         }
         let mut s = Searcher::with_config(&p, &t, SearchConfig::steps(3));
         assert_eq!(s.run(), MonoOutcome::LimitReached);
-        assert!(s.stats().steps >= 3);
+        assert_eq!(
+            s.stats().steps,
+            3,
+            "stops after exactly max_steps placements"
+        );
     }
 
     /// A 10-clique that does not embed into a width-8 band graph (whose

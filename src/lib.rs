@@ -13,7 +13,7 @@
 //! | [`sat`] | CDCL SAT solver (the decision engine standing in for Z3) |
 //! | [`smt`] | finite-domain constraint layer over the SAT core |
 //! | [`sched`] | ASAP/ALAP, mobility/KMS folding, `mII`, the SMT time search |
-//! | [`iso`] | subgraph-monomorphism engine (VF2-style, label-partitioned) |
+//! | [`iso`] | subgraph-monomorphism engine (propagating, label-partitioned) |
 //! | [`core`] | **the paper's contribution**: the decoupled mapper |
 //! | [`baseline`] | SAT-MapIt-style coupled mapper + simulated annealing |
 //! | [`sim`] | functional CGRA simulator validating mappings end to end |

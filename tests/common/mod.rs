@@ -57,3 +57,41 @@ pub fn assert_routed_mapping_invariants(
         );
     }
 }
+
+/// `dfg` with its nodes added in a seeded random order (edges keep
+/// their order): the same kernel, canonical digest and mII, but another
+/// numbering — and with it another variable order inside the mapper,
+/// which is what makes the achieved II and the search cost vary.
+#[allow(dead_code)] // only the renumbering battery draws numberings
+pub fn renumbered(dfg: &Dfg, seed: u64) -> Dfg {
+    let n = dfg.num_nodes();
+    // xorshift64*; the seed is spread first so 1, 2, 3… diverge.
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    };
+    // `order[new] = old`, a Fisher–Yates shuffle of the identity.
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        order.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    let mut new_of = vec![0; n];
+    let mut out = Dfg::new(dfg.name());
+    for (new, &old) in order.iter().enumerate() {
+        new_of[old] = new;
+        let old = NodeId::from_index(old);
+        out.add_node(dfg.op(old), dfg.node_name(old));
+    }
+    for e in dfg.edges() {
+        out.add_edge(
+            NodeId::from_index(new_of[e.src.index()]),
+            NodeId::from_index(new_of[e.dst.index()]),
+            e.operand,
+            e.kind,
+        );
+    }
+    out
+}

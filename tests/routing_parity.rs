@@ -1,13 +1,17 @@
 //! Routing-parity lock: at the default `max_route_hops = 1` the
-//! routing-aware space phase must reproduce the pre-routing serial
+//! routing-aware space phase must reproduce the committed serial
 //! mappings **byte for byte**, for every suite kernel on the
 //! homogeneous and the heterogeneous 4×4, across all three engines.
 //!
-//! The golden battery (`tests/golden/routing_parity.tsv`) was captured
-//! at the commit immediately before the k-hop reachability model was
-//! introduced, by `cargo run --release -p cgra-bench --bin
-//! routing_goldens`; regenerate it the same way if a *deliberate*
-//! behaviour change ever invalidates it.
+//! The golden battery (`tests/golden/routing_parity.tsv`) is captured
+//! by `cargo run --release -p cgra-bench --bin routing_goldens`;
+//! regenerate it the same way if a *deliberate* behaviour change ever
+//! invalidates it. The coupled and annealing lines date from the commit
+//! immediately before the k-hop reachability model; the decoupled lines
+//! were re-captured once, when the propagating monomorphism search
+//! replaced the static-order DFS — kernel, grid, status and II of every
+//! line unchanged, 28 of the 34 placements another embedding of the
+//! same II.
 //!
 //! The decoupled engine is cheap enough to re-run everywhere; the
 //! coupled SAT battery (50k conflicts per attempt) and the annealer
@@ -17,6 +21,7 @@ use std::collections::BTreeMap;
 
 use cgra_arch::{CapabilityProfile, Cgra, Topology};
 use cgra_dfg::suite;
+use cgra_sched::min_ii;
 use cgra_sim::{interpret, MachineSimulator, SimEnv};
 use monomap_bench::{
     annealing_golden_line, coupled_golden_line, decoupled_golden_line, routing_golden_lines,
@@ -61,12 +66,6 @@ fn decoupled_k1_matches_the_pre_routing_goldens() {
     let golden = golden_lines();
     for (grid, cgra) in grids() {
         for kernel in suite::names() {
-            // The two kernels that escalate through every II on the
-            // heterogeneous grid dominate an unoptimised run; they stay
-            // covered by the release battery.
-            if cfg!(debug_assertions) && grid == "het4" && matches!(kernel, "cfd" | "hotspot3D") {
-                continue;
-            }
             let line = decoupled_golden_line(&cgra, grid, kernel);
             let key = (
                 "decoupled".to_string(),
@@ -145,41 +144,61 @@ fn full_battery_is_byte_identical() {
     assert_eq!(GOLDEN, lines.join("\n") + "\n");
 }
 
-#[test]
-fn two_hop_routes_close_the_mesh_vs_torus_gap() {
-    // What the wider model buys (the retired routing_ablation numbers):
-    // a 4x4 mesh lacks the torus's wrap-around links, and a two-hop
-    // bound wins the II back — hotspot3D 5 -> 4 (the torus II), susan
-    // 3 -> 2. Every routed mapping runs on the machine simulator, whose
-    // independent BFS refuses over-long routes, and matches the
-    // reference interpreter.
+/// The 4×4 mesh and the inputs the routed-mapping tests simulate on.
+fn mesh_and_env() -> (Cgra, SimEnv) {
     let mesh = Cgra::with_topology(4, 4, Topology::Mesh).unwrap();
     let env = SimEnv::new(256)
         .with_input_stream(vec![3, 7, 11, 15])
         .with_input_stream(vec![2, 4, 6, 8])
         .with_input_stream(vec![1, 5, 9, 13])
         .with_input_stream(vec![6, 2, 8, 4]);
-    for (kernel, ii_k1, ii_k2) in [("hotspot3D", 5, 4), ("susan", 3, 2)] {
-        // Escalating hotspot3D on the mesh dominates an unoptimised
-        // run; it stays covered under `cargo test --release`.
-        if cfg!(debug_assertions) && kernel == "hotspot3D" {
-            continue;
-        }
-        let dfg = suite::generate(kernel);
-        let map = |k| {
-            let cfg = MapperConfig::new().with_max_ii(16).with_max_route_hops(k);
-            DecoupledMapper::with_config(&mesh, cfg).map(&dfg).unwrap()
-        };
-        assert_eq!(map(1).mapping.ii(), ii_k1, "{kernel} at k=1");
-        let routed = map(2).mapping;
-        assert_eq!(routed.ii(), ii_k2, "{kernel} at k=2");
-        routed.validate_routed(&dfg, &mesh, 2).unwrap();
-        let machine = MachineSimulator::new(&mesh, &dfg, &routed)
-            .with_max_route_hops(2)
-            .run(&env, 4)
-            .unwrap_or_else(|e| panic!("{kernel}: machine refused the routed mapping: {e:?}"));
-        let reference = interpret(&dfg, &env, 4).unwrap();
-        assert_eq!(machine.outputs, reference.outputs, "{kernel}");
-        assert_eq!(machine.memory, reference.memory, "{kernel}");
-    }
+    (mesh, env)
+}
+
+/// Maps `kernel` on `mesh` under a `hops`-hop route bound, checks the
+/// mapping with the routed validator and the machine simulator — whose
+/// independent BFS refuses over-long routes — against the reference
+/// interpreter, and returns the achieved II.
+fn simulated_ii(mesh: &Cgra, env: &SimEnv, kernel: &str, hops: usize) -> usize {
+    let dfg = suite::generate(kernel);
+    let cfg = MapperConfig::new()
+        .with_max_ii(16)
+        .with_max_route_hops(hops);
+    let mapping = DecoupledMapper::with_config(mesh, cfg)
+        .map(&dfg)
+        .unwrap()
+        .mapping;
+    mapping.validate_routed(&dfg, mesh, hops).unwrap();
+    let machine = MachineSimulator::new(mesh, &dfg, &mapping)
+        .with_max_route_hops(hops)
+        .run(env, 4)
+        .unwrap_or_else(|e| panic!("{kernel} k={hops}: machine refused the mapping: {e:?}"));
+    let reference = interpret(&dfg, env, 4).unwrap();
+    assert_eq!(machine.outputs, reference.outputs, "{kernel} k={hops}");
+    assert_eq!(machine.memory, reference.memory, "{kernel} k={hops}");
+    mapping.ii()
+}
+
+#[test]
+fn two_hop_routes_close_the_mesh_vs_torus_gap() {
+    // What the wider model buys (the retired routing_ablation numbers):
+    // a 4x4 mesh lacks the torus's wrap-around links, and a two-hop
+    // bound wins the II back — susan 3 -> 2.
+    let (mesh, env) = mesh_and_env();
+    assert_eq!(simulated_ii(&mesh, &env, "susan", 1), 3);
+    assert_eq!(simulated_ii(&mesh, &env, "susan", 2), 2);
+}
+
+#[test]
+fn hotspot3d_maps_on_the_one_hop_mesh_at_its_mii() {
+    // This row used to read 5 -> 4 in the gap test above: the
+    // static-order DFS ran into the step limit on every II-4 schedule
+    // and escalated. The propagating search embeds one, so the one-hop
+    // mesh reaches mII = 4 (the torus II) and there is no gap left for
+    // two hops to close. The II is new, so the mapping behind it is
+    // validated and simulated here, in debug and release alike.
+    let (mesh, env) = mesh_and_env();
+    assert_eq!(min_ii(&suite::generate("hotspot3D"), &mesh), 4);
+    assert_eq!(simulated_ii(&mesh, &env, "hotspot3D", 1), 4);
+    assert_eq!(simulated_ii(&mesh, &env, "hotspot3D", 2), 4);
 }
