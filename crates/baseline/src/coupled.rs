@@ -20,13 +20,13 @@
 
 use std::time::Instant;
 
-use cgra_base::CancelFlag;
+use cgra_base::{Budget, CancelFlag};
 
 use cgra_arch::{Cgra, PeId, RoutingModel};
 use cgra_dfg::{Dfg, EdgeKind};
 use cgra_sat::{SatResult, Solver};
 use cgra_sched::{min_ii, unsupported_op_class, Kms, Mobility};
-use cgra_smt::{at_most_one, Budget, Lit};
+use cgra_smt::{at_most_one, Lit};
 use monomap_core::api::{
     emit, run_request, EngineId, MapEvent, MapObserver, MapOutcome, MapReport, MapRequest, Mapper,
     SpaceAttemptOutcome,

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use cgra_arch::MAX_ROUTE_HOPS;
-use cgra_smt::Budget;
+use cgra_base::Budget;
 
 /// Which algorithm produces time solutions (phase 1 of the decoupled
 /// mapper).

@@ -867,7 +867,7 @@ mod tests {
         // MapError::Timeout from the first (II, slack) level. With a
         // budget too small for any level, every level must now be
         // tried and the final error is NoSolution over the full range.
-        use cgra_smt::Budget;
+        use cgra_base::Budget;
         let cgra = Cgra::new(2, 2).unwrap();
         let dfg = running_example();
         let cfg = MapperConfig::new().with_max_ii(6).with_time_budget(Budget {
@@ -884,7 +884,7 @@ mod tests {
     fn generous_budget_still_maps() {
         // The budget-exhaustion escalation must not break solvable
         // levels: with a roomy budget the result is unchanged.
-        use cgra_smt::Budget;
+        use cgra_base::Budget;
         let cgra = Cgra::new(2, 2).unwrap();
         let dfg = running_example();
         let cfg = MapperConfig::new().with_time_budget(Budget::conflicts(1_000_000));

@@ -4,9 +4,9 @@
 //! II-independent layered form.
 
 use cgra_arch::{Cgra, Mrrg, PeId, PeSet, RoutingModel};
-use cgra_base::CancelFlag;
+use cgra_base::{CancelFlag, DenseBitSet};
 use cgra_dfg::Dfg;
-use cgra_iso::{BitSet, LayeredTarget, MonoOutcome, Pattern, SearchConfig, Searcher, Target};
+use cgra_iso::{LayeredTarget, MonoOutcome, Pattern, SearchConfig, Searcher, Target};
 use cgra_sched::TimeSolution;
 
 /// Builds the undirected labelled pattern graph from the DFG and its
@@ -66,7 +66,7 @@ pub fn build_target(cgra: &Cgra, ii: usize, max_route_hops: usize) -> Target {
     let mut tier0 = Vec::with_capacity(total);
     for slot in 0..ii {
         for pe in cgra.pes() {
-            let mut row = BitSet::new(total);
+            let mut row = DenseBitSet::new(total);
             for other in 0..ii {
                 if other != slot {
                     row.insert(other * n + pe.index());
@@ -80,7 +80,7 @@ pub fn build_target(cgra: &Cgra, ii: usize, max_route_hops: usize) -> Target {
         let mut tier = Vec::with_capacity(total);
         for _slot in 0..ii {
             for pe in cgra.pes() {
-                let mut row = BitSet::new(total);
+                let mut row = DenseBitSet::new(total);
                 for other in 0..ii {
                     let base = other * n;
                     for q in routing.tier(pe, d).iter() {
@@ -155,7 +155,7 @@ impl SpaceEngine {
     /// Panics unless `1 <= max_route_hops <= MAX_ROUTE_HOPS`.
     pub fn with_route_hops(cgra: &Cgra, max_route_hops: usize) -> Self {
         let routing = RoutingModel::new(cgra, max_route_hops);
-        let rows = |mask: fn(&RoutingModel, PeId) -> &PeSet| -> Vec<BitSet> {
+        let rows = |mask: fn(&RoutingModel, PeId) -> &PeSet| -> Vec<DenseBitSet> {
             cgra.pes()
                 .map(|pe| mask(&routing, pe).as_raw().clone())
                 .collect()

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::BitSet;
+use cgra_base::DenseBitSet;
 
 /// The (small) pattern graph: undirected, vertex-labelled.
 ///
@@ -121,12 +121,12 @@ impl Pattern {
 #[derive(Clone)]
 pub struct Target {
     labels: Vec<u32>,
-    rows: Vec<BitSet>,
+    rows: Vec<DenseBitSet>,
     /// Per-distance reachability rows: `tiers[d][v]` = vertices related
     /// to `v` via a shortest route of exactly `d` hops (tier 0 is the
     /// held-value / same-resource relation). Empty for targets built
     /// from a plain adjacency relation.
-    tiers: Vec<Vec<BitSet>>,
+    tiers: Vec<Vec<DenseBitSet>>,
     /// Per-vertex capability bitmasks (empty = every vertex accepts any
     /// requirement); see [`Target::with_capabilities`].
     capabilities: Vec<u32>,
@@ -146,7 +146,7 @@ impl Target {
         let n = labels.len();
         Target {
             labels,
-            rows: vec![BitSet::new(n); n],
+            rows: vec![DenseBitSet::new(n); n],
             tiers: Vec::new(),
             capabilities: Vec::new(),
         }
@@ -158,7 +158,7 @@ impl Target {
     ///
     /// Panics if row count or capacities disagree with the label count.
     /// Symmetry is the caller's responsibility (checked in debug builds).
-    pub fn from_rows(labels: Vec<u32>, rows: Vec<BitSet>) -> Self {
+    pub fn from_rows(labels: Vec<u32>, rows: Vec<DenseBitSet>) -> Self {
         let n = labels.len();
         assert_eq!(rows.len(), n, "one adjacency row per vertex");
         for row in &rows {
@@ -195,10 +195,10 @@ impl Target {
     /// or a row capacity disagrees with the label count. Tier
     /// disjointness and symmetry are the caller's responsibility
     /// (checked in debug builds).
-    pub fn from_tiers(labels: Vec<u32>, tiers: Vec<Vec<BitSet>>) -> Self {
+    pub fn from_tiers(labels: Vec<u32>, tiers: Vec<Vec<DenseBitSet>>) -> Self {
         let n = labels.len();
         assert!(!tiers.is_empty(), "at least one tier");
-        let mut rows = vec![BitSet::new(n); n];
+        let mut rows = vec![DenseBitSet::new(n); n];
         for tier in &tiers {
             assert_eq!(tier.len(), n, "one tier row per vertex");
             for (v, t) in tier.iter().enumerate() {
@@ -278,7 +278,7 @@ impl Target {
     }
 
     /// The adjacency row of a vertex.
-    pub fn row(&self, v: usize) -> &BitSet {
+    pub fn row(&self, v: usize) -> &DenseBitSet {
         &self.rows[v]
     }
 
@@ -321,9 +321,9 @@ impl Target {
 #[derive(Clone, Debug)]
 pub struct LayeredTarget {
     /// `same[i]`: indices adjacent to `i` within one layer.
-    pub(crate) same: Vec<BitSet>,
+    pub(crate) same: Vec<DenseBitSet>,
     /// `cross[i]`: indices adjacent to `i` in every other layer.
-    pub(crate) cross: Vec<BitSet>,
+    pub(crate) cross: Vec<DenseBitSet>,
     /// Per-index capability masks (shared by all layers).
     pub(crate) capabilities: Vec<u32>,
     /// `(|same[i]|, |cross[i]|)`, read once per pattern vertex and index
@@ -331,7 +331,7 @@ pub struct LayeredTarget {
     pub(crate) degrees: Vec<(usize, usize)>,
     /// Candidates of the first-placed pattern vertex; see
     /// [`LayeredTarget::with_roots`].
-    pub(crate) roots: Option<BitSet>,
+    pub(crate) roots: Option<DenseBitSet>,
 }
 
 impl LayeredTarget {
@@ -343,7 +343,7 @@ impl LayeredTarget {
     /// Panics if the three vectors disagree in length or a row's
     /// capacity is not that length. Symmetry of both relations is the
     /// caller's responsibility (checked in debug builds).
-    pub fn new(same: Vec<BitSet>, cross: Vec<BitSet>, capabilities: Vec<u32>) -> Self {
+    pub fn new(same: Vec<DenseBitSet>, cross: Vec<DenseBitSet>, capabilities: Vec<u32>) -> Self {
         let n = capabilities.len();
         assert_eq!(same.len(), n, "one same-layer row per index");
         assert_eq!(cross.len(), n, "one cross-layer row per index");
@@ -384,7 +384,7 @@ impl LayeredTarget {
     ///
     /// Panics if the capacity of `roots` is not the width.
     #[must_use]
-    pub fn with_roots(mut self, roots: BitSet) -> Self {
+    pub fn with_roots(mut self, roots: DenseBitSet) -> Self {
         assert_eq!(roots.capacity(), self.width(), "one root bit per index");
         self.roots = Some(roots);
         self
@@ -427,7 +427,7 @@ mod tests {
 
     #[test]
     fn target_from_rows() {
-        let mut rows = vec![BitSet::new(2), BitSet::new(2)];
+        let mut rows = vec![DenseBitSet::new(2), DenseBitSet::new(2)];
         rows[0].insert(1);
         rows[1].insert(0);
         let t = Target::from_rows(vec![5, 5], rows);
@@ -447,9 +447,9 @@ mod tests {
     /// recovers the per-pair distance.
     fn path_tiers() -> Target {
         let n = 4;
-        let tier0 = vec![BitSet::new(n); n]; // no held-value pairs
-        let mut tier1 = vec![BitSet::new(n); n];
-        let mut tier2 = vec![BitSet::new(n); n];
+        let tier0 = vec![DenseBitSet::new(n); n]; // no held-value pairs
+        let mut tier1 = vec![DenseBitSet::new(n); n];
+        let mut tier2 = vec![DenseBitSet::new(n); n];
         for (a, b) in [(0, 1), (1, 2), (2, 3)] {
             tier1[a].insert(b);
             tier1[b].insert(a);

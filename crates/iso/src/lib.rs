@@ -51,12 +51,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bitset;
 mod graph;
 mod search;
 
-pub use bitset::BitSet;
-pub use cgra_base::CancelFlag;
 pub use graph::{LayeredTarget, Pattern, Target};
 pub use search::{
     count_monomorphisms, find_monomorphism, is_monomorphism, MonoOutcome, MonoStats, SearchConfig,

@@ -2,9 +2,9 @@
 
 use std::time::Instant;
 
-use cgra_base::CancelFlag;
+use cgra_base::{CancelFlag, DenseBitSet};
 
-use crate::{BitSet, LayeredTarget, Pattern, Target};
+use crate::{LayeredTarget, Pattern, Target};
 
 /// How many search steps pass between deadline/cancellation polls.
 ///
@@ -115,7 +115,7 @@ enum View<'a> {
         offset: Vec<usize>,
         /// Row `(offset[ca] + a) · classes + cb`: the neighbours of
         /// `(ca, a)` inside class `cb`.
-        rows: Vec<BitSet>,
+        rows: Vec<DenseBitSet>,
         /// Capability mask per numbered vertex.
         capabilities: Vec<u32>,
     },
@@ -141,7 +141,7 @@ impl View<'_> {
             offset.push(total);
             total += m.len();
         }
-        let mut rows = vec![BitSet::new(width); total * classes];
+        let mut rows = vec![DenseBitSet::new(width); total * classes];
         let mut capabilities = Vec::with_capacity(total);
         for (ca, class) in members.iter().enumerate() {
             for (a, &t) in class.iter().enumerate() {
@@ -163,7 +163,7 @@ impl View<'_> {
     fn width(&self) -> usize {
         match self {
             View::Layered(t) => t.width(),
-            View::Projected { rows, .. } => rows.first().map_or(0, BitSet::capacity),
+            View::Projected { rows, .. } => rows.first().map_or(0, DenseBitSet::capacity),
         }
     }
 
@@ -177,7 +177,7 @@ impl View<'_> {
 
     /// The neighbours of `(ca, a)` inside class `cb`.
     #[inline]
-    fn row(&self, ca: usize, a: usize, cb: usize) -> &BitSet {
+    fn row(&self, ca: usize, a: usize, cb: usize) -> &DenseBitSet {
         match self {
             View::Layered(t) if ca == cb => &t.same[a],
             View::Layered(t) => &t.cross[a],
@@ -246,7 +246,7 @@ pub struct Searcher<'a> {
     view: View<'a>,
     config: SearchConfig,
     /// Candidates allowed for the first-placed vertex, when restricted.
-    roots: Option<&'a BitSet>,
+    roots: Option<&'a DenseBitSet>,
     /// Class of each pattern vertex.
     class: Vec<usize>,
     /// Words per domain.
@@ -315,7 +315,7 @@ impl<'a> Searcher<'a> {
         pattern: &'a Pattern,
         view: View<'a>,
         labels: &[u32],
-        roots: Option<&'a BitSet>,
+        roots: Option<&'a DenseBitSet>,
         config: SearchConfig,
     ) -> Self {
         let np = pattern.num_vertices();
@@ -666,7 +666,7 @@ pub fn is_monomorphism(pattern: &Pattern, target: &Target, map: &[usize]) -> boo
         return false;
     }
     // mono1: injectivity.
-    let mut seen = BitSet::new(target.num_vertices());
+    let mut seen = DenseBitSet::new(target.num_vertices());
     for &t in map {
         if t >= target.num_vertices() || seen.contains(t) {
             return false;

@@ -39,7 +39,6 @@ mod luby;
 mod solver;
 mod types;
 
-pub use cgra_base::Budget;
 pub use luby::luby;
 pub use solver::{Solver, SolverStats};
 pub use types::{LBool, Lit, SatResult, Var};

@@ -45,7 +45,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cgra_dfg::{Dfg, EdgeKind, NodeId};
-use cgra_smt::{FdResult, FdSolver, IntVar, Lit};
+use cgra_smt::{FdSolver, IntVar, Lit, SatResult};
 
 use crate::time_solver::{
     EnumerationEnd, SolveOutcome, TimeSolution, TimeSolverConfig, TimeSolverError, TimeSolverStats,
@@ -405,7 +405,7 @@ impl<'a> IncrementalTimeSolver<'a> {
             None => self.fd.solve_with_assumptions(&assumptions),
         };
         match result {
-            FdResult::Sat => {
+            SatResult::Sat => {
                 self.have_model = true;
                 self.stats.solutions += 1;
                 let times: Vec<usize> = self
@@ -415,8 +415,8 @@ impl<'a> IncrementalTimeSolver<'a> {
                     .collect();
                 SolveOutcome::Solution(TimeSolution::from_times(self.ii, times))
             }
-            FdResult::Unsat => SolveOutcome::Unsat,
-            FdResult::Unknown => SolveOutcome::Timeout,
+            SatResult::Unsat => SolveOutcome::Unsat,
+            SatResult::Unknown => SolveOutcome::Timeout,
         }
     }
 
@@ -472,9 +472,9 @@ mod tests {
     use super::*;
     use crate::{TimeSolver, TimeSolverConfig};
     use cgra_arch::Cgra;
+    use cgra_base::Budget;
     use cgra_dfg::examples::{accumulator, running_example};
     use cgra_dfg::DfgBuilder;
-    use cgra_smt::Budget;
     use std::collections::BTreeSet;
 
     fn cfg2x2() -> TimeSolverConfig {

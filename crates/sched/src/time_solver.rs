@@ -21,8 +21,9 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cgra_arch::{Cgra, OpClass};
+use cgra_base::Budget;
 use cgra_dfg::{Dfg, DfgError, EdgeKind, NodeId};
-use cgra_smt::{Budget, FdResult, FdSolver, IntVar, Lit};
+use cgra_smt::{FdSolver, IntVar, Lit, SatResult};
 
 use crate::{Kms, Mobility};
 
@@ -576,7 +577,7 @@ impl<'a> TimeSolver<'a> {
             None => self.fd.solve(),
         };
         match result {
-            FdResult::Sat => {
+            SatResult::Sat => {
                 self.have_model = true;
                 self.stats.solutions += 1;
                 let times: Vec<usize> = self
@@ -586,8 +587,8 @@ impl<'a> TimeSolver<'a> {
                     .collect();
                 SolveOutcome::Solution(TimeSolution { ii: self.ii, times })
             }
-            FdResult::Unsat => SolveOutcome::Unsat,
-            FdResult::Unknown => SolveOutcome::Timeout,
+            SatResult::Unsat => SolveOutcome::Unsat,
+            SatResult::Unknown => SolveOutcome::Timeout,
         }
     }
 

@@ -1,6 +1,7 @@
 //! [`CachedMappingService`]: the mapping service with the
 //! content-addressed cache in front of it.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use cgra_dfg::{CanonicalDfg, Dfg};
@@ -82,6 +83,44 @@ pub enum CacheProbe {
     /// The request carries an observer, so the lookup was skipped; the
     /// engine must run, and the result still populates the cache.
     Bypass(PreparedRequest),
+}
+
+impl CacheProbe {
+    /// Splits a probe into a finished answer or the work left for an
+    /// engine, each with the disposition the client will be shown. An
+    /// invalid DFG was looked at and not found, so it reports `Miss`.
+    fn resolve(self) -> Result<(MapReport, CacheDisposition), (PreparedRequest, CacheDisposition)> {
+        match self {
+            CacheProbe::Hit(report) => Ok((report, CacheDisposition::Hit)),
+            CacheProbe::Invalid(report) => Ok((report, CacheDisposition::Miss)),
+            CacheProbe::Miss(prepared) => Err((prepared, CacheDisposition::Miss)),
+            CacheProbe::Bypass(prepared) => Err((prepared, CacheDisposition::Bypass)),
+        }
+    }
+}
+
+/// A batch after the cheap path: the answers already known, in input
+/// order, plus the requests that still need an engine. Produced by
+/// [`CachedMappingService::probe_batch`], consumed by
+/// [`CachedMappingService::solve_batch`]; it owns what is pending, so a
+/// front end can carry it from a cheap pool to a solve pool as is.
+#[derive(Debug, Default)]
+pub struct ProbedBatch {
+    /// One slot per request; `None` until its engine run fills it.
+    slots: Vec<Option<(MapReport, CacheDisposition)>>,
+    /// The requests behind the `None` slots, contiguous for the wrapped
+    /// service's batch entry point.
+    pending: Vec<MapRequest>,
+    /// Parallel to `pending`: the slot to fill, the key to store under
+    /// and the disposition to report.
+    prepared: Vec<(usize, PreparedRequest, CacheDisposition)>,
+}
+
+impl ProbedBatch {
+    /// Whether any request of the batch still has to run an engine.
+    pub fn needs_engine(&self) -> bool {
+        !self.pending.is_empty()
+    }
 }
 
 /// A [`MappingService`] fronted by a [`MapCache`]: repeated kernels
@@ -239,84 +278,66 @@ impl CachedMappingService {
         report
     }
 
-    /// Batch variant of [`CachedMappingService::solve_prepared`]:
-    /// `requests` and `prepared` run in parallel order through the
-    /// wrapped service's worker pool; entries whose `prepared` is
-    /// `None` are solved but not stored.
-    pub fn solve_prepared_batch(
-        &self,
-        requests: &[MapRequest],
-        prepared: &[Option<PreparedRequest>],
-    ) -> Vec<MapReport> {
-        assert_eq!(requests.len(), prepared.len(), "parallel arrays");
-        let reports = self.inner.map_batch(requests);
-        for (report, prep) in reports.iter().zip(prepared) {
-            if let Some(p) = prep {
-                self.store(&p.key, &p.canon, report);
-            }
-        }
-        reports
-    }
-
     /// Maps one request through the cache. Returns the report and how
     /// the cache participated.
     pub fn map(&self, req: &MapRequest) -> (MapReport, CacheDisposition) {
-        match self.probe(req) {
-            CacheProbe::Invalid(report) => (report, CacheDisposition::Miss),
-            CacheProbe::Hit(report) => (report, CacheDisposition::Hit),
-            CacheProbe::Miss(prepared) => {
-                (self.solve_prepared(req, &prepared), CacheDisposition::Miss)
-            }
-            CacheProbe::Bypass(prepared) => (
-                self.solve_prepared(req, &prepared),
-                CacheDisposition::Bypass,
-            ),
+        match self.probe(req).resolve() {
+            Ok(answer) => answer,
+            Err((prepared, disposition)) => (self.solve_prepared(req, &prepared), disposition),
         }
     }
 
-    /// Maps a batch, returning `(report, disposition)` per request **in
-    /// input order**. Cache hits are answered inline; the misses run
-    /// through the wrapped service's
-    /// [`map_batch`](MappingService::map_batch) (keeping its worker
-    /// pool busy with real solves only).
-    pub fn map_batch(&self, requests: &[MapRequest]) -> Vec<(MapReport, CacheDisposition)> {
-        // Probe everything first: hits and invalid DFGs are answered
-        // inline, only genuine engine work reaches the worker pool.
-        let mut slots: Vec<Option<(MapReport, CacheDisposition)>> = Vec::new();
-        let mut miss_indices: Vec<usize> = Vec::new();
-        let mut miss_requests: Vec<MapRequest> = Vec::new();
-        let mut miss_prepared: Vec<Option<PreparedRequest>> = Vec::new();
-        let mut miss_dispositions: Vec<CacheDisposition> = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            match self.probe(req) {
-                CacheProbe::Invalid(r) => slots.push(Some((r, CacheDisposition::Miss))),
-                CacheProbe::Hit(r) => slots.push(Some((r, CacheDisposition::Hit))),
-                CacheProbe::Miss(p) => {
-                    slots.push(None);
-                    miss_indices.push(i);
-                    miss_requests.push(req.clone());
-                    miss_prepared.push(Some(p));
-                    miss_dispositions.push(CacheDisposition::Miss);
-                }
-                CacheProbe::Bypass(p) => {
-                    slots.push(None);
-                    miss_indices.push(i);
-                    miss_requests.push(req.clone());
-                    miss_prepared.push(Some(p));
-                    miss_dispositions.push(CacheDisposition::Bypass);
+    /// The cheap path over a whole batch: every request is probed, hits
+    /// and invalid DFGs are answered in place, and the rest are kept —
+    /// moved when the caller hands over [`Cow::Owned`] requests, cloned
+    /// only when it lends them — for [`CachedMappingService::solve_batch`].
+    pub fn probe_batch<'a>(
+        &self,
+        requests: impl IntoIterator<Item = Cow<'a, MapRequest>>,
+    ) -> ProbedBatch {
+        let mut batch = ProbedBatch::default();
+        for req in requests {
+            match self.probe(&req).resolve() {
+                Ok(answer) => batch.slots.push(Some(answer)),
+                Err((prepared, disposition)) => {
+                    batch
+                        .prepared
+                        .push((batch.slots.len(), prepared, disposition));
+                    batch.pending.push(req.into_owned());
+                    batch.slots.push(None);
                 }
             }
         }
-        let solved = self.solve_prepared_batch(&miss_requests, &miss_prepared);
-        for ((i, report), disposition) in
-            miss_indices.into_iter().zip(solved).zip(miss_dispositions)
-        {
-            slots[i] = Some((report, disposition));
+        batch
+    }
+
+    /// The solve path over a probed batch: runs what is pending through
+    /// the wrapped service's [`map_batch`](MappingService::map_batch)
+    /// (its worker pool sees real solves only), stores the cacheable
+    /// results and returns `(report, disposition)` per request **in
+    /// input order**. With nothing pending it only unwraps the answers.
+    pub fn solve_batch(&self, batch: ProbedBatch) -> Vec<(MapReport, CacheDisposition)> {
+        let ProbedBatch {
+            mut slots,
+            pending,
+            prepared,
+        } = batch;
+        let reports = self.inner.map_batch(&pending);
+        for (report, (slot, prepared, disposition)) in reports.into_iter().zip(prepared) {
+            self.store(&prepared.key, &prepared.canon, &report);
+            slots[slot] = Some((report, disposition));
         }
         slots
             .into_iter()
             .map(|s| s.expect("every request answered"))
             .collect()
+    }
+
+    /// Maps a batch, returning `(report, disposition)` per request **in
+    /// input order**: [`CachedMappingService::probe_batch`] then
+    /// [`CachedMappingService::solve_batch`].
+    pub fn map_batch(&self, requests: &[MapRequest]) -> Vec<(MapReport, CacheDisposition)> {
+        self.solve_batch(self.probe_batch(requests.iter().map(Cow::Borrowed)))
     }
 
     fn store(&self, key: &CacheKey, canon: &CanonicalDfg, report: &MapReport) {

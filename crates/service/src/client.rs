@@ -6,7 +6,7 @@
 //! production client.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -18,6 +18,7 @@ use crate::cache::CacheKey;
 use crate::cached::CacheDisposition;
 use crate::http::StatsSnapshot;
 use crate::store::hex_decode;
+use crate::wire::{MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES};
 
 /// A client error: transport, HTTP-level, or malformed payload.
 #[derive(Debug)]
@@ -266,9 +267,10 @@ impl Client {
         writer.write_all(request.as_bytes())?;
         writer.flush()?;
 
+        // The peer may be anything: every line, the header count and the
+        // body are held to the caps the server applies to requests.
         let mut reader = BufReader::new(stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line)?;
+        let status_line = read_capped_line(&mut reader)?;
         let status: u16 = status_line
             .split_whitespace()
             .nth(1)
@@ -279,13 +281,13 @@ impl Client {
         let mut headers = Vec::new();
         let mut content_length: Option<usize> = None;
         loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(ClientError::Protocol("EOF inside response headers".into()));
-            }
+            let line = read_capped_line(&mut reader)?;
             let line = line.trim_end();
             if line.is_empty() {
                 break;
+            }
+            if headers.len() >= MAX_HEADERS {
+                return Err(ClientError::Protocol("too many response headers".into()));
             }
             if let Some((name, value)) = line.split_once(':') {
                 let name = name.trim().to_ascii_lowercase();
@@ -296,19 +298,28 @@ impl Client {
                 headers.push((name, value));
             }
         }
-        let body = match content_length {
-            Some(n) => {
-                let mut buf = vec![0u8; n];
-                reader.read_exact(&mut buf)?;
-                String::from_utf8(buf)
-                    .map_err(|_| ClientError::Protocol("response body is not UTF-8".into()))?
-            }
-            None => {
-                let mut buf = String::new();
-                reader.read_to_string(&mut buf)?;
-                buf
-            }
+        // Read what arrives, up to the declared length (or one past the
+        // cap when none was declared) — never allocate on the peer's word.
+        let over_cap = || {
+            ClientError::Protocol(format!(
+                "response body is over the {MAX_BODY_BYTES}-byte cap"
+            ))
         };
+        let limit = match content_length {
+            Some(n) if n > MAX_BODY_BYTES => return Err(over_cap()),
+            Some(n) => n,
+            None => MAX_BODY_BYTES + 1,
+        };
+        let mut body = Vec::new();
+        reader.take(limit as u64).read_to_end(&mut body)?;
+        if content_length.is_none() && body.len() > MAX_BODY_BYTES {
+            return Err(over_cap());
+        }
+        if body.len() < content_length.unwrap_or(0) {
+            return Err(io::Error::from(ErrorKind::UnexpectedEof).into());
+        }
+        let body = String::from_utf8(body)
+            .map_err(|_| ClientError::Protocol("response body is not UTF-8".into()))?;
         if status == 429 {
             let retry_after = header_value(&headers, "retry-after")
                 .and_then(|v| v.parse::<u64>().ok())
@@ -358,6 +369,22 @@ struct CacheEntryWire {
     bytes: String,
     /// The stored report, mapping in canonical node order.
     report: MapReport,
+}
+
+/// Reads one `\n`-terminated line of a response head, refusing one
+/// longer than the wire's line cap (EOF mid-head is refused too).
+fn read_capped_line(reader: &mut impl BufRead) -> Result<String, ClientError> {
+    let mut line = String::new();
+    reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_line(&mut line)?;
+    if line.ends_with('\n') {
+        Ok(line)
+    } else if line.len() > MAX_LINE_BYTES {
+        Err(ClientError::Protocol("response line too long".into()))
+    } else {
+        Err(ClientError::Protocol("EOF inside response head".into()))
+    }
 }
 
 fn header_value<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a String> {

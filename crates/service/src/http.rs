@@ -21,15 +21,17 @@
 //! server never lets a solve occupy a connection-serving thread.
 //! Instead:
 //!
-//! * A **reactor** (epoll event loop, `crate::reactor`) owns every
-//!   socket: non-blocking accept, per-connection read/write state
-//!   machines, keep-alive, and client-disconnect detection — a
-//!   connection that goes readable and reads EOF while its request is
-//!   in flight raises that request's [`CancelFlag`] immediately, with
-//!   no polling thread per solve.
-//! * A small **cheap pool** runs the fast path: JSON parse →
-//!   validate → canonicalize → digest → cache lookup. Cache hits,
-//!   invalid DFGs and protocol errors are answered here in
+//! * A **reactor** (`crate::eventloop` over the epoll shim in
+//!   `crate::reactor`) owns every socket: non-blocking accept,
+//!   per-connection read/write state machines, keep-alive, and
+//!   client-disconnect detection — a connection that goes readable and
+//!   reads EOF while its request is in flight raises that request's
+//!   [`CancelFlag`] immediately, with no polling thread per solve.
+//!   Requests are parsed off the read buffers, and responses encoded,
+//!   by `crate::wire`, which knows bytes and nothing else.
+//! * A small **cheap pool** runs the fast path (`crate::routes`): JSON
+//!   parse → validate → canonicalize → digest → cache lookup. Cache
+//!   hits, invalid DFGs and protocol errors are answered here in
 //!   microseconds, regardless of what the solve pool is doing.
 //! * A fixed **solve pool** runs engines, fed by a *bounded* queue
 //!   with admission control (`crate::admission`): when the queue is
@@ -38,31 +40,34 @@
 //!   Pressure counters (`queue_depth`, `queue_high_watermark`,
 //!   `shed_total`, `solve_pool_busy`) are surfaced on `GET /stats`.
 //!
+//! `/map` is the one-element case of `/map_batch`: one pipeline serves
+//! both, and this module only wires it up — [`Server::run`] builds the
+//! shared state, the two pools and the event loop, and blocks in it.
+//!
 //! Each connection has at most one request in flight (responses are
 //! ordered on the wire anyway), which doubles as a per-connection
 //! fairness cap: one client cannot occupy more than one solve-pool
 //! slot plus one queue slot per open connection.
+//!
+//! [`MapRequest`]: monomap_core::api::MapRequest
+//! [`MapReport`]: monomap_core::api::MapReport
+//! [`CancelFlag`]: cgra_base::CancelFlag
 
-use std::collections::HashMap;
-use std::io::{self, BufRead, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use cgra_base::CancelFlag;
-use cgra_dfg::DfgDigest;
-use monomap_core::api::{EngineId, MapReport, MapRequest};
-
-use crate::admission::{retry_after_seconds, SolveLatency, SolveQueue};
-use crate::cache::{CacheKey, CacheStatsSnapshot};
-use crate::cached::{CacheDisposition, CacheProbe, CachedMappingService, PreparedRequest};
-use crate::reactor::{waker_pair, Event, Poller, WakeReader, Waker};
-use crate::store::{hex_encode, PersistenceStatsSnapshot};
+use crate::admission::{SolveLatency, SolveQueue};
+use crate::cache::CacheStatsSnapshot;
+use crate::cached::CachedMappingService;
+use crate::eventloop::EventLoop;
+use crate::routes::{cheap_worker, solve_worker, CheapJob, Pool, Shared};
+use crate::store::PersistenceStatsSnapshot;
+use crate::wire::{Response, MAX_BODY_BYTES};
 
 /// Tuning knobs of [`Server`]; the defaults suit both tests and the
 /// `monomapd` binary.
@@ -81,10 +86,6 @@ pub struct ServerConfig {
     pub max_body_bytes: usize,
     /// An idle keep-alive connection is closed after this long.
     pub read_timeout: Duration,
-    /// Unused since the event-loop rewrite (disconnects are detected
-    /// by readiness, not polling); retained so existing configuration
-    /// literals keep compiling.
-    pub monitor_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -93,9 +94,8 @@ impl Default for ServerConfig {
             workers: 4,
             cheap_workers: 2,
             queue_bound: 64,
-            max_body_bytes: 16 << 20,
+            max_body_bytes: MAX_BODY_BYTES,
             read_timeout: Duration::from_secs(30),
-            monitor_interval: Duration::from_millis(25),
         }
     }
 }
@@ -143,23 +143,13 @@ pub struct StatsSnapshot {
     pub server: ServerStatsSnapshot,
 }
 
-#[derive(Default)]
-struct ServerCounters {
-    requests: AtomicU64,
-    map_requests: AtomicU64,
-    batch_requests: AtomicU64,
-    compile_requests: AtomicU64,
-    errors: AtomicU64,
-    client_disconnects: AtomicU64,
-}
-
 /// The `monomapd` daemon core: a bound listener plus the cached
 /// service it serves. [`Server::run`] blocks; [`Server::spawn`] runs
 /// on a background thread and returns a [`ServerHandle`] (used by the
 /// end-to-end tests).
 pub struct Server {
     listener: TcpListener,
-    service: Arc<CachedMappingService>,
+    service: CachedMappingService,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
 }
@@ -179,7 +169,7 @@ impl Server {
         assert!(config.queue_bound > 0, "solve queue bound must be positive");
         Ok(Server {
             listener: TcpListener::bind(addr)?,
-            service: Arc::new(service),
+            service,
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
         })
@@ -197,59 +187,42 @@ impl Server {
     /// [`ServerHandle::shutdown`]) and every in-flight request has been
     /// answered.
     pub fn run(self) -> io::Result<()> {
-        let started = Instant::now();
-        let counters = Arc::new(ServerCounters::default());
-        let queue = Arc::new(SolveQueue::<SolveJob>::new(self.config.queue_bound));
-        let latency = Arc::new(SolveLatency::default());
-        let (done_tx, done_rx) = mpsc::channel::<ResponseMsg>();
+        let (workers, cheap_workers) = (self.config.workers, self.config.cheap_workers);
+        let shared = Arc::new(Shared {
+            service: self.service,
+            counters: Default::default(),
+            queue: SolveQueue::new(self.config.queue_bound),
+            latency: SolveLatency::default(),
+            solve_workers: workers,
+            started: Instant::now(),
+        });
+        let (done_tx, done_rx) = mpsc::channel::<Response>();
         let (cheap_tx, cheap_rx) = mpsc::channel::<CheapJob>();
-        let cheap_rx = Arc::new(Mutex::new(cheap_rx));
-        let poller = Poller::new()?;
-        let (waker, wake_rx) = waker_pair()?;
-        poller.register(wake_rx.fd(), TOKEN_WAKER, true, false)?;
-        self.listener.set_nonblocking(true)?;
-        poller.register(self.listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
-
-        let ctx = WorkerCtx {
-            service: Arc::clone(&self.service),
-            counters: Arc::clone(&counters),
-            queue: Arc::clone(&queue),
-            latency: Arc::clone(&latency),
+        let cheap_rx = Mutex::new(cheap_rx);
+        let (mut event_loop, waker) = EventLoop::new(
+            self.listener,
+            self.shutdown,
+            self.config,
+            Arc::clone(&shared),
+            cheap_tx,
+            done_rx,
+        )?;
+        let pool = Pool {
+            shared,
             done_tx,
             waker,
-            solve_workers: self.config.workers,
         };
         std::thread::scope(|scope| {
-            for _ in 0..self.config.cheap_workers {
-                let ctx = ctx.clone();
-                let cheap_rx = Arc::clone(&cheap_rx);
-                scope.spawn(move || cheap_worker(&ctx, &cheap_rx));
+            for _ in 0..cheap_workers {
+                scope.spawn(|| cheap_worker(&pool, &cheap_rx));
             }
-            for _ in 0..self.config.workers {
-                let ctx = ctx.clone();
-                scope.spawn(move || solve_worker(&ctx));
+            for _ in 0..workers {
+                scope.spawn(|| solve_worker(&pool));
             }
-            let mut event_loop = EventLoop {
-                poller,
-                wake_rx,
-                listener: Some(self.listener),
-                conns: HashMap::new(),
-                next_token: FIRST_CONN_TOKEN,
-                shutting_down: false,
-                shutdown: Arc::clone(&self.shutdown),
-                cheap_tx,
-                done_rx,
-                service: Arc::clone(&self.service),
-                counters: Arc::clone(&counters),
-                queue: Arc::clone(&queue),
-                latency: Arc::clone(&latency),
-                config: self.config.clone(),
-                started,
-            };
             let result = event_loop.run();
             // Release the pools: queued solves drain, then both pools
             // observe their closed queues/channels and exit.
-            queue.close();
+            pool.shared.queue.close();
             drop(event_loop); // drops cheap_tx and done_rx
             result
         })
@@ -296,1524 +269,9 @@ impl ServerHandle {
     }
 }
 
-// ---------------------------------------------------------------------
-// The event loop
-// ---------------------------------------------------------------------
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
-
-/// How long `epoll_wait` sleeps when nothing happens; bounds how stale
-/// the idle-timeout sweep can get.
-const POLL_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// After answering a request-level error on a connection that may
-/// still be uploading, the write side is half-closed and up to this
-/// many body bytes are drained so the peer can read the status line
-/// instead of tripping on a connection reset.
-const DRAIN_BUDGET: usize = 256 * 1024;
-
-/// ... for at most this long.
-const DRAIN_WINDOW: Duration = Duration::from_secs(2);
-
-/// Pipelined responses stop being produced (parsing pauses) while more
-/// than this many bytes are waiting to be written, so a client that
-/// sends requests without reading answers cannot balloon the write
-/// buffer.
-const WBUF_SOFT_CAP: usize = 4 << 20;
-
-enum ConnState {
-    /// Accumulating request bytes (and, between requests, idling).
-    Reading,
-    /// A request-level error was answered and the write side
-    /// half-closed; inbound bytes are discarded until EOF, the budget
-    /// or the deadline — whichever comes first — then the socket
-    /// closes.
-    Draining { deadline: Instant, budget: usize },
-}
-
-struct Conn {
-    token: u64,
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    state: ConnState,
-    /// The cancel flag of the in-flight request, if any. `Some` is
-    /// also the per-connection in-flight cap: no further pipelined
-    /// request is parsed until the response comes back.
-    inflight: Option<CancelFlag>,
-    close_after_write: bool,
-    drain_after_write: bool,
-    peer_eof: bool,
-    last_activity: Instant,
-    interest_read: bool,
-    interest_write: bool,
-}
-
-impl Conn {
-    fn new(token: u64, stream: TcpStream) -> Conn {
-        Conn {
-            token,
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            state: ConnState::Reading,
-            inflight: None,
-            close_after_write: false,
-            drain_after_write: false,
-            peer_eof: false,
-            last_activity: Instant::now(),
-            interest_read: true,
-            interest_write: false,
-        }
-    }
-}
-
-struct EventLoop {
-    poller: Poller,
-    wake_rx: WakeReader,
-    listener: Option<TcpListener>,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    shutting_down: bool,
-    shutdown: Arc<AtomicBool>,
-    cheap_tx: mpsc::Sender<CheapJob>,
-    done_rx: mpsc::Receiver<ResponseMsg>,
-    service: Arc<CachedMappingService>,
-    counters: Arc<ServerCounters>,
-    queue: Arc<SolveQueue<SolveJob>>,
-    latency: Arc<SolveLatency>,
-    config: ServerConfig,
-    started: Instant,
-}
-
-impl EventLoop {
-    fn run(&mut self) -> io::Result<()> {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) && !self.shutting_down {
-                self.begin_shutdown();
-            }
-            if self.shutting_down && self.conns.is_empty() {
-                return Ok(());
-            }
-            self.poller.wait(&mut events, POLL_TIMEOUT)?;
-            for &ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.wake_rx.drain(),
-                    token => self.handle_event(token, ev.readable, ev.writable),
-                }
-            }
-            while let Ok(msg) = self.done_rx.try_recv() {
-                self.deliver(msg);
-            }
-            self.sweep_timeouts();
-        }
-    }
-
-    /// Stops accepting and closes every connection with nothing in
-    /// flight; the loop then drains until the rest have been answered.
-    fn begin_shutdown(&mut self) {
-        self.shutting_down = true;
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener.as_raw_fd());
-        }
-        let idle: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.inflight.is_none() && c.wpos >= c.wbuf.len())
-            .map(|(&t, _)| t)
-            .collect();
-        for token in idle {
-            self.close_token(token);
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, true, false)
-                        .is_ok()
-                    {
-                        self.conns.insert(token, Conn::new(token, stream));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return, // transient accept error; retry on next event
-            }
-        }
-    }
-
-    fn handle_event(&mut self, token: u64, readable: bool, _writable: bool) {
-        let Some(mut conn) = self.conns.remove(&token) else {
-            return;
-        };
-        let mut alive = true;
-        if readable {
-            alive = self.read_ready(&mut conn);
-        }
-        if alive {
-            alive = self.advance(&mut conn);
-        }
-        if alive {
-            self.conns.insert(token, conn);
-        } else {
-            self.cleanup(conn);
-        }
-    }
-
-    /// Pulls everything currently readable off the socket. Returns
-    /// `false` when the connection should close now.
-    fn read_ready(&mut self, conn: &mut Conn) -> bool {
-        if conn.peer_eof {
-            return true;
-        }
-        let rbuf_cap = self.config.max_body_bytes + MAX_HEAD_BYTES + 64 * 1024;
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.peer_eof = true;
-                    if let Some(cancel) = conn.inflight.take() {
-                        // The peer abandoned an in-flight request:
-                        // release the engine and drop the connection.
-                        // Buffered pipelined bytes don't mask the EOF —
-                        // read() returned it after consuming them.
-                        cancel.cancel();
-                        self.counters
-                            .client_disconnects
-                            .fetch_add(1, Ordering::Relaxed);
-                        return false;
-                    }
-                    return match conn.state {
-                        // A response is still being flushed; the peer
-                        // half-closed but may read it.
-                        ConnState::Reading => conn.wpos < conn.wbuf.len(),
-                        ConnState::Draining { .. } => false,
-                    };
-                }
-                Ok(n) => {
-                    conn.last_activity = Instant::now();
-                    match &mut conn.state {
-                        ConnState::Draining { budget, .. } => {
-                            if *budget < n {
-                                return false;
-                            }
-                            *budget -= n;
-                        }
-                        ConnState::Reading => {
-                            conn.rbuf.extend_from_slice(&buf[..n]);
-                            if conn.rbuf.len() > rbuf_cap {
-                                // Unbounded pipelining while a request
-                                // is in flight: abusive, cut it off.
-                                if let Some(cancel) = conn.inflight.take() {
-                                    cancel.cancel();
-                                }
-                                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                                return false;
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    if let Some(cancel) = conn.inflight.take() {
-                        cancel.cancel();
-                        self.counters
-                            .client_disconnects
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Parses and dispatches whatever complete requests the read
-    /// buffer holds, then flushes pending output and updates epoll
-    /// interests. Returns `false` when the connection should close.
-    fn advance(&mut self, conn: &mut Conn) -> bool {
-        while matches!(conn.state, ConnState::Reading)
-            && conn.inflight.is_none()
-            && !conn.close_after_write
-            && conn.wbuf.len() - conn.wpos < WBUF_SOFT_CAP
-        {
-            match try_parse(&mut conn.rbuf, self.config.max_body_bytes) {
-                Parse::NeedMore => break,
-                Parse::Request(req) => self.dispatch(conn, req),
-                Parse::Bad(msg) => {
-                    self.counters.requests.fetch_add(1, Ordering::Relaxed);
-                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    queue_response(conn, encode_error(400, msg, false, HttpVersion::V11), false);
-                    conn.drain_after_write = true;
-                    break;
-                }
-                Parse::TooLarge { version, .. } => {
-                    self.counters.requests.fetch_add(1, Ordering::Relaxed);
-                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    queue_response(
-                        conn,
-                        encode_error(413, "request body too large", false, version),
-                        false,
-                    );
-                    conn.drain_after_write = true;
-                    break;
-                }
-            }
-        }
-        if !self.flush(conn) {
-            return false;
-        }
-        if conn.peer_eof
-            && conn.inflight.is_none()
-            && conn.wpos >= conn.wbuf.len()
-            && matches!(conn.state, ConnState::Reading)
-        {
-            return false;
-        }
-        self.update_interest(conn);
-        true
-    }
-
-    fn dispatch(&mut self, conn: &mut Conn, req: ParsedRequest) {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/map") | ("POST", "/map_batch") => {
-                let batch = req.path == "/map_batch";
-                if batch {
-                    self.counters.batch_requests.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.counters.map_requests.fetch_add(1, Ordering::Relaxed);
-                }
-                let cancel = CancelFlag::new();
-                self.submit_cheap(
-                    conn,
-                    CheapJob {
-                        token: conn.token,
-                        keep_alive: req.keep_alive,
-                        version: req.version,
-                        kind: CheapKind::Map {
-                            batch,
-                            body: req.body,
-                            cancel,
-                        },
-                    },
-                );
-            }
-            ("POST", "/compile") => {
-                // Source-only: compiles on the cheap pool and returns
-                // the DFG without touching the solve queue.
-                self.counters
-                    .compile_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                self.submit_cheap(
-                    conn,
-                    CheapJob {
-                        token: conn.token,
-                        keep_alive: req.keep_alive,
-                        version: req.version,
-                        kind: CheapKind::Compile { body: req.body },
-                    },
-                );
-            }
-            ("GET", path) if path.starts_with("/cache/") => {
-                // Peer fill: cache-read only, answered from the cheap
-                // pool so a fleet sibling never waits on solves.
-                self.submit_cheap(
-                    conn,
-                    CheapJob {
-                        token: conn.token,
-                        keep_alive: req.keep_alive,
-                        version: req.version,
-                        kind: CheapKind::CacheGet {
-                            target: path["/cache/".len()..].to_string(),
-                        },
-                    },
-                );
-            }
-            ("GET", "/stats") => match self.stats_json() {
-                Ok(body) => queue_response(
-                    conn,
-                    encode_response(200, &body, &[], req.keep_alive, req.version),
-                    req.keep_alive,
-                ),
-                Err(msg) => {
-                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    queue_response(
-                        conn,
-                        encode_error(500, &msg, req.keep_alive, req.version),
-                        req.keep_alive,
-                    );
-                }
-            },
-            ("GET", "/healthz") => match self.healthz_json() {
-                Ok(body) => queue_response(
-                    conn,
-                    encode_response(200, &body, &[], req.keep_alive, req.version),
-                    req.keep_alive,
-                ),
-                Err(msg) => {
-                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    queue_response(
-                        conn,
-                        encode_error(500, &msg, req.keep_alive, req.version),
-                        req.keep_alive,
-                    );
-                }
-            },
-            ("GET" | "POST", _) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                queue_response(
-                    conn,
-                    encode_error(
-                        404,
-                        &format!("no such endpoint: {}", req.path),
-                        req.keep_alive,
-                        req.version,
-                    ),
-                    req.keep_alive,
-                );
-            }
-            _ => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                queue_response(
-                    conn,
-                    encode_error(
-                        405,
-                        &format!("method {} not allowed", req.method),
-                        req.keep_alive,
-                        req.version,
-                    ),
-                    req.keep_alive,
-                );
-            }
-        }
-    }
-
-    /// Marks the request in flight on its connection and hands it to
-    /// the cheap pool. Every cheap job — solve or cache read — holds
-    /// the connection's single in-flight slot so responses stay in
-    /// request order on keep-alive connections.
-    fn submit_cheap(&mut self, conn: &mut Conn, job: CheapJob) {
-        let version = job.version;
-        conn.inflight = Some(match &job.kind {
-            CheapKind::Map { cancel, .. } => cancel.clone(),
-            // Cache reads and compiles finish in microseconds; the
-            // flag only backs the in-flight slot (nothing polls it).
-            CheapKind::CacheGet { .. } | CheapKind::Compile { .. } => CancelFlag::new(),
-        });
-        if self.cheap_tx.send(job).is_err() {
-            // Only possible mid-shutdown: the pool is gone.
-            conn.inflight = None;
-            self.counters.errors.fetch_add(1, Ordering::Relaxed);
-            queue_response(
-                conn,
-                encode_error(500, "server is shutting down", false, version),
-                false,
-            );
-        }
-    }
-
-    /// Hands a pool-produced response to its connection (if it still
-    /// exists) and resumes parsing pipelined requests behind it.
-    fn deliver(&mut self, msg: ResponseMsg) {
-        let Some(mut conn) = self.conns.remove(&msg.token) else {
-            return; // client disconnected while the job ran
-        };
-        conn.inflight = None;
-        queue_response(&mut conn, msg.bytes, msg.keep_alive && !self.shutting_down);
-        let alive = self.advance(&mut conn);
-        if alive {
-            self.conns.insert(msg.token, conn);
-        } else {
-            self.cleanup(conn);
-        }
-    }
-
-    /// Writes as much pending output as the socket accepts. Returns
-    /// `false` when the connection should close.
-    fn flush(&mut self, conn: &mut Conn) -> bool {
-        while conn.wpos < conn.wbuf.len() {
-            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    conn.wpos += n;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        if !conn.wbuf.is_empty() {
-            conn.wbuf.clear();
-            conn.wpos = 0;
-        }
-        if conn.close_after_write {
-            if conn.drain_after_write {
-                // Satellite fix: flush, half-close, then drain the
-                // peer's in-flight upload so it can read the error
-                // status instead of hitting a reset.
-                let _ = conn.stream.shutdown(Shutdown::Write);
-                conn.close_after_write = false;
-                conn.drain_after_write = false;
-                conn.rbuf.clear();
-                conn.state = ConnState::Draining {
-                    deadline: Instant::now() + DRAIN_WINDOW,
-                    budget: DRAIN_BUDGET,
-                };
-            } else {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn update_interest(&self, conn: &mut Conn) {
-        let want_read = !conn.peer_eof;
-        let want_write = conn.wpos < conn.wbuf.len();
-        if want_read != conn.interest_read || want_write != conn.interest_write {
-            conn.interest_read = want_read;
-            conn.interest_write = want_write;
-            let _ = self
-                .poller
-                .rearm(conn.stream.as_raw_fd(), conn.token, want_read, want_write);
-        }
-    }
-
-    fn sweep_timeouts(&mut self) {
-        let now = Instant::now();
-        let timeout = self.config.read_timeout;
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| match c.state {
-                ConnState::Reading => {
-                    c.inflight.is_none() && now.duration_since(c.last_activity) > timeout
-                }
-                ConnState::Draining { deadline, .. } => now >= deadline,
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            self.close_token(token);
-        }
-    }
-
-    fn close_token(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            self.cleanup(conn);
-        }
-    }
-
-    fn cleanup(&mut self, conn: Conn) {
-        if let Some(cancel) = conn.inflight {
-            cancel.cancel();
-        }
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        // Dropping the stream closes the socket.
-    }
-
-    fn stats_json(&self) -> Result<String, String> {
-        let snapshot = StatsSnapshot {
-            cache: self.service.stats(),
-            persistence: self.service.persistence_stats(),
-            server: ServerStatsSnapshot {
-                requests: self.counters.requests.load(Ordering::Relaxed),
-                map_requests: self.counters.map_requests.load(Ordering::Relaxed),
-                batch_requests: self.counters.batch_requests.load(Ordering::Relaxed),
-                compile_requests: self.counters.compile_requests.load(Ordering::Relaxed),
-                errors: self.counters.errors.load(Ordering::Relaxed),
-                client_disconnects: self.counters.client_disconnects.load(Ordering::Relaxed),
-                queue_depth: self.queue.depth(),
-                queue_high_watermark: self.queue.high_watermark(),
-                shed_total: self.queue.shed_total(),
-                solve_pool_busy: self.queue.busy(),
-                solve_p50_seconds: self.latency.p50(),
-                uptime_seconds: self.started.elapsed().as_secs_f64(),
-            },
-        };
-        serde_json::to_string(&snapshot).map_err(|e| format!("serializing stats: {e}"))
-    }
-
-    fn healthz_json(&self) -> Result<String, String> {
-        let inner = self.service.inner();
-        let engines: Vec<serde::Value> = inner
-            .engine_ids()
-            .iter()
-            .map(|e| serde::Value::Str(e.name().to_string()))
-            .collect();
-        let body = serde::Value::Map(vec![
-            ("status".to_string(), serde::Value::Str("ok".to_string())),
-            ("engines".to_string(), serde::Value::Seq(engines)),
-            (
-                "cgra".to_string(),
-                serde::Value::Str(inner.cgra().describe()),
-            ),
-            (
-                "cache_capacity".to_string(),
-                serde::Value::UInt(self.service.cache().capacity() as u64),
-            ),
-        ]);
-        serde_json::to_string(&body).map_err(|e| format!("serializing health: {e}"))
-    }
-}
-
-/// Appends an encoded response to the connection's write buffer.
-fn queue_response(conn: &mut Conn, bytes: Vec<u8>, keep_alive: bool) {
-    conn.wbuf.extend_from_slice(&bytes);
-    if !keep_alive {
-        conn.close_after_write = true;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pool workers
-// ---------------------------------------------------------------------
-
-/// Everything a pool thread needs; cheap to clone (all `Arc`s).
-#[derive(Clone)]
-struct WorkerCtx {
-    service: Arc<CachedMappingService>,
-    counters: Arc<ServerCounters>,
-    queue: Arc<SolveQueue<SolveJob>>,
-    latency: Arc<SolveLatency>,
-    done_tx: mpsc::Sender<ResponseMsg>,
-    waker: Waker,
-    solve_workers: usize,
-}
-
-impl WorkerCtx {
-    fn send(&self, msg: ResponseMsg) {
-        let _ = self.done_tx.send(msg);
-        self.waker.wake();
-    }
-
-    fn send_error(
-        &self,
-        token: u64,
-        status: u16,
-        message: &str,
-        keep_alive: bool,
-        version: HttpVersion,
-    ) {
-        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-        self.send(ResponseMsg {
-            token,
-            bytes: encode_error(status, message, keep_alive, version),
-            keep_alive,
-        });
-    }
-
-    /// Sheds a solve: `429` plus a `Retry-After` priced from the
-    /// current queue depth and the observed solve p50.
-    fn send_shed(&self, token: u64, keep_alive: bool, version: HttpVersion) {
-        let retry = retry_after_seconds(self.queue.depth(), self.latency.p50(), self.solve_workers);
-        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-        let body = format!("{{\"error\":\"solve queue is full\",\"retry_after_seconds\":{retry}}}");
-        self.send(ResponseMsg {
-            token,
-            bytes: encode_response_raw(
-                429,
-                &body,
-                &[("Retry-After", retry.to_string())],
-                keep_alive,
-                version,
-            ),
-            keep_alive,
-        });
-    }
-}
-
-/// One parsed-but-unhandled request travelling from the reactor to
-/// the cheap pool.
-struct CheapJob {
-    token: u64,
-    keep_alive: bool,
-    version: HttpVersion,
-    kind: CheapKind,
-}
-
-/// What the cheap pool does with a [`CheapJob`].
-enum CheapKind {
-    /// `POST /map` / `POST /map_batch`: parse, probe the cache, solve
-    /// or shed.
-    Map {
-        batch: bool,
-        body: Vec<u8>,
-        /// Created by the reactor, raised on client EOF; installed on
-        /// the `MapRequest`(s) so abandoned solves unwind.
-        cancel: CancelFlag,
-    },
-    /// `GET /cache/<target>`: export one entry to a fleet sibling.
-    /// `target` is everything after the `/cache/` prefix.
-    CacheGet { target: String },
-    /// `POST /compile`: raw `.mk` source in, DFG JSON + canonical
-    /// digest out. Never reaches the solve queue.
-    Compile { body: Vec<u8> },
-}
-
-/// One admitted engine job travelling from the cheap pool to the solve
-/// pool.
-enum SolveJob {
-    Map {
-        token: u64,
-        request: Box<MapRequest>,
-        prepared: PreparedRequest,
-        disposition: CacheDisposition,
-        keep_alive: bool,
-        version: HttpVersion,
-    },
-    Batch {
-        token: u64,
-        requests: Vec<MapRequest>,
-        /// Input-order slots; `Some` entries were answered by the
-        /// cheap path (hits, invalid DFGs).
-        slots: Vec<Option<(MapReport, CacheDisposition)>>,
-        prepared: Vec<Option<PreparedRequest>>,
-        keep_alive: bool,
-        version: HttpVersion,
-    },
-}
-
-/// A fully encoded response heading back to the reactor.
-struct ResponseMsg {
-    token: u64,
-    bytes: Vec<u8>,
-    keep_alive: bool,
-}
-
-fn cheap_worker(ctx: &WorkerCtx, jobs: &Mutex<mpsc::Receiver<CheapJob>>) {
-    loop {
-        let job = match jobs.lock().expect("cheap queue lock").recv() {
-            Ok(j) => j,
-            Err(_) => return, // reactor gone: shut down
-        };
-        let token = job.token;
-        let keep_alive = job.keep_alive;
-        let version = job.version;
-        let outcome = catch_unwind(AssertUnwindSafe(|| handle_cheap(ctx, job)));
-        if outcome.is_err() {
-            ctx.send_error(
-                token,
-                500,
-                "internal: request handler panicked",
-                false,
-                version,
-            );
-            let _ = keep_alive;
-        }
-    }
-}
-
-/// The cheap path: parse, probe the cache, answer hits inline, admit
-/// misses to the bounded solve queue (or shed them). Cache exports
-/// (`GET /cache/...`) are answered here outright.
-fn handle_cheap(ctx: &WorkerCtx, job: CheapJob) {
-    let CheapJob {
-        token,
-        keep_alive,
-        version,
-        kind,
-    } = job;
-    let (batch, body, cancel) = match kind {
-        CheapKind::Map {
-            batch,
-            body,
-            cancel,
-        } => (batch, body, cancel),
-        CheapKind::CacheGet { target } => {
-            handle_cache_get(ctx, token, &target, keep_alive, version);
-            return;
-        }
-        CheapKind::Compile { body } => {
-            handle_compile(ctx, token, &body, keep_alive, version);
-            return;
-        }
-    };
-    let Ok(body) = std::str::from_utf8(&body) else {
-        ctx.send_error(token, 400, "request body is not UTF-8", keep_alive, version);
-        return;
-    };
-    if batch {
-        handle_cheap_batch(ctx, token, keep_alive, version, body, &cancel);
-        return;
-    }
-    let mut request: MapRequest = match serde_json::from_str(body) {
-        Ok(r) => r,
-        Err(e) => {
-            ctx.send_error(
-                token,
-                400,
-                &format!("invalid MapRequest: {e}"),
-                keep_alive,
-                version,
-            );
-            return;
-        }
-    };
-    request.cancel = Some(cancel);
-    match ctx.service.probe(&request) {
-        CacheProbe::Hit(report) => {
-            send_map_report(
-                ctx,
-                token,
-                &report,
-                CacheDisposition::Hit,
-                keep_alive,
-                version,
-            );
-        }
-        CacheProbe::Invalid(report) => {
-            send_map_report(
-                ctx,
-                token,
-                &report,
-                CacheDisposition::Miss,
-                keep_alive,
-                version,
-            );
-        }
-        CacheProbe::Miss(prepared) | CacheProbe::Bypass(prepared) => {
-            // Wire requests cannot carry observers, so this is always
-            // a miss on the daemon; Bypass is handled identically for
-            // embedders driving the server with in-process requests.
-            let disposition = if request.observer.is_none() {
-                CacheDisposition::Miss
-            } else {
-                CacheDisposition::Bypass
-            };
-            let solve = SolveJob::Map {
-                token,
-                request: Box::new(request),
-                prepared,
-                disposition,
-                keep_alive,
-                version,
-            };
-            if ctx.queue.try_push(solve).is_err() {
-                ctx.send_shed(token, keep_alive, version);
-            }
-        }
-    }
-}
-
-/// Serves `GET /cache/<digest>?engine=..&fp=..`: the export path of
-/// the peer-fill tier. Answers from memory and the local disk log
-/// only (never from *this* daemon's peers — no fill chains), with the
-/// canonical bytes attached so the requester can verify the fill.
-/// A present entry is `200 {"bytes":"<hex>","report":{...}}`; an
-/// absent one is a plain `404` (an ordinary miss, not counted as a
-/// server error).
-fn handle_cache_get(
-    ctx: &WorkerCtx,
-    token: u64,
-    target: &str,
-    keep_alive: bool,
-    version: HttpVersion,
-) {
-    let key = match parse_cache_target(target) {
-        Ok(key) => key,
-        Err(msg) => {
-            ctx.send_error(token, 400, msg, keep_alive, version);
-            return;
-        }
-    };
-    match ctx.service.export(&key) {
-        Some((bytes, report)) => {
-            let report_json = match serde_json::to_string(&report) {
-                Ok(j) => j,
-                Err(e) => {
-                    ctx.send_error(
-                        token,
-                        500,
-                        &format!("serializing cache entry: {e}"),
-                        keep_alive,
-                        version,
-                    );
-                    return;
-                }
-            };
-            let body = format!(
-                "{{\"bytes\":\"{}\",\"report\":{report_json}}}",
-                hex_encode(&bytes)
-            );
-            ctx.send(ResponseMsg {
-                token,
-                bytes: encode_response(200, &body, &[], keep_alive, version),
-                keep_alive,
-            });
-        }
-        None => ctx.send(ResponseMsg {
-            token,
-            bytes: encode_error(404, "entry not cached", keep_alive, version),
-            keep_alive,
-        }),
-    }
-}
-
-/// Parses the `<digest>?engine=<name>&fp=<cgra:016x><config:016x>`
-/// tail of a `GET /cache/` request into a full [`CacheKey`].
-fn parse_cache_target(target: &str) -> Result<CacheKey, &'static str> {
-    let (digest_hex, query) = target
-        .split_once('?')
-        .ok_or("missing engine/fp query parameters")?;
-    let digest =
-        DfgDigest::from_hex(digest_hex).ok_or("malformed digest (want 32 hex characters)")?;
-    let mut engine: Option<EngineId> = None;
-    let mut fp: Option<(u64, u64)> = None;
-    for pair in query.split('&') {
-        let Some((name, value)) = pair.split_once('=') else {
-            return Err("malformed query parameter");
-        };
-        match name {
-            "engine" => {
-                engine = Some(EngineId::from_name(value).ok_or("unknown engine")?);
-            }
-            "fp" => {
-                if value.len() != 32 {
-                    return Err("malformed fp (want 32 hex characters)");
-                }
-                let cgra = u64::from_str_radix(&value[..16], 16).map_err(|_| "malformed fp")?;
-                let config = u64::from_str_radix(&value[16..], 16).map_err(|_| "malformed fp")?;
-                fp = Some((cgra, config));
-            }
-            _ => {} // ignore unknown parameters (forward compatibility)
-        }
-    }
-    let engine = engine.ok_or("missing engine parameter")?;
-    let (cgra, config) = fp.ok_or("missing fp parameter")?;
-    Ok(CacheKey {
-        digest,
-        engine,
-        cgra,
-        config,
-    })
-}
-
-fn handle_cheap_batch(
-    ctx: &WorkerCtx,
-    token: u64,
-    keep_alive: bool,
-    version: HttpVersion,
-    body: &str,
-    cancel: &CancelFlag,
-) {
-    let mut requests: Vec<MapRequest> = match serde_json::from_str(body) {
-        Ok(r) => r,
-        Err(e) => {
-            ctx.send_error(
-                token,
-                400,
-                &format!("invalid MapRequest array: {e}"),
-                keep_alive,
-                version,
-            );
-            return;
-        }
-    };
-    for request in &mut requests {
-        if request.cancel.is_none() {
-            request.cancel = Some(cancel.clone());
-        }
-    }
-    let mut slots: Vec<Option<(MapReport, CacheDisposition)>> = Vec::with_capacity(requests.len());
-    let mut prepared: Vec<Option<PreparedRequest>> = Vec::with_capacity(requests.len());
-    let mut needs_engine = false;
-    for request in &requests {
-        match ctx.service.probe(request) {
-            CacheProbe::Hit(r) => {
-                slots.push(Some((r, CacheDisposition::Hit)));
-                prepared.push(None);
-            }
-            CacheProbe::Invalid(r) => {
-                slots.push(Some((r, CacheDisposition::Miss)));
-                prepared.push(None);
-            }
-            CacheProbe::Miss(p) | CacheProbe::Bypass(p) => {
-                slots.push(None);
-                prepared.push(Some(p));
-                needs_engine = true;
-            }
-        }
-    }
-    if !needs_engine {
-        // Every request was a hit or invalid: the whole batch is
-        // answered on the cheap path without touching the solve pool.
-        let answered: Vec<(MapReport, CacheDisposition)> = slots
-            .into_iter()
-            .map(|s| s.expect("all answered"))
-            .collect();
-        send_batch_response(ctx, token, &answered, keep_alive, version);
-        return;
-    }
-    let solve = SolveJob::Batch {
-        token,
-        requests,
-        slots,
-        prepared,
-        keep_alive,
-        version,
-    };
-    if ctx.queue.try_push(solve).is_err() {
-        ctx.send_shed(token, keep_alive, version);
-    }
-}
-
-fn solve_worker(ctx: &WorkerCtx) {
-    while let Some(job) = ctx.queue.pop() {
-        let _busy = ctx.queue.busy_guard();
-        let started = Instant::now();
-        let (token, keep_alive, version) = match &job {
-            SolveJob::Map {
-                token,
-                keep_alive,
-                version,
-                ..
-            }
-            | SolveJob::Batch {
-                token,
-                keep_alive,
-                version,
-                ..
-            } => (*token, *keep_alive, *version),
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_solve(ctx, job)));
-        ctx.latency.record(started.elapsed().as_secs_f64());
-        if outcome.is_err() {
-            ctx.send_error(token, 500, "internal: engine panicked", false, version);
-            let _ = keep_alive;
-        }
-    }
-}
-
-fn run_solve(ctx: &WorkerCtx, job: SolveJob) {
-    match job {
-        SolveJob::Map {
-            token,
-            request,
-            prepared,
-            disposition,
-            keep_alive,
-            version,
-        } => {
-            let report = ctx.service.solve_prepared(&request, &prepared);
-            send_map_report(ctx, token, &report, disposition, keep_alive, version);
-        }
-        SolveJob::Batch {
-            token,
-            requests,
-            mut slots,
-            prepared,
-            keep_alive,
-            version,
-        } => {
-            let miss_indices: Vec<usize> = (0..requests.len())
-                .filter(|&i| slots[i].is_none())
-                .collect();
-            let miss_requests: Vec<MapRequest> =
-                miss_indices.iter().map(|&i| requests[i].clone()).collect();
-            let miss_prepared: Vec<Option<PreparedRequest>> = {
-                let mut prepared = prepared;
-                miss_indices.iter().map(|&i| prepared[i].take()).collect()
-            };
-            let reports = ctx
-                .service
-                .solve_prepared_batch(&miss_requests, &miss_prepared);
-            for (&i, report) in miss_indices.iter().zip(reports) {
-                let disposition = if requests[i].observer.is_none() {
-                    CacheDisposition::Miss
-                } else {
-                    CacheDisposition::Bypass
-                };
-                slots[i] = Some((report, disposition));
-            }
-            let answered: Vec<(MapReport, CacheDisposition)> = slots
-                .into_iter()
-                .map(|s| s.expect("all answered"))
-                .collect();
-            send_batch_response(ctx, token, &answered, keep_alive, version);
-        }
-    }
-}
-
-/// Serves `POST /compile`: the body is raw `.mk` source holding
-/// exactly one kernel (no JSON envelope — `curl --data-binary
-/// @kernel.mk` works as-is). Success is `200` with the kernel name,
-/// canonical digest, node count, per-class demand and the full DFG
-/// JSON (ready to embed in a `/map` request); a compile failure is
-/// `400` whose body carries the structured diagnostic —
-/// `{"error": ..., "line": L, "col": C}` — so clients can point back
-/// into the source.
-fn handle_compile(
-    ctx: &WorkerCtx,
-    token: u64,
-    body: &[u8],
-    keep_alive: bool,
-    version: HttpVersion,
-) {
-    let Ok(source) = std::str::from_utf8(body) else {
-        ctx.send_error(token, 400, "request body is not UTF-8", keep_alive, version);
-        return;
-    };
-    let dfg = match monomap_frontend::compile_one(source) {
-        Ok(dfg) => dfg,
-        Err(e) => {
-            ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
-            let message =
-                serde_json::to_string(&e.message).unwrap_or_else(|_| "\"compile error\"".into());
-            let body = format!(
-                "{{\"error\":{message},\"line\":{},\"col\":{}}}",
-                e.line, e.col
-            );
-            ctx.send(ResponseMsg {
-                token,
-                bytes: encode_response(400, &body, &[], keep_alive, version),
-                keep_alive,
-            });
-            return;
-        }
-    };
-    let counts = monomap_frontend::class_counts(&dfg);
-    let (name, dfg_json) = match (
-        serde_json::to_string(&dfg.name().to_string()),
-        serde_json::to_string(&dfg),
-    ) {
-        (Ok(n), Ok(d)) => (n, d),
-        (Err(e), _) | (_, Err(e)) => {
-            ctx.send_error(
-                token,
-                500,
-                &format!("serializing compiled DFG: {e}"),
-                keep_alive,
-                version,
-            );
-            return;
-        }
-    };
-    let body = format!(
-        "{{\"name\":{name},\"digest\":\"{}\",\"nodes\":{},\
-         \"classes\":{{\"alu\":{},\"mul\":{},\"mem\":{}}},\"dfg\":{dfg_json}}}",
-        dfg.digest().to_hex(),
-        dfg.num_nodes(),
-        counts.alu,
-        counts.mul,
-        counts.mem,
-    );
-    ctx.send(ResponseMsg {
-        token,
-        bytes: encode_response(200, &body, &[], keep_alive, version),
-        keep_alive,
-    });
-}
-
-fn send_map_report(
-    ctx: &WorkerCtx,
-    token: u64,
-    report: &MapReport,
-    disposition: CacheDisposition,
-    keep_alive: bool,
-    version: HttpVersion,
-) {
-    match serde_json::to_string(report) {
-        Ok(json) => ctx.send(ResponseMsg {
-            token,
-            bytes: encode_response(
-                200,
-                &json,
-                &[("X-Monomap-Cache", disposition.name().to_string())],
-                keep_alive,
-                version,
-            ),
-            keep_alive,
-        }),
-        Err(e) => ctx.send_error(
-            token,
-            500,
-            &format!("serializing report: {e}"),
-            keep_alive,
-            version,
-        ),
-    }
-}
-
-fn send_batch_response(
-    ctx: &WorkerCtx,
-    token: u64,
-    results: &[(MapReport, CacheDisposition)],
-    keep_alive: bool,
-    version: HttpVersion,
-) {
-    let reports: Vec<&MapReport> = results.iter().map(|(r, _)| r).collect();
-    let dispositions: Vec<&str> = results.iter().map(|(_, d)| d.name()).collect();
-    let reports_json = match serde_json::to_string(&reports) {
-        Ok(j) => j,
-        Err(e) => {
-            ctx.send_error(
-                token,
-                500,
-                &format!("serializing reports: {e}"),
-                keep_alive,
-                version,
-            );
-            return;
-        }
-    };
-    let dispositions_json = match serde_json::to_string(&dispositions) {
-        Ok(j) => j,
-        Err(e) => {
-            ctx.send_error(
-                token,
-                500,
-                &format!("serializing dispositions: {e}"),
-                keep_alive,
-                version,
-            );
-            return;
-        }
-    };
-    let body = format!("{{\"reports\":{reports_json},\"cache\":{dispositions_json}}}");
-    ctx.send(ResponseMsg {
-        token,
-        bytes: encode_response(200, &body, &[], keep_alive, version),
-        keep_alive,
-    });
-}
-
-// ---------------------------------------------------------------------
-// HTTP parsing and emission
-// ---------------------------------------------------------------------
-
-/// Longest accepted request-line or header line, in bytes. Applied
-/// *while* reading (not after), so a peer streaming newline-free bytes
-/// cannot grow memory unboundedly.
-const MAX_LINE_BYTES: usize = 16 * 1024;
-
-/// Most header lines accepted per request.
-const MAX_HEADERS: usize = 128;
-
-/// Largest accepted request head (request line + headers + blank
-/// line): every line at the line cap, plus slack.
-const MAX_HEAD_BYTES: usize = MAX_LINE_BYTES * (MAX_HEADERS + 2);
-
-/// The HTTP version a request arrived with; echoed in the status line
-/// so HTTP/1.0 peers are not answered with a version they may not
-/// understand.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum HttpVersion {
-    V10,
-    V11,
-}
-
-impl HttpVersion {
-    fn as_str(self) -> &'static str {
-        match self {
-            HttpVersion::V10 => "HTTP/1.0",
-            HttpVersion::V11 => "HTTP/1.1",
-        }
-    }
-}
-
-enum Line {
-    Some(String),
-    /// EOF / timeout / transport error: treat the input as exhausted.
-    Closed,
-    /// The line exceeded [`MAX_LINE_BYTES`] (already-read bytes are
-    /// discarded; the caller answers 400 and closes).
-    TooLong,
-}
-
-/// Reads one `\n`-terminated line with the length cap enforced
-/// incrementally, via the reader's own buffer.
-fn read_line_capped<R: BufRead>(reader: &mut R) -> Line {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let buffered = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(_) => return Line::Closed, // incl. WouldBlock/TimedOut
-        };
-        if buffered.is_empty() {
-            return Line::Closed; // EOF (mid-line EOF is also a close)
-        }
-        match buffered.iter().position(|&b| b == b'\n') {
-            Some(newline) => {
-                if line.len() + newline > MAX_LINE_BYTES {
-                    return Line::TooLong;
-                }
-                line.extend_from_slice(&buffered[..newline]);
-                reader.consume(newline + 1);
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Line::Some(String::from_utf8_lossy(&line).into_owned());
-            }
-            None => {
-                let taken = buffered.len();
-                if line.len() + taken > MAX_LINE_BYTES {
-                    return Line::TooLong;
-                }
-                line.extend_from_slice(buffered);
-                reader.consume(taken);
-            }
-        }
-    }
-}
-
-/// A complete request pulled out of a connection's read buffer.
-struct ParsedRequest {
-    method: String,
-    path: String,
-    version: HttpVersion,
-    keep_alive: bool,
-    body: Vec<u8>,
-}
-
-enum Parse {
-    /// The buffer does not hold a complete request yet.
-    NeedMore,
-    Request(ParsedRequest),
-    /// Malformed input; the connection gets one 400 and is closed.
-    Bad(&'static str),
-    /// Declared body larger than the configured cap.
-    TooLarge {
-        version: HttpVersion,
-    },
-}
-
-/// The parsed request head (everything before the body).
-struct Head {
-    method: String,
-    path: String,
-    version: HttpVersion,
-    keep_alive: bool,
-    content_length: usize,
-}
-
-/// Byte offset one past the head-terminating blank line, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    let mut i = 0;
-    while i < buf.len() {
-        if buf[i] == b'\n' {
-            if buf.get(i + 1) == Some(&b'\n') {
-                return Some(i + 2);
-            }
-            if buf.get(i + 1) == Some(&b'\r') && buf.get(i + 2) == Some(&b'\n') {
-                return Some(i + 3);
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Bytes since the last newline — the length of the line currently
-/// being accumulated.
-fn trailing_line_len(buf: &[u8]) -> usize {
-    buf.len()
-        - buf
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|p| p + 1)
-            .unwrap_or(0)
-}
-
-/// Attempts to pull one complete request off the front of `rbuf`,
-/// consuming its bytes on success (and on `TooLarge`, so the
-/// connection can drain the unread body).
-fn try_parse(rbuf: &mut Vec<u8>, max_body: usize) -> Parse {
-    let Some(head_end) = find_head_end(rbuf) else {
-        // The head is incomplete; enforce the caps on what has
-        // accumulated so a newline-free or header-spamming stream is
-        // cut off while reading.
-        if trailing_line_len(rbuf) > MAX_LINE_BYTES + 2 {
-            return Parse::Bad("header line too long");
-        }
-        if rbuf.len() > MAX_HEAD_BYTES {
-            return Parse::Bad("too many headers");
-        }
-        return Parse::NeedMore;
-    };
-    let head = match parse_head(&rbuf[..head_end]) {
-        Ok(h) => h,
-        Err(msg) => return Parse::Bad(msg),
-    };
-    if head.content_length > max_body {
-        // Consume the head: the (unread) body is drained, not parsed.
-        rbuf.drain(..head_end);
-        return Parse::TooLarge {
-            version: head.version,
-        };
-    }
-    let total = head_end + head.content_length;
-    if rbuf.len() < total {
-        return Parse::NeedMore;
-    }
-    let body = rbuf[head_end..total].to_vec();
-    rbuf.drain(..total);
-    Parse::Request(ParsedRequest {
-        method: head.method,
-        path: head.path,
-        version: head.version,
-        keep_alive: head.keep_alive,
-        body,
-    })
-}
-
-/// Parses a complete request head (reusing the capped line reader over
-/// the in-memory bytes).
-fn parse_head(mut head: &[u8]) -> Result<Head, &'static str> {
-    let reader = &mut head;
-    let line = match read_line_capped(reader) {
-        Line::Some(l) => l,
-        Line::Closed => return Err("malformed request line"),
-        Line::TooLong => return Err("request line too long"),
-    };
-    let mut parts = line.split_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return Err("malformed request line");
-    };
-    let version = match version {
-        "HTTP/1.0" => HttpVersion::V10,
-        v if v.starts_with("HTTP/1.") => HttpVersion::V11,
-        _ => return Err("unsupported HTTP version"),
-    };
-    // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
-    let mut keep_alive = version == HttpVersion::V11;
-    let method = method.to_string();
-    let path = path.to_string();
-    let mut content_length: Option<usize> = None;
-    for header_count in 0.. {
-        if header_count >= MAX_HEADERS {
-            return Err("too many headers");
-        }
-        let header = match read_line_capped(reader) {
-            Line::Some(l) => l,
-            Line::Closed => break, // end of the head slice
-            Line::TooLong => return Err("header line too long"),
-        };
-        if header.is_empty() {
-            break;
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            return Err("malformed header");
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => match value.parse::<usize>() {
-                // Identical repeats are tolerated (RFC 9110 §8.6);
-                // *conflicting* declarations are a request-smuggling
-                // vector on keep-alive connections and are rejected.
-                Ok(n) => match content_length {
-                    Some(prev) if prev != n => return Err("conflicting Content-Length headers"),
-                    _ => content_length = Some(n),
-                },
-                Err(_) => return Err("malformed Content-Length"),
-            },
-            "connection" => {
-                let v = value.to_ascii_lowercase();
-                if v == "close" {
-                    keep_alive = false;
-                } else if v == "keep-alive" {
-                    keep_alive = true;
-                }
-            }
-            "transfer-encoding" => return Err("chunked transfer encoding is not supported"),
-            _ => {}
-        }
-    }
-    Ok(Head {
-        method,
-        path,
-        version,
-        keep_alive,
-        content_length: content_length.unwrap_or(0),
-    })
-}
-
-fn status_text(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        500 => "Internal Server Error",
-        _ => "Error",
-    }
-}
-
-/// Encodes a JSON response. The status line echoes the request's HTTP
-/// version and the `Connection` header is always explicit, so
-/// HTTP/1.0 peers (whose default is close) get an unambiguous answer.
-fn encode_response(
-    status: u16,
-    body: &str,
-    extra: &[(&'static str, String)],
-    keep_alive: bool,
-    version: HttpVersion,
-) -> Vec<u8> {
-    encode_response_raw(status, body, extra, keep_alive, version)
-}
-
-fn encode_response_raw(
-    status: u16,
-    body: &str,
-    extra: &[(&'static str, String)],
-    keep_alive: bool,
-    version: HttpVersion,
-) -> Vec<u8> {
-    let mut head = format!(
-        "{} {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        version.as_str(),
-        status,
-        status_text(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    let mut bytes = head.into_bytes();
-    bytes.extend_from_slice(body.as_bytes());
-    bytes
-}
-
-fn encode_error(status: u16, message: &str, keep_alive: bool, version: HttpVersion) -> Vec<u8> {
-    let body = serde_json::to_string(&serde::Value::Map(vec![(
-        "error".to_string(),
-        serde::Value::Str(message.to_string()),
-    )]))
-    .unwrap_or_else(|_| "{\"error\":\"internal\"}".to_string());
-    encode_response(status, &body, &[], keep_alive, version)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::wire::*;
 
     fn parse_bytes(bytes: &[u8]) -> Parse {
         let mut buf = bytes.to_vec();

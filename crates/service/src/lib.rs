@@ -68,7 +68,10 @@
 #![warn(missing_docs)]
 
 mod admission;
+mod eventloop;
 mod reactor;
+mod routes;
+mod wire;
 
 pub mod cache;
 pub mod cached;
@@ -79,7 +82,9 @@ pub mod peer;
 pub mod store;
 
 pub use cache::{CacheKey, CacheStatsSnapshot, MapCache};
-pub use cached::{CacheDisposition, CacheProbe, CachedMappingService, PreparedRequest};
+pub use cached::{
+    CacheDisposition, CacheProbe, CachedMappingService, PreparedRequest, ProbedBatch,
+};
 pub use client::{ClassDemand, Client, ClientError, CompileResponse, MapResponse};
 pub use disklog::DiskLog;
 pub use http::{Server, ServerConfig, ServerHandle, ServerStatsSnapshot, StatsSnapshot};

@@ -4,7 +4,8 @@ use std::fmt;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use cgra_sat::{Budget, Lit, SatResult, Solver};
+use cgra_base::Budget;
+use cgra_sat::{Lit, SatResult, Solver};
 
 use crate::cardinality;
 
@@ -531,14 +532,11 @@ mod tests {
         for w in xs.windows(2) {
             fd.require_binary(w[0], w[1], |a, b| a < b);
         }
-        assert_eq!(fd.solve(), FdResultAlias::Sat);
+        assert_eq!(fd.solve(), SatResult::Sat);
         for (i, &x) in xs.iter().enumerate() {
             assert_eq!(fd.value(x), i as i64);
         }
     }
-
-    // Local alias to exercise the public re-export path.
-    use cgra_sat::SatResult as FdResultAlias;
 
     #[test]
     fn guarded_binary_constraint() {

@@ -20,7 +20,7 @@
 //! ## Example
 //!
 //! ```
-//! use cgra_smt::{FdSolver, FdResult};
+//! use cgra_smt::{FdSolver, SatResult};
 //!
 //! let mut fd = FdSolver::new();
 //! let x = fd.new_int(0..=3);
@@ -29,7 +29,7 @@
 //! fd.require_binary(x, y, |a, b| b > a);
 //! // and x must be at least 2
 //! fd.require_unary(x, |a| a >= 2);
-//! assert_eq!(fd.solve(), FdResult::Sat);
+//! assert_eq!(fd.solve(), SatResult::Sat);
 //! assert_eq!(fd.value(x), 2);
 //! assert_eq!(fd.value(y), 3);
 //! ```
@@ -41,5 +41,5 @@ mod cardinality;
 mod fd;
 
 pub use cardinality::{at_least_k, at_most_k, at_most_one, exactly_k};
-pub use cgra_sat::{Budget, LBool, Lit, SatResult as FdResult, Var};
+pub use cgra_sat::{LBool, Lit, SatResult, Var};
 pub use fd::{FdSolver, FdStats, IntVar};

@@ -11,15 +11,16 @@
 //! monomorphism into the dense MRRG.
 
 use monomap::arch::{CapabilityProfile, Cgra, OpClass, RoutingModel, Topology};
+use monomap::base::DenseBitSet;
 use monomap::core::build_target;
 use monomap::iso::{
-    is_monomorphism, BitSet, LayeredTarget, MonoOutcome, Pattern, SearchConfig, Searcher, Target,
+    is_monomorphism, LayeredTarget, MonoOutcome, Pattern, SearchConfig, Searcher, Target,
 };
 
 /// The mapper's II-independent target, with or without its orbit roots.
 fn layered(cgra: &Cgra, hops: usize, with_roots: bool) -> LayeredTarget {
     let routing = RoutingModel::new(cgra, hops);
-    let rows = |cross: bool| -> Vec<BitSet> {
+    let rows = |cross: bool| -> Vec<DenseBitSet> {
         cgra.pes()
             .map(|pe| match cross {
                 false => routing.reach_mask(pe).as_raw().clone(),

@@ -19,7 +19,6 @@ use monomap_service::{
 fn start_server(workers: usize) -> (ServerHandle, Client) {
     start_server_with(ServerConfig {
         workers,
-        monitor_interval: Duration::from_millis(10),
         ..ServerConfig::default()
     })
 }
