@@ -30,22 +30,30 @@ fn service_cell(service: &MappingService, dfg: &Dfg, config: MapperConfig) -> (O
     (report.outcome.ii(), t0.elapsed().as_secs_f64())
 }
 
+/// Prints the usage line and exits 2: the answer to an unknown flag, a
+/// flag without its value, and a value that does not parse.
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}");
+    eprintln!("usage: ablation [--timeout SECS]");
+    std::process::exit(2)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut timeout = 8.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--timeout" => {
-                i += 1;
-                timeout = args[i].parse().expect("--timeout SECS");
+                timeout = args
+                    .next()
+                    .unwrap_or_else(|| usage("--timeout needs a value"))
+                    .parse()
+                    .ok()
+                    .filter(|&t| Duration::try_from_secs_f64(t).is_ok())
+                    .unwrap_or_else(|| usage("--timeout takes a number of seconds"));
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown argument {other}")),
         }
-        i += 1;
     }
 
     constraint_families();

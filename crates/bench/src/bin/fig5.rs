@@ -9,35 +9,50 @@ use std::time::Duration;
 use cgra_dfg::suite;
 use monomap_bench::{report, run_cell, CellResult, MapperKind};
 
+/// Prints the usage line and exits 2: the answer to an unknown flag, a
+/// flag without its value, and a value that does not parse.
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}");
+    eprintln!("usage: fig5 [--timeout SECS] [--sizes 2,5,10,20] [--bench NAME]");
+    std::process::exit(2)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut sizes: Vec<usize> = vec![2, 5, 10, 20];
     let mut timeout = 8.0f64;
     let mut bench = String::from("aes");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
             "--timeout" => {
-                i += 1;
-                timeout = args[i].parse().expect("--timeout SECS");
+                timeout = value()
+                    .parse()
+                    .ok()
+                    .filter(|&t| Duration::try_from_secs_f64(t).is_ok())
+                    .unwrap_or_else(|| usage("--timeout takes a number of seconds"));
             }
             "--sizes" => {
-                i += 1;
-                sizes = args[i]
+                sizes = value()
                     .split(',')
-                    .map(|s| s.parse().expect("--sizes a,b,c"))
-                    .collect();
+                    .map(|s| s.parse().ok().filter(|&n| n > 0))
+                    .collect::<Option<_>>()
+                    .unwrap_or_else(|| usage("--sizes takes grid sizes, as in 2,5,10"));
             }
             "--bench" => {
-                i += 1;
-                bench = args[i].clone();
+                bench = value();
+                if suite::spec(&bench).is_none() {
+                    usage(&format!(
+                        "--bench takes a suite kernel: {}",
+                        suite::names().join(", ")
+                    ));
+                }
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown argument {other}")),
         }
-        i += 1;
     }
 
     let dfg = suite::generate(&bench);

@@ -348,11 +348,13 @@ impl MapRequest {
 
     /// The deadline as a [`Duration`], if one is set. A negative value
     /// (a wire client's already-elapsed remaining time) clamps to zero
-    /// — an immediately-expired deadline, not an unbounded search.
+    /// — an immediately-expired deadline, not an unbounded search. One
+    /// too large for a `Duration` (above about 1.8e19 s) saturates to
+    /// [`Duration::MAX`], a deadline that never fires.
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline_seconds
             .filter(|s| s.is_finite())
-            .map(|s| Duration::from_secs_f64(s.max(0.0)))
+            .map(|s| Duration::try_from_secs_f64(s.max(0.0)).unwrap_or(Duration::MAX))
     }
 }
 
@@ -703,9 +705,14 @@ impl Mapper for DecoupledMapper {
         EngineId::Decoupled
     }
 
+    /// Runs the request on this mapper's CGRA and engines under the
+    /// request's configuration; a request that overrides the CGRA gets a
+    /// fresh mapper, and so a fresh engine, of its own.
     fn map(&self, req: &MapRequest) -> MapReport {
-        let cgra = req.cgra.as_ref().unwrap_or_else(|| self.cgra());
-        let mut inner = DecoupledMapper::with_config(cgra, req.config.clone());
+        let mut inner = match &req.cgra {
+            Some(cgra) => DecoupledMapper::with_config(cgra, req.config.clone()),
+            None => self.reconfigured(req.config.clone()),
+        };
         let result = run_request(req, |flag| {
             inner.set_cancel(flag);
             inner.map_observed(&req.dfg, req.observer.as_deref())
@@ -1059,6 +1066,19 @@ mod tests {
             "{:?}",
             report.outcome
         );
+    }
+
+    #[test]
+    fn deadline_beyond_a_duration_never_fires() {
+        // Regression: `Duration::from_secs_f64` panics above ≈ 1.8e19 s,
+        // and the daemon answered such a request with a 500.
+        for seconds in [1e30, 1.9e19, f64::MAX] {
+            let mut req = MapRequest::new(EngineId::Decoupled, running_example());
+            req.deadline_seconds = Some(seconds);
+            assert_eq!(req.deadline(), Some(Duration::MAX), "{seconds}");
+            let report = MappingService::new(&Cgra::new(2, 2).unwrap()).map(&req);
+            assert_eq!(report.outcome.ii(), Some(4), "{seconds}");
+        }
     }
 
     #[test]

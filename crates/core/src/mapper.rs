@@ -1,7 +1,8 @@
 //! The decoupled space/time mapper (paper §IV).
 
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -130,10 +131,11 @@ pub struct MapStats {
     /// Wall-clock spent inside time-phase SAT solve calls (decoupled
     /// SMT strategy only; part of [`MapStats::time_phase_seconds`]).
     pub time_solve_seconds: f64,
-    /// Wall-clock spent in monomorphism search (including MRRG
-    /// construction). In portfolio mode this is the elapsed wall-clock
-    /// of the races — the Table III phase semantics — not the summed
-    /// search time of the parallel workers.
+    /// Wall-clock spent in monomorphism search (including pattern
+    /// construction, and the [`crate::SpaceEngine`]'s construction on
+    /// the first map at its route bound). In portfolio mode this is the
+    /// elapsed wall-clock of the races — the Table III phase semantics —
+    /// not the summed search time of the parallel workers.
     pub space_phase_seconds: f64,
     /// Time solutions produced by the SMT layer.
     pub time_solutions: usize,
@@ -208,34 +210,64 @@ struct Searched {
 /// The mapper: SMT time solve, then monomorphism space solve, with
 /// fall-back enumeration and II escalation.
 ///
-/// Owns a clone of its CGRA, so it satisfies the `'static` bound of
-/// `Box<dyn `[`crate::api::Mapper`]`>` and can be registered with a
-/// [`crate::api::MappingService`]. See the crate-level example for the
-/// direct call path.
-#[derive(Clone, Debug)]
+/// Holds its CGRA behind an [`Arc`], so it satisfies the `'static`
+/// bound of `Box<dyn `[`crate::api::Mapper`]`>` and can be registered
+/// with a [`crate::api::MappingService`]. See the crate-level example
+/// for the direct call path.
+///
+/// The [`SpaceEngine`] depends only on the CGRA and the route bound, so
+/// the mapper keeps one per bound, built on the first map that needs
+/// it, and every later map at that bound reuses it. Clones share the
+/// CGRA and the engines; a [`crate::api::Mapper::map`] request without a
+/// CGRA override runs on them under its own configuration.
+#[derive(Clone)]
 pub struct DecoupledMapper {
-    cgra: Cgra,
+    cgra: Arc<Cgra>,
     config: MapperConfig,
     cancel: Option<CancelFlag>,
+    /// Slot `k - 1`: the engine at `max_route_hops = k`, once built.
+    engines: Arc<[OnceLock<SpaceEngine>; MAX_ROUTE_HOPS]>,
+}
+
+impl fmt::Debug for DecoupledMapper {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let built: Vec<usize> = (1..=MAX_ROUTE_HOPS)
+            .filter(|&k| self.engines[k - 1].get().is_some())
+            .collect();
+        f.debug_struct("DecoupledMapper")
+            .field("cgra", &self.cgra)
+            .field("config", &self.config)
+            .field("cancel", &self.cancel)
+            .field("engines_built_for_hops", &built)
+            .finish()
+    }
 }
 
 impl DecoupledMapper {
     /// A mapper for `cgra` with the paper-faithful default
     /// configuration.
     pub fn new(cgra: &Cgra) -> Self {
-        DecoupledMapper {
-            cgra: cgra.clone(),
-            config: MapperConfig::default(),
-            cancel: None,
-        }
+        DecoupledMapper::with_config(cgra, MapperConfig::default())
     }
 
     /// A mapper with an explicit configuration.
     pub fn with_config(cgra: &Cgra, config: MapperConfig) -> Self {
         DecoupledMapper {
-            cgra: cgra.clone(),
+            cgra: Arc::new(cgra.clone()),
             config,
             cancel: None,
+            engines: Arc::default(),
+        }
+    }
+
+    /// This mapper's CGRA and engines under another configuration, with
+    /// no cancellation flag: nothing is cloned or rebuilt.
+    pub(crate) fn reconfigured(&self, config: MapperConfig) -> Self {
+        DecoupledMapper {
+            cgra: Arc::clone(&self.cgra),
+            config,
+            cancel: None,
+            engines: Arc::clone(&self.engines),
         }
     }
 
@@ -264,9 +296,10 @@ impl DecoupledMapper {
     /// Searches II values from `mII` upward; for each II tries window
     /// slacks `0..=max_window_slack`, and for each time solution runs
     /// the monomorphism search, enumerating alternative schedules when
-    /// the space phase fails (paper §IV-D guarantees this is rare). One
-    /// [`SpaceEngine`] holds the MRRG in its II-independent form for the
-    /// whole request.
+    /// the space phase fails (paper §IV-D guarantees this is rare). The
+    /// mapper's [`SpaceEngine`] for the route bound holds the MRRG in
+    /// its II-independent form; the first map at that bound builds it,
+    /// and every later one, on this mapper or a clone, reuses it.
     ///
     /// Each `(II, slack)` level takes its schedules from one fresh
     /// [`TimeSolver`], the mapper's only SMT path. With
@@ -341,17 +374,33 @@ impl DecoupledMapper {
             ..MapStats::default()
         };
         let t0 = Instant::now();
-        let engine = SpaceEngine::with_route_hops(&self.cgra, self.config.max_route_hops);
+        let engine = self.engine();
         stats.space_phase_seconds += t0.elapsed().as_secs_f64();
 
         for ii in mii..=max_ii {
             stats.iis_tried += 1;
             emit(obs, MapEvent::IiStarted { ii });
-            if let Some((sol, map, slack)) = self.ladder(dfg, ii, &engine, &mut stats, obs)? {
+            if let Some((sol, map, slack)) = self.ladder(dfg, ii, engine, &mut stats, obs)? {
                 return Ok(self.finish(dfg, &sol, map, ii, slack, start, stats));
             }
         }
         Err(MapError::NoSolution { mii, max_ii })
+    }
+
+    /// The engine for the configured route bound, built on first use
+    /// and shared with every clone of this mapper from then on.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= max_route_hops <= MAX_ROUTE_HOPS`, as
+    /// [`SpaceEngine::with_route_hops`] does.
+    fn engine(&self) -> &SpaceEngine {
+        let hops = self.config.max_route_hops;
+        assert!(
+            (1..=MAX_ROUTE_HOPS).contains(&hops),
+            "max_route_hops {hops} out of range 1..={MAX_ROUTE_HOPS}"
+        );
+        self.engines[hops - 1].get_or_init(|| SpaceEngine::with_route_hops(&self.cgra, hops))
     }
 
     /// The time-phase configuration of one slack level.
@@ -1385,6 +1434,37 @@ mod tests {
         let json = serde_json::to_string(&result.mapping).unwrap();
         let back: Mapping = serde_json::from_str(&json).unwrap();
         assert_eq!(back, result.mapping);
+    }
+
+    #[test]
+    fn clones_share_engines_built_on_first_use() {
+        use crate::api::{EngineId, MapRequest, Mapper};
+        let cgra = Cgra::new(2, 2).unwrap();
+        let mapper = DecoupledMapper::new(&cgra);
+        let built = |m: &DecoupledMapper| -> Vec<bool> {
+            m.engines.iter().map(|e| e.get().is_some()).collect()
+        };
+        let up_to = |k: usize| -> Vec<bool> { (1..=MAX_ROUTE_HOPS).map(|h| h <= k).collect() };
+        assert_eq!(built(&mapper), up_to(0), "construction builds nothing");
+
+        // A clone's map builds the engine both of them use from then on.
+        let clone = mapper.clone();
+        assert!(Arc::ptr_eq(&clone.engines, &mapper.engines));
+        assert!(Arc::ptr_eq(&clone.cgra, &mapper.cgra));
+        clone.map(&running_example()).unwrap();
+        let engine: *const SpaceEngine = mapper.engines[0].get().expect("built by the clone");
+        mapper.map(&running_example()).unwrap();
+        assert!(std::ptr::eq(engine, mapper.engine()), "reused, not rebuilt");
+
+        // The trait path runs the request's configuration on the same
+        // engines; a CGRA override runs on engines of its own.
+        let req = MapRequest::new(EngineId::Decoupled, running_example())
+            .with_config(MapperConfig::new().with_max_route_hops(2));
+        Mapper::map(&clone, &req.clone().with_cgra(Cgra::new(3, 3).unwrap()));
+        assert_eq!(built(&mapper), up_to(1));
+        Mapper::map(&clone, &req);
+        assert_eq!(built(&mapper), up_to(2));
+        assert!(std::ptr::eq(engine, mapper.engine()));
     }
 
     #[test]

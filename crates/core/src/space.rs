@@ -128,9 +128,10 @@ impl From<MonoOutcome> for SpaceOutcome {
 /// ([`RoutingModel::reach_mask`] within a slot,
 /// [`RoutingModel::reach_mask_with_self`] across slots) and one
 /// capability mask per PE. That structure does not depend on the II, so
-/// one engine serves every II, slack level and time solution of a
-/// request, search domains are `|PEs|` bits wide at any II, and nothing
-/// is sized `|PEs|·II`.
+/// one engine serves every II, slack level and time solution of every
+/// request on its CGRA and route bound ([`crate::DecoupledMapper`]
+/// keeps one per bound), search domains are `|PEs|` bits wide at any
+/// II, and nothing is sized `|PEs|·II`.
 ///
 /// The first vertex a search places tries one PE per orbit of the
 /// CGRA's verified symmetries

@@ -324,14 +324,28 @@ pub struct LayeredTarget {
     pub(crate) same: Vec<DenseBitSet>,
     /// `cross[i]`: indices adjacent to `i` in every other layer.
     pub(crate) cross: Vec<DenseBitSet>,
-    /// Per-index capability masks (shared by all layers).
-    pub(crate) capabilities: Vec<u32>,
-    /// `(|same[i]|, |cross[i]|)`, read once per pattern vertex and index
-    /// when a search sets up its domains.
-    pub(crate) degrees: Vec<(usize, usize)>,
+    /// The indices grouped by `(capability, |same[i]|, |cross[i]|)`, the
+    /// only facts a search's initial domains read: one profile on a
+    /// homogeneous torus, three on a mesh (corners, edges, interior).
+    pub(crate) profiles: Vec<Profile>,
     /// Candidates of the first-placed pattern vertex; see
     /// [`LayeredTarget::with_roots`].
     pub(crate) roots: Option<DenseBitSet>,
+}
+
+/// The indices of a [`LayeredTarget`] that share a capability mask and
+/// both degrees, so that every pattern vertex either fits all of them
+/// or none.
+#[derive(Clone, Debug)]
+pub(crate) struct Profile {
+    /// The capability mask of every member.
+    pub(crate) capability: u32,
+    /// Neighbours of every member within its layer.
+    pub(crate) same: usize,
+    /// Neighbours of every member in each other layer.
+    pub(crate) cross: usize,
+    /// The members, as a set over the width.
+    pub(crate) members: DenseBitSet,
 }
 
 impl LayeredTarget {
@@ -356,12 +370,27 @@ impl LayeredTarget {
                 );
             }
         }
-        let degrees = same.iter().zip(&cross).map(|(s, c)| (s.len(), c.len()));
+        let mut profiles: Vec<Profile> = Vec::new();
+        for (a, &capability) in capabilities.iter().enumerate() {
+            let (s, c) = (same[a].len(), cross[a].len());
+            let at = profiles
+                .iter()
+                .position(|p| (p.capability, p.same, p.cross) == (capability, s, c))
+                .unwrap_or_else(|| {
+                    profiles.push(Profile {
+                        capability,
+                        same: s,
+                        cross: c,
+                        members: DenseBitSet::new(n),
+                    });
+                    profiles.len() - 1
+                });
+            profiles[at].members.insert(a);
+        }
         LayeredTarget {
-            degrees: degrees.collect(),
             same,
             cross,
-            capabilities,
+            profiles,
             roots: None,
         }
     }
@@ -392,7 +421,7 @@ impl LayeredTarget {
 
     /// Indices per layer.
     pub fn width(&self) -> usize {
-        self.capabilities.len()
+        self.same.len()
     }
 }
 

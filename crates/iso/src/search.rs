@@ -185,24 +185,55 @@ impl View<'_> {
         }
     }
 
-    /// The number of neighbours of `(ca, a)` inside class `cb`.
-    fn degree(&self, ca: usize, a: usize, cb: usize) -> usize {
+    /// Writes into `dom` the indices of class `c` that cover the
+    /// requirement mask `req` and have, inside every class `cb`, at
+    /// least `nbrs_in[cb]` neighbours. Returns whether any index of the
+    /// class was left out.
+    fn initial_domain(&self, c: usize, req: u32, nbrs_in: &[usize], dom: &mut [u64]) -> bool {
+        let mut cut = false;
         match self {
-            View::Layered(t) if ca == cb => t.degrees[a].0,
-            View::Layered(t) => t.degrees[a].1,
-            View::Projected { .. } => self.row(ca, a, cb).len(),
-        }
-    }
-
-    fn capability(&self, c: usize, a: usize) -> u32 {
-        match self {
-            View::Layered(t) => t.capabilities[a],
+            // An index has |same| neighbours inside its own class and
+            // |cross| inside each other one, so it fits exactly when its
+            // profile does.
+            View::Layered(t) => {
+                let same = nbrs_in[c];
+                let cross = nbrs_in
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(cb, &k)| (cb != c).then_some(k))
+                    .max()
+                    .unwrap_or(0);
+                for p in &t.profiles {
+                    if p.capability & req == req && p.same >= same && p.cross >= cross {
+                        for (d, m) in dom.iter_mut().zip(p.members.words()) {
+                            *d |= m;
+                        }
+                    } else {
+                        cut = true;
+                    }
+                }
+            }
+            // The oracle's path tests one index at a time.
             View::Projected {
                 offset,
                 capabilities,
                 ..
-            } => capabilities[offset[c] + a],
+            } => {
+                for a in 0..self.class_size(c) {
+                    let fits = capabilities[offset[c] + a] & req == req
+                        && nbrs_in
+                            .iter()
+                            .enumerate()
+                            .all(|(cb, &k)| k == 0 || self.row(c, a, cb).len() >= k);
+                    if fits {
+                        dom[a / 64] |= 1 << (a % 64);
+                    } else {
+                        cut = true;
+                    }
+                }
+            }
         }
+        cut
     }
 
     /// The target vertex `(c, a)` as a found map reports it.
@@ -335,19 +366,8 @@ impl<'a> Searcher<'a> {
             for &w in pattern.neighbors(u) {
                 nbrs_in[class[w]] += 1;
             }
-            let (cu, req) = (class[u], pattern.requirement(u));
-            for a in 0..view.class_size(cu) {
-                let fits = view.capability(cu, a) & req == req
-                    && pattern
-                        .neighbors(u)
-                        .iter()
-                        .all(|&w| view.degree(cu, a, class[w]) >= nbrs_in[class[w]]);
-                if fits {
-                    base[u * words + a / 64] |= 1 << (a % 64);
-                } else {
-                    cut = true;
-                }
-            }
+            let dom = &mut base[u * words..][..words];
+            cut |= view.initial_domain(class[u], pattern.requirement(u), &nbrs_in, dom);
         }
         // Arc consistency, when a filter above removed anything: drop a
         // candidate of `u` that leaves a neighbour of `u` no candidate
@@ -964,6 +984,163 @@ mod tests {
         let p = Pattern::new(vec![0], vec![]).with_requirements(vec![u32::MAX]);
         let t = clique(2, 0);
         assert!(find_monomorphism(&p, &t).is_some());
+    }
+
+    /// Initial domains of `pattern` in a layered target given by its raw
+    /// relations, written from the definition one index at a time:
+    /// before and after arc consistency, as `[vertex][index]` flags.
+    fn reference_domains(
+        pattern: &Pattern,
+        same: &[DenseBitSet],
+        cross: &[DenseBitSet],
+        caps: &[u32],
+    ) -> (Vec<Vec<bool>>, Vec<Vec<bool>>) {
+        let np = pattern.num_vertices();
+        let related = |a: usize, b: usize, u: usize, w: usize| {
+            let rows = if pattern.label(u) == pattern.label(w) {
+                same
+            } else {
+                cross
+            };
+            rows[a].contains(b)
+        };
+        let filtered: Vec<Vec<bool>> = (0..np)
+            .map(|u| {
+                let req = pattern.requirement(u);
+                (0..caps.len())
+                    .map(|a| {
+                        caps[a] & req == req
+                            && pattern.neighbors(u).iter().all(|&w| {
+                                let here = pattern
+                                    .neighbors(u)
+                                    .iter()
+                                    .filter(|&&x| pattern.label(x) == pattern.label(w))
+                                    .count();
+                                (0..caps.len()).filter(|&b| related(a, b, u, w)).count() >= here
+                            })
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut consistent = filtered.clone();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for u in 0..np {
+                for a in 0..caps.len() {
+                    let supported = pattern
+                        .neighbors(u)
+                        .iter()
+                        .all(|&w| (0..caps.len()).any(|b| consistent[w][b] && related(a, b, u, w)));
+                    if consistent[u][a] && !supported {
+                        consistent[u][a] = false;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        (filtered, consistent)
+    }
+
+    #[test]
+    fn profile_domains_equal_per_index_domains() {
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let iterations = if cfg!(debug_assertions) { 300 } else { 20_000 };
+        for trial in 0..iterations {
+            let n = 1 + (next() % 70) as usize;
+            // Irregular degrees: each index draws its own density, and a
+            // pair is related with the mean of its two. Every fourth
+            // trial is a circulant instead, with one degree throughout.
+            let circulant = trial % 4 == 0;
+            let density: Vec<u64> = (0..n).map(|_| next() % 101).collect();
+            let offsets = [
+                1 + next() as usize % n.max(2),
+                1 + next() as usize % n.max(2),
+            ];
+            let mut relation = |with_self: bool| {
+                let mut rows = vec![DenseBitSet::new(n); n];
+                for a in 0..n {
+                    for b in a..n {
+                        let hit = if a == b {
+                            with_self && next() % 2 == 0
+                        } else if circulant {
+                            offsets.contains(&((b - a) % n)) || offsets.contains(&((a + n - b) % n))
+                        } else {
+                            next() % 100 < (density[a] + density[b]) / 2
+                        };
+                        if hit {
+                            rows[a].insert(b);
+                            rows[b].insert(a);
+                        }
+                    }
+                }
+                rows
+            };
+            let same = relation(false);
+            let cross = relation(true);
+            let caps: Vec<u32> = (0..n).map(|_| (next() % 8) as u32).collect();
+            let target = LayeredTarget::new(same.clone(), cross.clone(), caps.clone());
+
+            let np = 1 + (next() % 12) as usize;
+            let layers = 1 + next() % 4;
+            let labels: Vec<u32> = (0..np).map(|_| (3 * (next() % layers)) as u32).collect();
+            let edge_odds = 1 + next() % 60;
+            let mut edges = Vec::new();
+            for a in 0..np {
+                for b in (a + 1)..np {
+                    if next() % 100 < edge_odds {
+                        edges.push((a, b));
+                    }
+                }
+            }
+            let requirements = (0..np)
+                .map(|_| match next() % 4 {
+                    0 => (next() % 8) as u32,
+                    _ => 0,
+                })
+                .collect();
+            let pattern = Pattern::new(labels, edges).with_requirements(requirements);
+
+            let (filtered, consistent) = reference_domains(&pattern, &same, &cross, &caps);
+            let as_words = |flags: &[Vec<bool>]| -> Vec<u64> {
+                let words = n.div_ceil(64);
+                let mut out = vec![0u64; flags.len() * words];
+                for (u, row) in flags.iter().enumerate() {
+                    for a in (0..n).filter(|&a| row[a]) {
+                        out[u * words + a / 64] |= 1 << (a % 64);
+                    }
+                }
+                out
+            };
+
+            // Before arc consistency: the profile filter alone.
+            let view = View::Layered(&target);
+            let classes = distinct_labels(&pattern);
+            let class = |u: usize| classes.binary_search(&pattern.label(u)).unwrap();
+            let words = n.div_ceil(64);
+            let mut from_profiles = vec![0u64; np * words];
+            let mut cut = false;
+            for u in 0..np {
+                let mut nbrs_in = vec![0; classes.len()];
+                for &w in pattern.neighbors(u) {
+                    nbrs_in[class(w)] += 1;
+                }
+                let dom = &mut from_profiles[u * words..][..words];
+                cut |= view.initial_domain(class(u), pattern.requirement(u), &nbrs_in, dom);
+            }
+            assert_eq!(from_profiles, as_words(&filtered), "trial {trial}: filter");
+            assert_eq!(cut, filtered.iter().flatten().any(|&fits| !fits));
+
+            // After it: what a prepared search starts from.
+            let searcher = Searcher::layered(&pattern, &target, SearchConfig::unlimited());
+            assert_eq!(searcher.base, as_words(&consistent), "trial {trial}: AC");
+        }
     }
 
     /// Brute-force cross-check on pseudo-random small instances.

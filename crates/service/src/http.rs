@@ -26,7 +26,11 @@
 //!   per-connection read/write state machines, keep-alive, and
 //!   client-disconnect detection — a connection that goes readable and
 //!   reads EOF while its request is in flight raises that request's
-//!   [`CancelFlag`] immediately, with no polling thread per solve.
+//!   [`CancelFlag`] immediately; detecting a disconnect polls nothing.
+//!   A request's `deadline_seconds` is another matter: the engine's
+//!   `run_request` starts one watchdog thread per request that carries
+//!   it, polling every 5 ms until the solve ends (`docs/SERVICE.md`,
+//!   "Deadlines and cancellation").
 //!   Requests are parsed off the read buffers, and responses encoded,
 //!   by `crate::wire`, which knows bytes and nothing else.
 //! * A small **cheap pool** runs the fast path (`crate::routes`): JSON

@@ -389,6 +389,32 @@ fn keep_alive_connection_serves_multiple_maps() {
     server.shutdown().unwrap();
 }
 
+#[test]
+fn huge_deadline_maps_instead_of_a_500() {
+    // Regression: a deadline above what a `Duration` holds (≈ 1.8e19 s)
+    // panicked in the engine, and the daemon answered `500 internal:
+    // engine panicked`. It is a deadline that never fires.
+    let (server, _client) = start_server(1);
+    let body = serde_json::to_string(&MapRequest::new(EngineId::Decoupled, accumulator()))
+        .unwrap()
+        .replace("\"deadline_seconds\":null", "\"deadline_seconds\":1e300");
+    assert!(body.contains("1e300"), "fixture sets the deadline: {body}");
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    write!(
+        stream,
+        "POST /map HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+        body.len(),
+        body
+    )
+    .unwrap();
+    let mut response = String::new();
+    use std::io::Read;
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    assert!(response.contains("\"Mapped\""), "{response}");
+    server.shutdown().unwrap();
+}
+
 /// Reads exactly one HTTP response (headers + Content-Length body)
 /// off a keep-alive connection.
 fn read_one_response(stream: &mut TcpStream) -> String {
