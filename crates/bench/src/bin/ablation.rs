@@ -8,8 +8,14 @@
 //! 3. **Mesh vs torus topology** — cost of non-uniform degree.
 //! 4. **Simulated annealing** — the classic heuristic as a quality and
 //!    runtime reference.
+//! 5. **SMT vs IMS-heuristic time phase** — the same space phase fed by
+//!    either schedule source.
 //!
 //! Usage: ablation [--timeout SECS]
+//!
+//! `--timeout` (default 8 s) bounds every mapper cell of ablations 2–5;
+//! ablation 1 runs solver calls directly and is bounded by its step
+//! limit instead.
 
 use std::time::{Duration, Instant};
 
@@ -20,13 +26,21 @@ use monomap_bench::{run_cell, MapperKind};
 use monomap_core::api::{EngineId, MapRequest, MappingService};
 use monomap_core::{space_search, MapperConfig, SpaceOutcome};
 
-/// Runs one decoupled request through a service and reports
-/// `(II, wall-clock seconds)` — the shared cell of the mapper-level
-/// ablations (all of them vary only the request's configuration).
-fn service_cell(service: &MappingService, dfg: &Dfg, config: MapperConfig) -> (Option<usize>, f64) {
+/// Runs one decoupled request through a service under a `timeout`
+/// deadline and reports `(II, wall-clock seconds)`, with no II when the
+/// deadline fires — the shared cell of the mapper-level ablations (all
+/// of them vary only the request's configuration).
+fn service_cell(
+    service: &MappingService,
+    dfg: &Dfg,
+    config: MapperConfig,
+    timeout: f64,
+) -> (Option<usize>, f64) {
     let t0 = Instant::now();
-    let report =
-        service.map(&MapRequest::new(EngineId::Decoupled, dfg.clone()).with_config(config));
+    let request = MapRequest::new(EngineId::Decoupled, dfg.clone())
+        .with_config(config)
+        .with_deadline(Duration::from_secs_f64(timeout));
+    let report = service.map(&request);
     (report.outcome.ii(), t0.elapsed().as_secs_f64())
 }
 
@@ -34,7 +48,9 @@ fn service_cell(service: &MappingService, dfg: &Dfg, config: MapperConfig) -> (O
 /// flag without its value, and a value that does not parse.
 fn usage(problem: &str) -> ! {
     eprintln!("{problem}");
-    eprintln!("usage: ablation [--timeout SECS]");
+    eprintln!(
+        "usage: ablation [--timeout SECS]  (bounds every mapper cell; ablation 1 is step-bounded)"
+    );
     std::process::exit(2)
 }
 
@@ -60,13 +76,13 @@ fn main() {
     strictness(timeout);
     topology(timeout);
     annealing(timeout);
-    time_strategy();
+    time_strategy(timeout);
 }
 
 /// SMT vs IMS-heuristic time phase (both feeding the same monomorphism
 /// space phase) — an extension beyond the paper in the spirit of its
 /// CRIMSON/PathSeeker related work.
-fn time_strategy() {
+fn time_strategy(timeout: f64) {
     use monomap_core::TimeStrategy;
     println!("=== ablation 5: SMT vs IMS-heuristic time phase (5x5) ===");
     println!(
@@ -81,6 +97,7 @@ fn time_strategy() {
                 &service,
                 &dfg,
                 MapperConfig::new().with_time_strategy(strategy),
+                timeout,
             )
         };
         let (ii_s, t_s) = run(TimeStrategy::Smt);
@@ -174,11 +191,11 @@ fn strictness(timeout: f64) {
                 &service,
                 &dfg,
                 MapperConfig::new().with_strict_connectivity(strict),
+                timeout,
             )
         };
         let (ii_p, t_p) = run(false);
         let (ii_s, t_s) = run(true);
-        let _ = timeout;
         println!(
             "{:<16} | {:>8} {:>9.3} | {:>8} {:>9.3}",
             dfg.name(),
@@ -203,10 +220,10 @@ fn topology(timeout: f64) {
     let torus = MappingService::new(&Cgra::with_topology(5, 5, Topology::Torus).unwrap());
     let mesh = MappingService::new(&Cgra::with_topology(5, 5, Topology::Mesh).unwrap());
     for dfg in suite::generate_all() {
-        let run = |service: &MappingService| service_cell(service, &dfg, MapperConfig::new());
+        let run =
+            |service: &MappingService| service_cell(service, &dfg, MapperConfig::new(), timeout);
         let (ii_t, t_t) = run(&torus);
         let (ii_m, t_m) = run(&mesh);
-        let _ = timeout;
         println!(
             "{:<16} | {:>9} {:>9.3} | {:>9} {:>9.3}",
             dfg.name(),

@@ -23,22 +23,24 @@ use cgra_arch::{CapabilityProfile, Cgra};
 use cgra_dfg::suite;
 use monomap_bench::routing_golden_lines;
 
+/// Prints the usage line and exits 2: the answer to an unknown flag and
+/// a flag without its value.
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}");
+    eprintln!("usage: routing_goldens [--out FILE]");
+    std::process::exit(2)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--out" => {
-                i += 1;
-                out = Some(args[i].clone());
+                out = Some(args.next().unwrap_or_else(|| usage("--out needs a value")));
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown argument {other}")),
         }
-        i += 1;
     }
 
     let hom = Cgra::new(4, 4).expect("4x4");

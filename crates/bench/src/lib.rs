@@ -8,12 +8,16 @@
 //! Binaries:
 //!
 //! * `table3` — the full grid with per-cell timeouts
-//!   (`cargo run -p monomap-bench --release --bin table3 [--quick]`),
+//!   (`cargo run -p cgra-bench --release --bin table3 [--quick]`),
 //! * `fig5` — the `aes` scaling curve,
-//! * `ablation` — constraint-family, strictness, topology and annealer
-//!   ablations.
+//! * `ablation` — constraint-family, strictness, topology, annealer and
+//!   time-strategy ablations,
+//! * `routing_goldens` — captures `tests/golden/routing_parity.tsv`.
 //!
-//! Criterion micro-benchmarks for the substrates live in `benches/`.
+//! Performance is measured by one instrument, the `monomap-bench`
+//! package under `src/bin/monomap-bench` (contract in the root
+//! `BENCHMARK.json`), which times the daemon end to end and each
+//! layer under it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -457,8 +457,9 @@ mod tests {
     fn timeouts_are_not_stored() {
         let svc = service(16);
         // An already-raised cancel flag: the engine deterministically
-        // reports Timeout at its first cancellation point (a zero
-        // deadline would race the solve in release builds).
+        // reports Timeout at its first cancellation point. (A zero
+        // deadline would do the same: it is raised before the solve
+        // starts.)
         let cancelled = cgra_base::CancelFlag::new();
         cancelled.cancel();
         let req = MapRequest::new(EngineId::Decoupled, running_example()).with_cancel(cancelled);
@@ -466,7 +467,7 @@ mod tests {
         assert!(!report.outcome.is_mapped(), "{:?}", report.outcome);
         assert_eq!(d, CacheDisposition::Miss);
         assert_eq!(svc.stats().insertions, 0, "timeout must not be memoized");
-        // Without the deadline the solve succeeds and is stored.
+        // Without the raised flag the solve succeeds and is stored.
         let (ok, _) = svc.map(&MapRequest::new(EngineId::Decoupled, running_example()));
         assert!(ok.outcome.is_mapped());
         assert_eq!(svc.stats().insertions, 1);
