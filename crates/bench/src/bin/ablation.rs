@@ -20,11 +20,12 @@
 use std::time::{Duration, Instant};
 
 use cgra_arch::{Cgra, Topology};
-use cgra_dfg::{suite, Dfg};
+use cgra_dfg::Dfg;
 use cgra_sched::{min_ii, SolveOutcome, TimeSolver, TimeSolverConfig};
 use monomap_bench::{run_cell, MapperKind};
 use monomap_core::api::{EngineId, MapRequest, MappingService};
 use monomap_core::{space_search, MapperConfig, SpaceOutcome};
+use monomap_frontend::suite;
 
 /// Runs one decoupled request through a service under a `timeout`
 /// deadline and reports `(II, wall-clock seconds)`, with no II when the

@@ -6,8 +6,8 @@
 
 use std::time::Duration;
 
-use cgra_dfg::suite;
 use monomap_bench::{report, run_cell, CellResult, MapperKind};
+use monomap_frontend::suite;
 
 /// Prints the usage line and exits 2: the answer to an unknown flag, a
 /// flag without its value, and a value that does not parse.
@@ -44,7 +44,7 @@ fn main() {
             }
             "--bench" => {
                 bench = value();
-                if suite::spec(&bench).is_none() {
+                if !suite::names().contains(&bench.as_str()) {
                     usage(&format!(
                         "--bench takes a suite kernel: {}",
                         suite::names().join(", ")

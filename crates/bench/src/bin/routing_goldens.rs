@@ -20,8 +20,8 @@
 //! decoupled, coupled and annealing engines alike.
 
 use cgra_arch::{CapabilityProfile, Cgra};
-use cgra_dfg::suite;
 use monomap_bench::routing_golden_lines;
+use monomap_frontend::suite;
 
 /// Prints the usage line and exits 2: the answer to an unknown flag and
 /// a flag without its value.

@@ -12,9 +12,9 @@
 
 use std::time::Duration;
 
-use cgra_dfg::suite;
 use monomap_bench as bench_lib;
 use monomap_bench::{run_cell, CellResult, MapperKind};
+use monomap_frontend::suite;
 
 /// Prints the usage line and exits 2: the answer to an unknown flag, a
 /// flag without its value, and a value that does not parse.

@@ -154,7 +154,7 @@ pub fn run_cell_with_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgra_dfg::suite;
+    use monomap_frontend::suite;
 
     #[test]
     fn mono_cell_maps_susan_quickly() {

@@ -11,8 +11,8 @@
 use cgra_arch::Cgra;
 use cgra_base::Budget;
 use cgra_baseline::{AnnealingConfig, AnnealingMapper, CoupledConfig, CoupledMapper};
-use cgra_dfg::suite;
 use monomap_core::{DecoupledMapper, MapError, MapperConfig, Mapping};
+use monomap_frontend::suite;
 
 /// II cap per kernel for the golden battery (the same shape as the
 /// incremental-parity battery: generous for everything that maps,

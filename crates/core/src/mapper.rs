@@ -759,7 +759,8 @@ impl DecoupledMapper {
 mod tests {
     use super::*;
     use cgra_dfg::examples::{accumulator, running_example, stream_scale};
-    use cgra_dfg::{suite, DfgBuilder, Operation as Op};
+    use cgra_dfg::{DfgBuilder, Operation as Op};
+    use monomap_frontend::suite;
 
     #[test]
     fn running_example_maps_at_paper_ii() {
@@ -1037,22 +1038,6 @@ mod tests {
         let result = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
         result.mapping.validate(&dfg, &cgra).unwrap();
         assert_eq!(result.mapping.ii(), 4, "IMS+mono reaches the paper's II");
-    }
-
-    #[test]
-    fn heuristic_maps_hotspot3d_on_5x5_at_its_mii() {
-        // The row where IMS beats the SMT time phase: IMS's one schedule
-        // at mII 3 embeds on the first attempt, while SMT's schedules at
-        // 3 do not and it settles at II 4 after ~1.75 s (not run here).
-        use crate::TimeStrategy;
-        let cgra = Cgra::new(5, 5).unwrap();
-        let dfg = suite::generate("hotspot3D");
-        let cfg = MapperConfig::new().with_time_strategy(TimeStrategy::Heuristic);
-        let result = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
-        result.mapping.validate(&dfg, &cgra).unwrap();
-        assert_eq!(result.stats.mii, 3);
-        assert_eq!(result.mapping.ii(), 3);
-        assert_eq!(result.stats.space_attempts, 1);
     }
 
     fn mem_mul_kernel() -> Dfg {

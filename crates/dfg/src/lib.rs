@@ -12,9 +12,11 @@
 //!   nodes) and Graphviz export,
 //! * [`DfgBuilder`] — a fluent construction API,
 //! * [`examples`] — the paper's 14-node running example (Fig. 2a),
-//! * [`suite`] — seventeen deterministic synthetic kernels mirroring the
-//!   MiBench/Rodinia loops of the paper's evaluation (same node counts,
-//!   same recurrence-constrained minimum II).
+//! * [`canon`] — canonical forms and digests, invariant under node
+//!   renumbering.
+//!
+//! The 17-kernel benchmark suite is written in the `.mk` text format
+//! and lives with its compiler, in `monomap_frontend::suite`.
 //!
 //! ## Example
 //!
@@ -42,7 +44,6 @@ pub mod examples;
 mod graph;
 pub mod metrics;
 mod op;
-pub mod suite;
 
 pub use builder::DfgBuilder;
 pub use canon::{CanonicalDfg, DfgDigest};

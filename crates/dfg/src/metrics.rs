@@ -82,7 +82,6 @@ impl DfgMetrics {
 mod tests {
     use super::*;
     use crate::examples::{accumulator, running_example};
-    use crate::suite;
 
     #[test]
     fn running_example_metrics() {
@@ -102,22 +101,5 @@ mod tests {
         assert_eq!(m.nodes, 4);
         assert_eq!(m.depth, 3); // x/phi -> sum -> out
         assert!(m.avg_parallelism() > 1.0);
-    }
-
-    #[test]
-    fn suite_metrics_are_consistent() {
-        for name in suite::names() {
-            let dfg = suite::generate(name);
-            let m = DfgMetrics::of(&dfg);
-            assert_eq!(m.nodes, dfg.num_nodes(), "{name}");
-            assert!(m.depth >= 1 && m.depth <= m.nodes, "{name}");
-            assert!(m.width >= 1, "{name}");
-            assert_eq!(
-                m.op_histogram.values().sum::<usize>(),
-                m.nodes,
-                "{name}: histogram covers all nodes"
-            );
-            assert!(m.loop_carried_edges >= 1, "{name}: suite kernels loop");
-        }
     }
 }

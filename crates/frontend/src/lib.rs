@@ -27,9 +27,10 @@
 //! the offending token.
 //!
 //! The inverse direction is [`emit()`]: any validated DFG pretty-prints
-//! to source that compiles back to a canonically identical graph,
-//! which is how the 17 generated suite kernels were re-expressed as
-//! committed `.mk` files under `kernels/`.
+//! to source that compiles back to a canonically identical graph.
+//!
+//! [`suite`] is the paper's 17-kernel benchmark suite, compiled from the
+//! committed `kernels/*.mk` files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +44,7 @@ pub mod build;
 pub mod emit;
 pub mod lexer;
 pub mod parser;
+pub mod suite;
 
 pub use build::{build_kernel, build_program};
 pub use emit::emit;

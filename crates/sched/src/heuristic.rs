@@ -331,7 +331,7 @@ mod tests {
     use super::*;
     use cgra_arch::Cgra;
     use cgra_dfg::examples::{accumulator, running_example};
-    use cgra_dfg::suite;
+    use monomap_frontend::suite;
 
     fn cfg(size: usize) -> TimeSolverConfig {
         TimeSolverConfig::for_cgra(&Cgra::new(size, size).unwrap())

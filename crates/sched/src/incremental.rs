@@ -646,7 +646,7 @@ mod tests {
     fn learnt_state_is_retained_across_widenings() {
         // On a hard-enough Unsat level the solver learns clauses; after
         // widening they are still alive (nothing is rebuilt).
-        let dfg = cgra_dfg::suite::generate("nw");
+        let dfg = monomap_frontend::suite::generate("nw");
         let cfg = TimeSolverConfig::for_cgra(&Cgra::new(4, 4).unwrap());
         let mii = crate::min_ii(&dfg, &Cgra::new(4, 4).unwrap());
         let mut inc = IncrementalTimeSolver::new(&dfg, mii, cfg).unwrap();

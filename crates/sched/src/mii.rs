@@ -69,7 +69,7 @@ mod tests {
     use super::*;
     use cgra_arch::{CapabilityProfile, OpClassSet};
     use cgra_dfg::examples::{accumulator, running_example};
-    use cgra_dfg::suite;
+    use monomap_frontend::suite;
 
     #[test]
     fn running_example_matches_paper() {

@@ -9,9 +9,10 @@ use std::sync::Arc;
 use cgra_arch::Cgra;
 use cgra_baseline::standard_service;
 use cgra_dfg::examples::{accumulator, running_example};
-use cgra_dfg::{suite, Dfg, DfgBuilder, NodeId, Operation};
+use cgra_dfg::{Dfg, DfgBuilder, NodeId, Operation};
 use monomap_core::api::{EngineId, MapRequest, MappingService};
 use monomap_core::MapReport;
+use monomap_frontend::suite;
 use monomap_service::{CacheDisposition, CachedMappingService, MapCache};
 
 fn cached_service(capacity: usize) -> CachedMappingService {

@@ -12,8 +12,9 @@ use std::time::Duration;
 
 use cgra_arch::Cgra;
 use cgra_baseline::standard_service;
-use cgra_dfg::{suite, Dfg, DfgBuilder, NodeId, Operation};
+use cgra_dfg::{Dfg, DfgBuilder, NodeId, Operation};
 use monomap_core::api::{EngineId, MapRequest};
+use monomap_frontend::suite;
 use monomap_service::{
     CacheDisposition, CachedMappingService, Client, DiskLog, MapCache, PeerStore, Server,
     ServerConfig, TieredCache,

@@ -73,6 +73,37 @@ pub struct ExecRecord {
     pub memory: Vec<i64>,
     /// Total machine cycles executed (0 for the reference interpreter).
     pub cycles: usize,
+    /// Same-word memory accesses the machine ran in the opposite order
+    /// from the reference interpreter, in machine order (always empty
+    /// for the interpreter).
+    pub reorders: Vec<MemoryReorder>,
+}
+
+/// Two accesses to one memory word, at least one of them a store, that
+/// the pipelined machine ran in the opposite order from the reference
+/// interpreter. The interpreter orders accesses by `(iteration,
+/// topological position)`; the DFG carries no memory edges, so nothing
+/// stops a schedule from overlapping iterations across such a pair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MemoryReorder {
+    /// The wrapped address both accesses touch.
+    pub address: usize,
+    /// `(node, iteration)` of the access the machine ran first although
+    /// the interpreter runs it second.
+    pub early: (NodeId, usize),
+    /// `(node, iteration)` of the access the machine ran second.
+    pub late: (NodeId, usize),
+}
+
+impl fmt::Display for MemoryReorder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ((e, ek), (l, lk)) = (self.early, self.late);
+        write!(
+            f,
+            "{e} of iteration {ek} touched address {} before {l} of iteration {lk}",
+            self.address
+        )
+    }
 }
 
 /// An execution failure — each variant indicates a way the mapping (or

@@ -11,15 +11,17 @@
 //! Also computes per-PE register pressure (how many live values a PE's
 //! register file must hold simultaneously under the modulo schedule).
 //!
-//! ## Memory-ordering caveat
+//! ## Memory ordering
 //!
 //! The interpreter executes iterations in order; the mapped machine
-//! executes them overlapped (software pipelining). Unordered memory
-//! accesses that alias across (or within) iterations are racy in both
-//! models, and the DFG carries no memory-dependence edges — so
-//! equivalence is guaranteed only for race-free kernels (disjoint
-//! load/store address ranges, or accesses ordered by data flow). The
-//! equivalence tests construct such environments.
+//! executes them overlapped (software pipelining). The DFG carries no
+//! memory-dependence edges, so two accesses to one word, at least one a
+//! store, may run in the opposite order on the machine — and then the
+//! two executions can legitimately disagree. The machine run records
+//! every such pair in [`ExecRecord::reorders`]; tests that compare
+//! memory assert it is empty first, so an agreement never rests on
+//! luck, and [`simulate_report`] names the first reorder when the runs
+//! differ.
 //!
 //! ## Example
 //!
@@ -49,7 +51,7 @@ mod pressure;
 mod reference;
 mod report;
 
-pub use env::{ExecRecord, SimEnv, SimError};
+pub use env::{ExecRecord, MemoryReorder, SimEnv, SimError};
 pub use machine::MachineSimulator;
 pub use pressure::register_pressure;
 pub use reference::interpret;

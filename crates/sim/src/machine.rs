@@ -6,7 +6,7 @@ use cgra_arch::{Cgra, PeId};
 use cgra_dfg::{Dfg, EdgeKind, NodeId, Operation};
 use monomap_core::Mapping;
 
-use crate::{ExecRecord, SimEnv, SimError};
+use crate::{ExecRecord, MemoryReorder, SimEnv, SimError};
 
 /// Executes a [`Mapping`] on the modelled CGRA.
 ///
@@ -25,8 +25,9 @@ use crate::{ExecRecord, SimEnv, SimError};
 /// executed (schedule timing).
 ///
 /// Memory operations execute in machine-cycle order (ties broken by
-/// iteration, then data-flow order); see the crate docs for the
-/// race-freedom caveat.
+/// iteration, then data-flow order). Same-word accesses that this order
+/// runs opposite to the interpreter's are recorded in
+/// [`ExecRecord::reorders`] (see the crate docs).
 #[derive(Clone, Debug)]
 pub struct MachineSimulator<'a> {
     cgra: &'a Cgra,
@@ -173,8 +174,15 @@ impl<'a> MachineSimulator<'a> {
         let mut memory = env.memory.clone();
         let mut outputs = BTreeMap::new();
         let mut last_cycle = 0usize;
+        // Per word: the access latest in interpreter order `(iteration,
+        // topological position, node)` run so far — among stores, and
+        // among all accesses. A load behind a later store, or a store
+        // behind any later access, ran out of order.
+        type Access = (usize, usize, NodeId);
+        let mut latest: BTreeMap<usize, (Option<Access>, Access)> = BTreeMap::new();
+        let mut reorders = Vec::new();
 
-        for (cycle, k, _, v) in events {
+        for (cycle, k, pos, v) in events {
             last_cycle = cycle;
             let op = dfg.op(v);
             let arity = op.arity();
@@ -230,15 +238,29 @@ impl<'a> MachineSimulator<'a> {
                         operands[0].ok_or(SimError::MalformedNode { node: v })?
                     }
                 }
-                Operation::Load => {
+                Operation::Load | Operation::Store => {
                     let addr = operands[0].ok_or(SimError::MalformedNode { node: v })?;
-                    memory[env.wrap(addr)]
-                }
-                Operation::Store => {
-                    let addr = operands[0].ok_or(SimError::MalformedNode { node: v })?;
-                    let val = operands[1].ok_or(SimError::MalformedNode { node: v })?;
-                    memory[env.wrap(addr)] = val;
-                    val
+                    let address = env.wrap(addr);
+                    let access = (k, pos, v);
+                    let is_store = op == Operation::Store;
+                    let (store, any) = latest.entry(address).or_insert((None, access));
+                    let ahead = if is_store { Some(*any) } else { *store };
+                    if let Some((early_k, _, early)) = ahead.filter(|&a| a > access) {
+                        reorders.push(MemoryReorder {
+                            address,
+                            early: (early, early_k),
+                            late: (v, k),
+                        });
+                    }
+                    *any = (*any).max(access);
+                    if is_store {
+                        *store = (*store).max(Some(access));
+                        let val = operands[1].ok_or(SimError::MalformedNode { node: v })?;
+                        memory[address] = val;
+                        val
+                    } else {
+                        memory[address]
+                    }
                 }
                 pure => {
                     let ops: Option<Vec<i64>> = operands.into_iter().collect();
@@ -256,6 +278,7 @@ impl<'a> MachineSimulator<'a> {
             outputs,
             memory,
             cycles: last_cycle + 1,
+            reorders,
         })
     }
 }
@@ -480,6 +503,47 @@ mod tests {
                 pe: PeId::from_index(load_pe.index()),
                 class: OpClass::Mem
             }
+        );
+    }
+
+    #[test]
+    fn overlapped_same_word_accesses_are_reported_as_reorders() {
+        // mem[a] = mem[a] + 1 at II 1: iteration 1's load (cycle 2)
+        // runs before iteration 0's store (cycle 3) to the same word,
+        // so the machine reads the stale value.
+        use cgra_dfg::DfgBuilder;
+        let mut b = DfgBuilder::new();
+        let a = b.input("a");
+        let ld = b.load("ld", a);
+        let one = b.constant("one", 1);
+        let sum = b.binary("sum", Operation::Add, ld, one);
+        let st = b.store("st", a, sum);
+        let dfg = b.build().unwrap();
+        let at = |pe: usize, time: usize| Placement {
+            pe: PeId::from_index(pe),
+            slot: 0,
+            time,
+        };
+        let mut placements = vec![at(0, 0); dfg.num_nodes()];
+        for (v, pe, time) in [(a, 4, 0), (ld, 1, 1), (one, 2, 0), (sum, 0, 2), (st, 3, 3)] {
+            placements[v.index()] = at(pe, time);
+        }
+        let mapping = Mapping::new(dfg.name().to_string(), 1, placements);
+        let cgra = Cgra::new(3, 3).unwrap();
+        let env = SimEnv::new(1).with_memory(vec![5]);
+        let reference = interpret(&dfg, &env, 2).unwrap();
+        let machine = MachineSimulator::new(&cgra, &dfg, &mapping)
+            .run(&env, 2)
+            .unwrap();
+        assert!(reference.reorders.is_empty());
+        assert_eq!((reference.memory[0], machine.memory[0]), (7, 6));
+        assert_eq!(
+            machine.reorders,
+            vec![MemoryReorder {
+                address: 0,
+                early: (ld, 1),
+                late: (st, 0),
+            }]
         );
     }
 

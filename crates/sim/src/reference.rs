@@ -85,6 +85,7 @@ pub fn interpret(dfg: &Dfg, env: &SimEnv, iterations: usize) -> Result<ExecRecor
         outputs,
         memory,
         cycles: 0,
+        reorders: Vec::new(),
     })
 }
 

@@ -147,8 +147,9 @@ pub fn validate_report(dfg: &Dfg, cgra: &Cgra, report: &MapReport) -> Result<(),
 /// interpreter. Reports without a mapping pass the structural checks
 /// only.
 ///
-/// The usual memory-ordering caveat applies (see the crate docs):
-/// equivalence is guaranteed only for race-free kernels in `env`.
+/// The runs must agree even where the machine reordered same-word
+/// memory accesses (see the crate docs); when they disagree, the
+/// message names the first such reorder.
 ///
 /// # Errors
 ///
@@ -174,14 +175,20 @@ pub fn simulate_report(
         "machine simulator",
         machine_run(cgra, dfg, mapping, env, iterations),
     )?;
+    let cause = match machine.reorders.first() {
+        Some(r) => format!(" (first memory reorder: {r})"),
+        None => String::new(),
+    };
     if reference.outputs != machine.outputs {
         return Err(ReportError::Divergence(format!(
-            "outputs differ: reference {:?} vs machine {:?}",
+            "outputs differ: reference {:?} vs machine {:?}{cause}",
             reference.outputs, machine.outputs
         )));
     }
     if reference.memory != machine.memory {
-        return Err(ReportError::Divergence("final memories differ".to_string()));
+        return Err(ReportError::Divergence(format!(
+            "final memories differ{cause}"
+        )));
     }
     Ok(())
 }

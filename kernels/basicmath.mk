@@ -1,5 +1,5 @@
-// basicmath — 21 nodes; generated by `gen_kernels`, do not edit by hand.
-// Compiles to the same canonical digest as cgra_dfg::suite::generate("basicmath").
+// basicmath — 21 nodes; one of the 17 suite kernels (monomap_frontend::suite).
+// Its canonical digest is pinned in tests/frontend_corpus.rs.
 kernel basicmath {
   i32[] mem;
   i32 n0 = in(0);

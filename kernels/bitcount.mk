@@ -1,5 +1,5 @@
-// bitcount — 7 nodes; generated by `gen_kernels`, do not edit by hand.
-// Compiles to the same canonical digest as cgra_dfg::suite::generate("bitcount").
+// bitcount — 7 nodes; one of the 17 suite kernels (monomap_frontend::suite).
+// Its canonical digest is pinned in tests/frontend_corpus.rs.
 kernel bitcount {
   i32 n0 = in(0);
   i32 n1 = in(1);

@@ -20,9 +20,10 @@
 use std::process::ExitCode;
 
 use cgra_arch::Cgra;
-use cgra_dfg::{examples, suite, Dfg};
+use cgra_dfg::{examples, Dfg};
 use monomap_core::api::{EngineId, MapRequest};
 use monomap_core::MapperConfig;
+use monomap_frontend::suite;
 use monomap_service::Client;
 
 const USAGE: &str = "monomap-client — poke a running monomapd

@@ -1,11 +1,10 @@
 //! Corpus tests for the `.mk` frontend.
 //!
-//! `kernels/*.mk` is the committed re-expression of the 17 generated
-//! suite kernels: each file must compile to the exact canonical digest
-//! of its `cgra_dfg::suite::generate(..)` counterpart AND to the
-//! digest pinned in `EXPECTED` below (so drift in the generator, the
-//! frontend or the canonicalizer all fail loudly, each with a
-//! different signature).
+//! `kernels/*.mk` is the one definition of the 17 suite kernels: each
+//! file must compile to the canonical digest pinned in `EXPECTED`
+//! below, read from disk and through `monomap_frontend::suite` alike,
+//! so drift in a kernel file, the frontend or the canonicalizer fails
+//! loudly.
 //!
 //! `corpus/invalid/*.mk` files carry a `// expect: L:C message` first
 //! line; compilation must fail with exactly that position and message.
@@ -14,14 +13,12 @@ use std::fs;
 use std::path::PathBuf;
 
 use cgra_arch::Cgra;
-use cgra_dfg::suite;
 use monomap_core::DecoupledMapper;
-use monomap_frontend::{class_counts, compile_one};
+use monomap_frontend::{class_counts, compile_one, emit, suite};
 
-/// Canonical digests of the 17 suite kernels, as emitted by
-/// `gen_kernels` (and re-derived from the generators below), and the II
-/// each compiled kernel reaches on the homogeneous 4×4 with the default
-/// decoupled mapper.
+/// Canonical digests of the 17 suite kernels, and the II each compiled
+/// kernel reaches on the homogeneous 4×4 with the default decoupled
+/// mapper.
 const EXPECTED: [(&str, &str, usize); 17] = [
     ("aes", "b699bfeffed615b3b2e03eee22be90d5", 14),
     ("backprop", "6dac77f00e3e90730549b7108d1077c4", 5),
@@ -50,27 +47,18 @@ fn repo_path(rel: &str) -> PathBuf {
 fn every_suite_kernel_compiles_to_its_generated_digest() {
     for (name, expected_hex, _) in EXPECTED {
         let path = repo_path(&format!("kernels/{name}.mk"));
-        let source = fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} (run gen_kernels?)", path.display()));
+        let source =
+            fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let compiled =
             compile_one(&source).unwrap_or_else(|e| panic!("{name}.mk does not compile: {e}"));
-        let generated = suite::generate(name);
         assert_eq!(compiled.name(), name);
-        assert_eq!(
-            compiled.digest(),
-            generated.digest(),
-            "{name}.mk drifted from suite::generate(\"{name}\")"
-        );
-        assert_eq!(
-            compiled.digest().to_hex(),
-            expected_hex,
-            "{name}: canonical digest drifted from the pinned value"
-        );
-        assert_eq!(
-            compiled.num_nodes(),
-            generated.num_nodes(),
-            "{name}: node count drift"
-        );
+        for dfg in [compiled, suite::generate(name)] {
+            assert_eq!(
+                dfg.digest().to_hex(),
+                expected_hex,
+                "{name}: canonical digest drifted from the pinned value"
+            );
+        }
     }
 }
 
@@ -92,22 +80,18 @@ fn compiled_corpus_maps_on_4x4_at_the_pinned_iis() {
 
 #[test]
 fn corpus_covers_the_whole_suite() {
+    // The benchmark maps every `.mk` in `kernels/`, so a stray or
+    // missing file would change what it measures.
     let mut on_disk: Vec<String> = fs::read_dir(repo_path("kernels"))
         .expect("kernels/ exists")
         .map(|e| {
-            e.unwrap()
-                .path()
-                .file_stem()
-                .unwrap()
-                .to_string_lossy()
-                .into_owned()
+            let path = e.unwrap().path();
+            assert_eq!(path.extension().unwrap(), "mk", "{}", path.display());
+            path.file_stem().unwrap().to_string_lossy().into_owned()
         })
         .collect();
     on_disk.sort();
-    let mut expected: Vec<String> = suite::generate_all()
-        .iter()
-        .map(|d| d.name().to_string())
-        .collect();
+    let mut expected = suite::names();
     expected.sort();
     assert_eq!(on_disk, expected, "kernels/ and the suite disagree");
     assert_eq!(on_disk.len(), 17);
@@ -115,18 +99,19 @@ fn corpus_covers_the_whole_suite() {
 
 #[test]
 fn class_demand_matches_the_generated_graphs() {
-    // Op-class inference must survive the text round trip: the mapper
-    // sees the same ALU/MUL/MEM demand either way.
+    // Op-class inference must survive the text round trip: a kernel
+    // emitted back to source and recompiled has the same ALU/MUL/MEM
+    // demand and digest.
     for dfg in suite::generate_all() {
-        let source = fs::read_to_string(repo_path(&format!("kernels/{}.mk", dfg.name())))
-            .expect("kernel file exists");
-        let compiled = compile_one(&source).expect("compiles");
+        let text = emit(&dfg).expect("suite kernels emit");
+        let recompiled = compile_one(&text).expect("emitted source compiles");
         assert_eq!(
-            class_counts(&compiled),
+            class_counts(&recompiled),
             class_counts(&dfg),
             "{}: class demand drift",
             dfg.name()
         );
+        assert_eq!(recompiled.digest(), dfg.digest(), "{}", dfg.name());
     }
 }
 

@@ -225,17 +225,19 @@ fn validate_reports_incapable_pe() {
 /// heterogeneity was introduced (commit 7ff512a); re-captured once, at
 /// the same IIs, when the propagating monomorphism search replaced the
 /// static-order DFS and chose other embeddings (`bitcount` kept its
-/// own).
+/// own). `susan`, `gsm` and `fft` were re-captured, at the same IIs,
+/// when the suite's numbering became that of the compiled `kernels/*.mk`
+/// (`bitcount` and `crc32` kept theirs).
 const GOLDEN_SERIAL: [(&str, usize, &str); 6] = [
     (
         "susan",
         5,
-        r#"{"dfg_name":"susan","ii":2,"placements":[{"pe":8,"slot":1,"time":5},{"pe":8,"slot":0,"time":12},{"pe":20,"slot":0,"time":0},{"pe":0,"slot":0,"time":0},{"pe":0,"slot":1,"time":1},{"pe":4,"slot":0,"time":2},{"pe":4,"slot":1,"time":3},{"pe":3,"slot":0,"time":4},{"pe":1,"slot":1,"time":3},{"pe":3,"slot":1,"time":5},{"pe":2,"slot":0,"time":6},{"pe":2,"slot":1,"time":7},{"pe":1,"slot":0,"time":8},{"pe":7,"slot":0,"time":8},{"pe":6,"slot":1,"time":9},{"pe":5,"slot":0,"time":10},{"pe":5,"slot":1,"time":11},{"pe":9,"slot":0,"time":12},{"pe":9,"slot":1,"time":13},{"pe":7,"slot":1,"time":13},{"pe":6,"slot":0,"time":12}]}"#,
+        r#"{"dfg_name":"susan","ii":2,"placements":[{"pe":8,"slot":0,"time":10},{"pe":10,"slot":0,"time":0},{"pe":20,"slot":0,"time":0},{"pe":0,"slot":0,"time":0},{"pe":7,"slot":1,"time":7},{"pe":6,"slot":0,"time":8},{"pe":0,"slot":1,"time":1},{"pe":4,"slot":0,"time":2},{"pe":1,"slot":1,"time":3},{"pe":4,"slot":1,"time":3},{"pe":3,"slot":0,"time":4},{"pe":3,"slot":1,"time":5},{"pe":2,"slot":0,"time":6},{"pe":2,"slot":1,"time":7},{"pe":1,"slot":0,"time":8},{"pe":7,"slot":0,"time":8},{"pe":6,"slot":1,"time":9},{"pe":5,"slot":0,"time":10},{"pe":5,"slot":1,"time":11},{"pe":9,"slot":0,"time":12},{"pe":9,"slot":1,"time":13}]}"#,
     ),
     (
         "gsm",
         5,
-        r#"{"dfg_name":"gsm","ii":4,"placements":[{"pe":1,"slot":3,"time":3},{"pe":1,"slot":2,"time":2},{"pe":3,"slot":1,"time":9},{"pe":0,"slot":0,"time":0},{"pe":0,"slot":1,"time":1},{"pe":0,"slot":2,"time":2},{"pe":0,"slot":3,"time":3},{"pe":1,"slot":0,"time":4},{"pe":1,"slot":1,"time":5},{"pe":4,"slot":2,"time":2},{"pe":2,"slot":2,"time":6},{"pe":3,"slot":3,"time":3},{"pe":3,"slot":0,"time":4},{"pe":2,"slot":0,"time":4},{"pe":4,"slot":0,"time":0},{"pe":2,"slot":1,"time":5},{"pe":3,"slot":2,"time":6},{"pe":7,"slot":0,"time":4},{"pe":2,"slot":3,"time":7},{"pe":22,"slot":0,"time":8},{"pe":7,"slot":2,"time":6},{"pe":6,"slot":3,"time":7},{"pe":6,"slot":0,"time":8},{"pe":5,"slot":1,"time":9}]}"#,
+        r#"{"dfg_name":"gsm","ii":4,"placements":[{"pe":1,"slot":3,"time":3},{"pe":1,"slot":2,"time":2},{"pe":3,"slot":1,"time":1},{"pe":0,"slot":0,"time":0},{"pe":4,"slot":3,"time":3},{"pe":7,"slot":0,"time":4},{"pe":0,"slot":1,"time":1},{"pe":0,"slot":2,"time":2},{"pe":4,"slot":2,"time":2},{"pe":0,"slot":3,"time":3},{"pe":3,"slot":3,"time":3},{"pe":1,"slot":0,"time":4},{"pe":3,"slot":0,"time":4},{"pe":2,"slot":0,"time":4},{"pe":1,"slot":1,"time":5},{"pe":2,"slot":1,"time":5},{"pe":2,"slot":2,"time":6},{"pe":3,"slot":2,"time":6},{"pe":7,"slot":2,"time":6},{"pe":2,"slot":3,"time":7},{"pe":6,"slot":3,"time":7},{"pe":22,"slot":0,"time":8},{"pe":6,"slot":0,"time":8},{"pe":5,"slot":1,"time":9}]}"#,
     ),
     (
         "bitcount",
@@ -245,7 +247,7 @@ const GOLDEN_SERIAL: [(&str, usize, &str); 6] = [
     (
         "fft",
         5,
-        r#"{"dfg_name":"fft","ii":7,"placements":[{"pe":2,"slot":0,"time":0},{"pe":2,"slot":6,"time":6},{"pe":3,"slot":6,"time":6},{"pe":1,"slot":0,"time":0},{"pe":2,"slot":1,"time":1},{"pe":1,"slot":2,"time":2},{"pe":0,"slot":3,"time":3},{"pe":1,"slot":4,"time":4},{"pe":0,"slot":5,"time":5},{"pe":1,"slot":6,"time":6},{"pe":0,"slot":1,"time":8},{"pe":1,"slot":5,"time":5},{"pe":0,"slot":6,"time":6},{"pe":0,"slot":0,"time":7},{"pe":1,"slot":1,"time":8},{"pe":0,"slot":2,"time":9},{"pe":1,"slot":3,"time":10},{"pe":0,"slot":4,"time":11},{"pe":4,"slot":5,"time":12},{"pe":4,"slot":6,"time":6}]}"#,
+        r#"{"dfg_name":"fft","ii":7,"placements":[{"pe":3,"slot":0,"time":0},{"pe":2,"slot":6,"time":6},{"pe":3,"slot":6,"time":6},{"pe":2,"slot":0,"time":0},{"pe":0,"slot":1,"time":1},{"pe":4,"slot":6,"time":6},{"pe":2,"slot":1,"time":1},{"pe":1,"slot":2,"time":2},{"pe":0,"slot":3,"time":3},{"pe":1,"slot":4,"time":4},{"pe":0,"slot":5,"time":5},{"pe":1,"slot":6,"time":6},{"pe":0,"slot":6,"time":6},{"pe":1,"slot":0,"time":7},{"pe":0,"slot":0,"time":7},{"pe":1,"slot":1,"time":8},{"pe":0,"slot":2,"time":9},{"pe":1,"slot":3,"time":10},{"pe":0,"slot":4,"time":11},{"pe":1,"slot":5,"time":12}]}"#,
     ),
     (
         "crc32",

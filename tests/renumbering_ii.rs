@@ -9,6 +9,7 @@
 //! all: a search that runs out of steps on one numbering escalates the
 //! II where another numbering embeds.
 
+use monomap::core::TimeStrategy;
 use monomap::prelude::*;
 
 mod common;
@@ -87,4 +88,21 @@ fn renumbered_kernels_never_map_at_a_higher_ii() {
             );
         }
     }
+}
+
+#[test]
+fn heuristic_maps_hotspot3d_on_5x5_at_its_mii() {
+    // The row where IMS beats the SMT time phase, in this numbering of
+    // hotspot3D: IMS's one schedule at mII 3 embeds on the first
+    // attempt, while none of SMT's schedules at 3 does and it settles
+    // at II 4 after 11–13 s and 35.6 M search steps (not run here). In
+    // the suite's own numbering SMT reaches 3 as well.
+    let cgra = Cgra::new(5, 5).unwrap();
+    let dfg = renumbered(&suite::generate("hotspot3D"), 1);
+    let cfg = MapperConfig::new().with_time_strategy(TimeStrategy::Heuristic);
+    let result = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
+    assert_mapping_invariants(&dfg, &cgra, &result.mapping);
+    assert_eq!(result.stats.mii, 3);
+    assert_eq!(result.mapping.ii(), 3);
+    assert_eq!(result.stats.space_attempts, 1);
 }
