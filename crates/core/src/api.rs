@@ -373,26 +373,31 @@ impl fmt::Debug for MapRequest {
     }
 }
 
+impl MapRequest {
+    /// The wire entries, in order, listed once for both serialization
+    /// paths. A text-born request serializes back as `source` (the DFG
+    /// is re-derived on deserialization); a DFG-born request emits
+    /// exactly the entries it always has — no `source: null` — so
+    /// pre-frontend wire bytes are unchanged.
+    fn entries(&self, entry: serde::ser::Entry<'_>) {
+        entry("engine", &self.engine);
+        match &self.source {
+            Some(source) => entry("source", source),
+            None => entry("dfg", &self.dfg),
+        }
+        entry("cgra", &self.cgra);
+        entry("config", &self.config);
+        entry("deadline_seconds", &self.deadline_seconds);
+    }
+}
+
 impl Serialize for MapRequest {
     fn to_value(&self) -> serde::Value {
-        // A text-born request serializes back as `source` (the DFG is
-        // re-derived on deserialization); a DFG-born request emits
-        // exactly the entries it always has — no `source: null` — so
-        // pre-frontend wire bytes are unchanged.
-        let kernel = match &self.source {
-            Some(source) => ("source".to_string(), source.to_value()),
-            None => ("dfg".to_string(), self.dfg.to_value()),
-        };
-        serde::Value::Map(vec![
-            ("engine".to_string(), self.engine.to_value()),
-            kernel,
-            ("cgra".to_string(), self.cgra.to_value()),
-            ("config".to_string(), self.config.to_value()),
-            (
-                "deadline_seconds".to_string(),
-                self.deadline_seconds.to_value(),
-            ),
-        ])
+        serde::ser::map_value(|entry| self.entries(entry))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        serde::ser::write_map(out, |entry| self.entries(entry));
     }
 }
 
@@ -434,6 +439,47 @@ impl Deserialize for MapRequest {
                 .map(f64::from_value)
                 .transpose()
                 .map_err(|e| serde::de::Error::custom(format!("field `deadline_seconds`: {e}")))?,
+            cancel: None,
+            observer: None,
+        })
+    }
+
+    fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
+        use serde::de::read_field;
+        // Each slot is `Some(None)` for an explicit `null`.
+        let mut engine = None;
+        let mut dfg: Option<Option<Dfg>> = None;
+        let mut source: Option<Option<String>> = None;
+        let mut cgra: Option<Option<Cgra>> = None;
+        let mut config: Option<Option<MapperConfig>> = None;
+        let mut deadline: Option<Option<f64>> = None;
+        r.map(|r, key| match &*key {
+            "engine" => read_field(&mut engine, r),
+            "dfg" => read_field(&mut dfg, r),
+            "source" => read_field(&mut source, r),
+            "cgra" => read_field(&mut cgra, r),
+            "config" => read_field(&mut config, r),
+            "deadline_seconds" => read_field(&mut deadline, r),
+            _ => r.skip_value(),
+        })?;
+        let source = source.flatten();
+        let dfg = match (&source, dfg.flatten()) {
+            (None, Some(dfg)) => dfg,
+            (Some(source), None) => monomap_frontend::compile_one(source)
+                .map_err(|e| serde::de::Error::custom(e.message))?,
+            _ => {
+                return Err(serde::de::Error::custom(
+                    "not exactly one of `dfg`, `source`",
+                ))
+            }
+        };
+        Ok(MapRequest {
+            engine: serde::de::required(engine, "engine")?,
+            dfg,
+            source,
+            cgra: cgra.flatten(),
+            config: config.flatten().unwrap_or_default(),
+            deadline_seconds: deadline.flatten(),
             cancel: None,
             observer: None,
         })

@@ -200,60 +200,74 @@ impl MapperConfig {
 // vendored serde traits), and deserialisation should treat every absent
 // field as its default so request JSON only has to name the knobs it
 // overrides.
-impl Serialize for MapperConfig {
-    fn to_value(&self) -> serde::Value {
-        let budget = self.time_budget.as_ref().map(|b| {
-            serde::Value::Map(vec![
-                ("max_conflicts".to_string(), b.max_conflicts.to_value()),
-                (
-                    "max_propagations".to_string(),
-                    b.max_propagations.to_value(),
-                ),
-            ])
-        });
-        let mut fields = vec![
-            ("max_ii".to_string(), self.max_ii.to_value()),
-            (
-                "max_window_slack".to_string(),
-                self.max_window_slack.to_value(),
-            ),
-            (
-                "max_time_solutions".to_string(),
-                self.max_time_solutions.to_value(),
-            ),
-            (
-                "mono_step_limit".to_string(),
-                self.mono_step_limit.to_value(),
-            ),
-            (
-                "capacity_constraints".to_string(),
-                self.capacity_constraints.to_value(),
-            ),
-            (
-                "connectivity_constraints".to_string(),
-                self.connectivity_constraints.to_value(),
-            ),
-            (
-                "strict_connectivity".to_string(),
-                self.strict_connectivity.to_value(),
-            ),
-            (
-                "time_budget".to_string(),
-                budget.unwrap_or(serde::Value::Null),
-            ),
-            ("time_strategy".to_string(), self.time_strategy.to_value()),
-            (
-                "space_parallelism".to_string(),
-                self.space_parallelism.to_value(),
-            ),
-        ];
+impl MapperConfig {
+    /// The wire entries, in order, listed once for both serialization
+    /// paths.
+    fn entries(&self, entry: serde::ser::Entry<'_>) {
+        entry("max_ii", &self.max_ii);
+        entry("max_window_slack", &self.max_window_slack);
+        entry("max_time_solutions", &self.max_time_solutions);
+        entry("mono_step_limit", &self.mono_step_limit);
+        entry("capacity_constraints", &self.capacity_constraints);
+        entry("connectivity_constraints", &self.connectivity_constraints);
+        entry("strict_connectivity", &self.strict_connectivity);
+        entry("time_budget", &self.time_budget.as_ref().map(BudgetWire));
+        entry("time_strategy", &self.time_strategy);
+        entry("space_parallelism", &self.space_parallelism);
         // Emitted only when it departs from the default so that
         // pre-routing wire messages — and their fingerprints — are
         // byte-identical to what this build produces at `k = 1`.
         if self.max_route_hops != 1 {
-            fields.push(("max_route_hops".to_string(), self.max_route_hops.to_value()));
+            entry("max_route_hops", &self.max_route_hops);
         }
-        serde::Value::Map(fields)
+    }
+}
+
+/// A [`Budget`] as it crosses the wire.
+struct BudgetWire<'a>(&'a Budget);
+
+impl BudgetWire<'_> {
+    fn entries(&self, entry: serde::ser::Entry<'_>) {
+        entry("max_conflicts", &self.0.max_conflicts);
+        entry("max_propagations", &self.0.max_propagations);
+    }
+
+    /// The direct decoder of a `time_budget` value (`null` is `None`).
+    fn read(r: &mut serde::de::Reader<'_>) -> Result<Option<Budget>, serde::de::Error> {
+        if r.null() {
+            return Ok(None);
+        }
+        let mut conflicts: Option<Option<u64>> = None;
+        let mut propagations: Option<Option<u64>> = None;
+        r.map(|r, key| match &*key {
+            "max_conflicts" => serde::de::read_field(&mut conflicts, r),
+            "max_propagations" => serde::de::read_field(&mut propagations, r),
+            _ => r.skip_value(),
+        })?;
+        Ok(Some(Budget {
+            max_conflicts: conflicts.flatten(),
+            max_propagations: propagations.flatten(),
+        }))
+    }
+}
+
+impl Serialize for BudgetWire<'_> {
+    fn to_value(&self) -> serde::Value {
+        serde::ser::map_value(|entry| self.entries(entry))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        serde::ser::write_map(out, |entry| self.entries(entry));
+    }
+}
+
+impl Serialize for MapperConfig {
+    fn to_value(&self) -> serde::Value {
+        serde::ser::map_value(|entry| self.entries(entry))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        serde::ser::write_map(out, |entry| self.entries(entry));
     }
 }
 
@@ -309,6 +323,58 @@ impl Deserialize for MapperConfig {
             max_route_hops,
             space_parallelism,
         })
+    }
+
+    fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
+        use serde::de::read_field;
+        // Each slot is `Some(None)` for an explicit `null`.
+        let mut max_ii: Option<Option<usize>> = None;
+        let mut slack: Option<Option<usize>> = None;
+        let mut solutions: Option<Option<usize>> = None;
+        let mut steps: Option<Option<u64>> = None;
+        let mut capacity: Option<Option<bool>> = None;
+        let mut connectivity: Option<Option<bool>> = None;
+        let mut strict: Option<Option<bool>> = None;
+        let mut budget: Option<Option<Budget>> = None;
+        let mut strategy: Option<Option<TimeStrategy>> = None;
+        let mut hops: Option<Option<usize>> = None;
+        let mut parallelism: Option<Option<usize>> = None;
+        r.map(|r, key| match &*key {
+            "max_ii" => read_field(&mut max_ii, r),
+            "max_window_slack" => read_field(&mut slack, r),
+            "max_time_solutions" => read_field(&mut solutions, r),
+            "mono_step_limit" => read_field(&mut steps, r),
+            "capacity_constraints" => read_field(&mut capacity, r),
+            "connectivity_constraints" => read_field(&mut connectivity, r),
+            "strict_connectivity" => read_field(&mut strict, r),
+            "time_budget" if budget.is_none() => {
+                budget = Some(BudgetWire::read(r)?);
+                Ok(())
+            }
+            "time_strategy" => read_field(&mut strategy, r),
+            "max_route_hops" => read_field(&mut hops, r),
+            "space_parallelism" => read_field(&mut parallelism, r),
+            "time_budget" => Err(serde::de::Error::custom("duplicate field")),
+            _ => r.skip_value(),
+        })?;
+        let d = MapperConfig::default();
+        let config = MapperConfig {
+            max_ii: max_ii.flatten(),
+            max_window_slack: slack.flatten().unwrap_or(d.max_window_slack),
+            max_time_solutions: solutions.flatten().unwrap_or(d.max_time_solutions),
+            mono_step_limit: steps.flatten().unwrap_or(d.mono_step_limit),
+            capacity_constraints: capacity.flatten().unwrap_or(d.capacity_constraints),
+            connectivity_constraints: connectivity.flatten().unwrap_or(d.connectivity_constraints),
+            strict_connectivity: strict.flatten().unwrap_or(d.strict_connectivity),
+            time_budget: budget.flatten(),
+            time_strategy: strategy.flatten().unwrap_or(d.time_strategy),
+            max_route_hops: hops.flatten().unwrap_or(d.max_route_hops),
+            space_parallelism: parallelism.flatten().unwrap_or(d.space_parallelism),
+        };
+        if config.space_parallelism == 0 || !(1..=MAX_ROUTE_HOPS).contains(&config.max_route_hops) {
+            return Err(serde::de::Error::custom("out of range"));
+        }
+        Ok(config)
     }
 }
 

@@ -70,23 +70,34 @@ impl RouteHopsHistogram {
 // counts.
 impl Serialize for RouteHopsHistogram {
     fn to_value(&self) -> serde::Value {
-        serde::Value::Seq(self.0.iter().map(|c| c.to_value()).collect())
+        self.0.as_slice().to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.0.as_slice().write_json(out);
+    }
+}
+
+impl RouteHopsHistogram {
+    fn from_counts(counts: Vec<u64>) -> Result<Self, serde::de::Error> {
+        let buckets = <[u64; MAX_ROUTE_HOPS + 1]>::try_from(counts).map_err(|counts| {
+            serde::de::Error::custom(format!(
+                "route-hops histogram needs {} buckets, got {}",
+                MAX_ROUTE_HOPS + 1,
+                counts.len()
+            ))
+        })?;
+        Ok(RouteHopsHistogram(buckets))
     }
 }
 
 impl Deserialize for RouteHopsHistogram {
     fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let counts = Vec::<u64>::from_value(v)?;
-        if counts.len() != MAX_ROUTE_HOPS + 1 {
-            return Err(serde::de::Error::custom(format!(
-                "route-hops histogram needs {} buckets, got {}",
-                MAX_ROUTE_HOPS + 1,
-                counts.len()
-            )));
-        }
-        let mut buckets = [0u64; MAX_ROUTE_HOPS + 1];
-        buckets.copy_from_slice(&counts);
-        Ok(RouteHopsHistogram(buckets))
+        Self::from_counts(Vec::from_value(v)?)
+    }
+
+    fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
+        Self::from_counts(Vec::from_json(r)?)
     }
 }
 

@@ -246,17 +246,26 @@ impl Mapping {
 // pre-routing wire form (the golden snapshots assert this byte for
 // byte), and pre-routing JSON decodes into a mapping with no recorded
 // routes.
+impl Mapping {
+    /// The wire entries, in order, listed once for both serialization
+    /// paths.
+    fn entries(&self, entry: serde::ser::Entry<'_>) {
+        entry("dfg_name", &self.dfg_name);
+        entry("ii", &self.ii);
+        entry("placements", &self.placements);
+        if !self.route_hops.is_empty() {
+            entry("route_hops", &self.route_hops);
+        }
+    }
+}
+
 impl Serialize for Mapping {
     fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("dfg_name".to_string(), self.dfg_name.to_value()),
-            ("ii".to_string(), self.ii.to_value()),
-            ("placements".to_string(), self.placements.to_value()),
-        ];
-        if !self.route_hops.is_empty() {
-            fields.push(("route_hops".to_string(), self.route_hops.to_value()));
-        }
-        serde::Value::Map(fields)
+        serde::ser::map_value(|entry| self.entries(entry))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        serde::ser::write_map(out, |entry| self.entries(entry));
     }
 }
 
@@ -275,6 +284,25 @@ impl Deserialize for Mapping {
             ii: serde::de::field(entries, "ii")?,
             placements: serde::de::field(entries, "placements")?,
             route_hops,
+        })
+    }
+
+    fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
+        use serde::de::{read_field, required};
+        let (mut dfg_name, mut ii, mut placements) = (None, None, None);
+        let mut route_hops: Option<Option<Vec<usize>>> = None;
+        r.map(|r, key| match &*key {
+            "dfg_name" => read_field(&mut dfg_name, r),
+            "ii" => read_field(&mut ii, r),
+            "placements" => read_field(&mut placements, r),
+            "route_hops" => read_field(&mut route_hops, r),
+            _ => r.skip_value(),
+        })?;
+        Ok(Mapping {
+            dfg_name: required(dfg_name, "dfg_name")?,
+            ii: required(ii, "ii")?,
+            placements: required(placements, "placements")?,
+            route_hops: route_hops.flatten().unwrap_or_default(),
         })
     }
 }

@@ -96,3 +96,77 @@ pub fn renumbered(dfg: &Dfg, seed: u64) -> Dfg {
     }
     out
 }
+
+/// The seeded xorshift generator of the byte-mutation batteries.
+#[allow(dead_code)] // not every test binary fuzzes
+pub struct XorShift(pub u64);
+
+#[allow(dead_code)]
+impl XorShift {
+    pub fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    pub fn below(&mut self, n: u64) -> usize {
+        (self.next() % n.max(1)) as usize
+    }
+}
+
+/// Applies one of six byte mutations to a random corpus entry and
+/// returns the mutant: truncation, bit flip, byte overwrite, splice
+/// from another entry, slice deletion, slice duplication.
+#[allow(dead_code)] // not every test binary fuzzes
+pub fn mutate(rng: &mut XorShift, corpus: &[Vec<u8>]) -> Vec<u8> {
+    let mut bytes = corpus[rng.below(corpus.len() as u64)].clone();
+    match rng.below(6) {
+        // Truncate at an arbitrary byte (possibly mid-UTF-8).
+        0 => {
+            let at = rng.below(bytes.len() as u64 + 1);
+            bytes.truncate(at);
+        }
+        // Flip one bit.
+        1 => {
+            if !bytes.is_empty() {
+                let at = rng.below(bytes.len() as u64);
+                bytes[at] ^= 1 << rng.below(8);
+            }
+        }
+        // Overwrite one byte with anything.
+        2 => {
+            if !bytes.is_empty() {
+                let at = rng.below(bytes.len() as u64);
+                bytes[at] = rng.next() as u8;
+            }
+        }
+        // Splice a random slice of another corpus entry into a random
+        // position.
+        3 => {
+            let donor = &corpus[rng.below(corpus.len() as u64)];
+            let from = rng.below(donor.len() as u64);
+            let to = from + rng.below((donor.len() - from) as u64 + 1);
+            let at = rng.below(bytes.len() as u64 + 1);
+            bytes.splice(at..at, donor[from..to].iter().copied());
+        }
+        // Delete a random slice.
+        4 => {
+            if !bytes.is_empty() {
+                let from = rng.below(bytes.len() as u64);
+                let to = from + rng.below((bytes.len() - from) as u64 + 1);
+                bytes.drain(from..to);
+            }
+        }
+        // Duplicate a random slice in place (builds pathological
+        // repetition — deep nesting, run-on literals).
+        _ => {
+            let from = rng.below(bytes.len() as u64);
+            let to = from + rng.below((bytes.len() - from) as u64 + 1);
+            let slice: Vec<u8> = bytes[from..to].to_vec();
+            let at = rng.below(bytes.len() as u64 + 1);
+            bytes.splice(at..at, slice);
+        }
+    }
+    bytes
+}

@@ -12,25 +12,13 @@ use std::path::PathBuf;
 
 use monomap_frontend::compile_one;
 
+mod common;
+use common::{mutate, XorShift};
+
 #[cfg(debug_assertions)]
 const ITERATIONS: u64 = 1_500;
 #[cfg(not(debug_assertions))]
 const ITERATIONS: u64 = 40_000;
-
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: u64) -> usize {
-        (self.next() % n.max(1)) as usize
-    }
-}
 
 /// Every committed `.mk` file — valid kernels and invalid corpus both
 /// make good mutation seeds.
@@ -47,59 +35,6 @@ fn corpus() -> Vec<Vec<u8>> {
     }
     assert!(files.len() >= 30, "corpus shrank to {}", files.len());
     files
-}
-
-/// Applies one random mutation, returning the mutant bytes.
-fn mutate(rng: &mut XorShift, corpus: &[Vec<u8>]) -> Vec<u8> {
-    let mut bytes = corpus[rng.below(corpus.len() as u64)].clone();
-    match rng.below(6) {
-        // Truncate at an arbitrary byte (possibly mid-UTF-8).
-        0 => {
-            let at = rng.below(bytes.len() as u64 + 1);
-            bytes.truncate(at);
-        }
-        // Flip one bit.
-        1 => {
-            if !bytes.is_empty() {
-                let at = rng.below(bytes.len() as u64);
-                bytes[at] ^= 1 << rng.below(8);
-            }
-        }
-        // Overwrite one byte with anything.
-        2 => {
-            if !bytes.is_empty() {
-                let at = rng.below(bytes.len() as u64);
-                bytes[at] = rng.next() as u8;
-            }
-        }
-        // Splice a random slice of another corpus file into a random
-        // position.
-        3 => {
-            let donor = &corpus[rng.below(corpus.len() as u64)];
-            let from = rng.below(donor.len() as u64);
-            let to = from + rng.below((donor.len() - from) as u64 + 1);
-            let at = rng.below(bytes.len() as u64 + 1);
-            bytes.splice(at..at, donor[from..to].iter().copied());
-        }
-        // Delete a random slice.
-        4 => {
-            if !bytes.is_empty() {
-                let from = rng.below(bytes.len() as u64);
-                let to = from + rng.below((bytes.len() - from) as u64 + 1);
-                bytes.drain(from..to);
-            }
-        }
-        // Duplicate a random slice in place (builds pathological
-        // repetition — deep nesting, run-on literals).
-        _ => {
-            let from = rng.below(bytes.len() as u64);
-            let to = from + rng.below((bytes.len() - from) as u64 + 1);
-            let slice: Vec<u8> = bytes[from..to].to_vec();
-            let at = rng.below(bytes.len() as u64 + 1);
-            bytes.splice(at..at, slice);
-        }
-    }
-    bytes
 }
 
 #[test]
