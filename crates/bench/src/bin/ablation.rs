@@ -1,4 +1,5 @@
-//! Ablation studies for the design decisions called out in DESIGN.md:
+//! Ablation studies for the design decisions described in
+//! docs/ARCHITECTURE.md ("The time phase"):
 //!
 //! 1. **Constraint families** — are the paper's capacity/connectivity
 //!    additions (§IV-B2/3) actually what makes the first time solution

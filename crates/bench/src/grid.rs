@@ -212,24 +212,4 @@ mod tests {
         // The restricted grid can only raise the II, never lower it.
         assert!(r.ii().unwrap() >= r.mii);
     }
-
-    #[test]
-    fn mono_portfolio_cell_matches_serial_ii() {
-        use monomap_core::MapperConfig;
-        // Not a run_cell path (run_cell always uses defaults), but the
-        // same suite kernel through the service: a portfolio-mode
-        // request must reach the serial request's II.
-        let dfg = suite::generate("susan");
-        let cgra = Cgra::new(5, 5).expect("valid grid");
-        let service = standard_service(&cgra);
-        let serial = service.map(&MapRequest::new(EngineId::Decoupled, dfg.clone()));
-        let portfolio = service.map(
-            &MapRequest::new(EngineId::Decoupled, dfg.clone())
-                .with_config(MapperConfig::new().with_space_parallelism(4)),
-        );
-        assert_eq!(serial.outcome.ii().expect("maps"), {
-            assert!(portfolio.outcome.is_mapped(), "maps in portfolio mode");
-            portfolio.outcome.ii().unwrap()
-        });
-    }
 }

@@ -3,7 +3,8 @@
 //! Regenerates every table and figure of the paper's evaluation
 //! (§V): Table III (II and compile time, ours vs SAT-MapIt, 17
 //! benchmarks × 4 CGRA sizes), Fig. 5 (compile time vs CGRA size for
-//! `aes`), plus the ablation studies called out in DESIGN.md.
+//! `aes`), plus the ablation studies of the design decisions described
+//! in docs/ARCHITECTURE.md ("The time phase").
 //!
 //! Binaries:
 //!

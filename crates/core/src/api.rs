@@ -144,9 +144,8 @@ impl From<&SpaceOutcome> for SpaceAttemptOutcome {
 /// A structured progress event emitted by the engines while a request
 /// maps.
 ///
-/// On the decoupled serial path the event stream is deterministic; in
-/// portfolio mode the raced space searches of one batch coalesce into
-/// a single [`MapEvent::SpaceAttempt`].
+/// The decoupled engine's event stream is deterministic: one
+/// [`MapEvent::SpaceAttempt`] per monomorphism search, in search order.
 ///
 /// The decoupled engine searches one II under a rising ladder of step
 /// budgets (a thousandth, a hundredth, a tenth of
@@ -156,8 +155,8 @@ impl From<&SpaceOutcome> for SpaceAttemptOutcome {
 /// `SpaceAttempt` ending `LimitReached` there decided nothing — its
 /// schedule is kept. After the II's last `Escalated`, each further rung
 /// emits one bare `SpaceAttempt` (no `TimeSolutionFound`: nothing is
-/// solved again) per kept schedule or raced batch of them, carrying the
-/// slack of the level that found it; only when the last rung is through
+/// solved again) per kept schedule, carrying the slack of the level
+/// that found it; only when the last rung is through
 /// does the next [`MapEvent::IiStarted`] follow.
 ///
 /// The baselines reuse the same vocabulary: the coupled mapper reports
@@ -177,9 +176,8 @@ pub enum MapEvent {
         /// The window slack of the level.
         slack: usize,
     },
-    /// A space-phase attempt finished: the search of one schedule, or
-    /// of one raced batch of them (`Found` if any embedded, else
-    /// `LimitReached` if any stopped at its step budget).
+    /// A space-phase attempt finished: the monomorphism search of one
+    /// schedule.
     SpaceAttempt {
         /// The iteration interval.
         ii: usize,
@@ -209,9 +207,10 @@ pub enum MapEvent {
 
 /// A callback receiving [`MapEvent`]s as a request maps.
 ///
-/// Observers are shared across the portfolio worker threads, hence the
-/// `Send + Sync` bound. Implementations should be cheap; they run on
-/// the search's critical path.
+/// [`MappingService::map_batch`] runs requests, and the observers they
+/// carry, on worker threads, hence the `Send + Sync` bound.
+/// Implementations should be cheap; they run on the search's critical
+/// path.
 pub trait MapObserver: Send + Sync {
     /// Called once per progress event.
     fn on_event(&self, event: &MapEvent);
@@ -888,9 +887,7 @@ impl MappingService {
     ///
     /// With [`MappingService::with_parallelism`] above 1 the requests
     /// are pulled from a shared queue by that many scoped worker
-    /// threads; each request still runs on a single worker (a
-    /// request's own [`MapperConfig::space_parallelism`] composes on
-    /// top, inside the engine).
+    /// threads; each request runs on a single worker.
     pub fn map_batch(&self, requests: &[MapRequest]) -> Vec<MapReport> {
         let workers = self.parallelism.min(requests.len());
         if workers <= 1 {
@@ -1012,24 +1009,35 @@ mod tests {
     }
 
     #[test]
-    fn retired_time_incremental_key_is_ignored() {
-        // Old clients still send the screen switch this build no longer
-        // has: the request parses, maps, never re-emits the key, and
-        // shares the default config's cache identity.
+    fn retired_config_keys_are_ignored() {
+        // Old clients still send switches this build no longer has: the
+        // request parses on both JSON paths, maps, never re-emits the
+        // key, and shares the default config's cache identity.
+        use serde::de::Reader;
         let dfg_json = serde_json::to_string(&running_example()).unwrap();
-        let json = format!(
-            r#"{{"engine":"Decoupled","dfg":{dfg_json},"config":{{"time_incremental":false}}}}"#
-        );
-        let req: MapRequest = serde_json::from_str(&json).unwrap();
-        assert!(!serde_json::to_string(&req)
-            .unwrap()
-            .contains("time_incremental"));
-        assert_eq!(
-            fingerprint(&req.config),
-            fingerprint(&MapperConfig::default())
-        );
-        let report = MappingService::new(&Cgra::new(2, 2).unwrap()).map(&req);
-        assert_eq!(report.outcome.ii(), Some(4));
+        let service = MappingService::new(&Cgra::new(2, 2).unwrap());
+        for (key, value) in [
+            ("time_incremental", "false"),
+            ("space_parallelism", "0"),
+            ("space_parallelism", "4"),
+            ("space_parallelism", "4096"),
+        ] {
+            let json = format!(
+                r#"{{"engine":"Decoupled","dfg":{dfg_json},"config":{{"{key}":{value}}}}}"#
+            );
+            let direct = MapRequest::from_json(&mut Reader::new(&json)).unwrap();
+            let tree: serde::Value = serde_json::from_str(&json).unwrap();
+            let tree = MapRequest::from_value(&tree).unwrap();
+            for req in [direct, tree] {
+                assert!(!serde_json::to_string(&req).unwrap().contains(key));
+                assert_eq!(
+                    fingerprint(&req.config),
+                    fingerprint(&MapperConfig::default()),
+                    "{key}: {value}"
+                );
+                assert_eq!(service.map(&req).outcome.ii(), Some(4), "{key}: {value}");
+            }
+        }
     }
 
     #[test]

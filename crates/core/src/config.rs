@@ -27,7 +27,8 @@ pub enum TimeStrategy {
 /// The defaults follow the paper: both constraint families on, the
 /// paper's (non-strict) connectivity bound, escalating II from `mII`.
 /// The window-slack retries and the time-solution enumeration cap are
-/// implementation-level completeness nets documented in DESIGN.md §6.
+/// implementation-level completeness nets (docs/ARCHITECTURE.md, "The
+/// time phase").
 #[derive(Clone, Debug)]
 pub struct MapperConfig {
     /// Largest II to attempt; `None` means `mII + 16`.
@@ -65,19 +66,6 @@ pub struct MapperConfig {
     /// ARCHITECTURE.md §Routing model). Bounded by
     /// [`cgra_arch::MAX_ROUTE_HOPS`].
     pub max_route_hops: usize,
-    /// Worker threads racing monomorphism searches over the time
-    /// solutions of one `(II, slack)` level (portfolio mode).
-    ///
-    /// `1` (the default) is the fully deterministic serial path:
-    /// solutions are tried in enumeration order and results are
-    /// byte-identical run to run. Values above 1 pull schedules from
-    /// the SMT enumerator in batches of this size (up to
-    /// [`MapperConfig::max_time_solutions`] in total) and race each
-    /// batch's space searches across that many threads; the first
-    /// success cancels the rest. The achieved II is unaffected (every
-    /// raced schedule shares the level's II) — only which of the
-    /// equally-good placements wins may vary.
-    pub space_parallelism: usize,
 }
 
 impl Default for MapperConfig {
@@ -93,7 +81,6 @@ impl Default for MapperConfig {
             time_budget: None,
             time_strategy: TimeStrategy::Smt,
             max_route_hops: 1,
-            space_parallelism: 1,
         }
     }
 }
@@ -180,19 +167,6 @@ impl MapperConfig {
         self.max_route_hops = k;
         self
     }
-
-    /// Sets the space-phase portfolio width (worker threads racing the
-    /// monomorphism searches of one `(II, slack)` level); `1` keeps the
-    /// deterministic serial path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_space_parallelism(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "space_parallelism must be at least 1");
-        self.space_parallelism = workers;
-        self
-    }
 }
 
 // The serde impls are hand-written for two reasons: `Budget` lives in
@@ -213,7 +187,6 @@ impl MapperConfig {
         entry("strict_connectivity", &self.strict_connectivity);
         entry("time_budget", &self.time_budget.as_ref().map(BudgetWire));
         entry("time_strategy", &self.time_strategy);
-        entry("space_parallelism", &self.space_parallelism);
         // Emitted only when it departs from the default so that
         // pre-routing wire messages — and their fingerprints — are
         // byte-identical to what this build produces at `k = 1`.
@@ -293,13 +266,6 @@ impl Deserialize for MapperConfig {
             }),
             None => None,
         };
-        let space_parallelism =
-            opt_field::<usize>(v, "space_parallelism")?.unwrap_or(d.space_parallelism);
-        if space_parallelism == 0 {
-            return Err(serde::de::Error::custom(
-                "space_parallelism must be at least 1",
-            ));
-        }
         // Absent on old-wire requests: the adjacency model.
         let max_route_hops = opt_field::<usize>(v, "max_route_hops")?.unwrap_or(d.max_route_hops);
         if !(1..=MAX_ROUTE_HOPS).contains(&max_route_hops) {
@@ -321,7 +287,6 @@ impl Deserialize for MapperConfig {
             time_budget,
             time_strategy: opt_field(v, "time_strategy")?.unwrap_or(d.time_strategy),
             max_route_hops,
-            space_parallelism,
         })
     }
 
@@ -338,7 +303,6 @@ impl Deserialize for MapperConfig {
         let mut budget: Option<Option<Budget>> = None;
         let mut strategy: Option<Option<TimeStrategy>> = None;
         let mut hops: Option<Option<usize>> = None;
-        let mut parallelism: Option<Option<usize>> = None;
         r.map(|r, key| match &*key {
             "max_ii" => read_field(&mut max_ii, r),
             "max_window_slack" => read_field(&mut slack, r),
@@ -353,7 +317,6 @@ impl Deserialize for MapperConfig {
             }
             "time_strategy" => read_field(&mut strategy, r),
             "max_route_hops" => read_field(&mut hops, r),
-            "space_parallelism" => read_field(&mut parallelism, r),
             "time_budget" => Err(serde::de::Error::custom("duplicate field")),
             _ => r.skip_value(),
         })?;
@@ -369,9 +332,8 @@ impl Deserialize for MapperConfig {
             time_budget: budget.flatten(),
             time_strategy: strategy.flatten().unwrap_or(d.time_strategy),
             max_route_hops: hops.flatten().unwrap_or(d.max_route_hops),
-            space_parallelism: parallelism.flatten().unwrap_or(d.space_parallelism),
         };
-        if config.space_parallelism == 0 || !(1..=MAX_ROUTE_HOPS).contains(&config.max_route_hops) {
+        if !(1..=MAX_ROUTE_HOPS).contains(&config.max_route_hops) {
             return Err(serde::de::Error::custom("out of range"));
         }
         Ok(config)
@@ -389,19 +351,6 @@ mod tests {
         assert!(c.connectivity_constraints);
         assert!(!c.strict_connectivity);
         assert_eq!(c.max_ii, None);
-        assert_eq!(c.space_parallelism, 1, "serial (deterministic) default");
-    }
-
-    #[test]
-    fn space_parallelism_builder() {
-        let c = MapperConfig::new().with_space_parallelism(4);
-        assert_eq!(c.space_parallelism, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_space_parallelism_rejected() {
-        let _ = MapperConfig::new().with_space_parallelism(0);
     }
 
     #[test]
@@ -450,13 +399,11 @@ mod tests {
             .with_max_window_slack(1)
             .with_time_budget(Budget::conflicts(123))
             .with_time_strategy(TimeStrategy::Heuristic)
-            .with_space_parallelism(3)
             .with_capacity_constraints(false);
         let back = roundtrip(&c);
         assert_eq!(back.max_ii, Some(7));
         assert_eq!(back.time_budget.as_ref().unwrap().max_conflicts, Some(123));
         assert_eq!(back.time_strategy, TimeStrategy::Heuristic);
-        assert_eq!(back.space_parallelism, 3);
         assert!(!back.capacity_constraints);
         assert_config_eq(&back, &c);
     }
@@ -467,12 +414,6 @@ mod tests {
         let c: MapperConfig = serde_json::from_str(r#"{"max_ii": 8}"#).unwrap();
         assert_eq!(c.max_ii, Some(8));
         assert_eq!(c.max_window_slack, MapperConfig::default().max_window_slack);
-        assert_eq!(c.space_parallelism, 1);
-    }
-
-    #[test]
-    fn serde_rejects_zero_parallelism() {
-        assert!(serde_json::from_str::<MapperConfig>(r#"{"space_parallelism": 0}"#).is_err());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The decoupled space/time mapper (paper §IV).
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -20,10 +19,6 @@ use crate::api::{emit, MapEvent, MapObserver, SpaceAttemptOutcome};
 use crate::config::TimeStrategy;
 use crate::space::{SpaceEngine, SpaceOutcome};
 use crate::{MapError, MapperConfig, Mapping, Placement};
-
-/// How often the portfolio supervisor polls for user cancellation while
-/// worker threads race their monomorphism searches.
-const PORTFOLIO_POLL: Duration = Duration::from_millis(2);
 
 /// Distribution of chosen route lengths over the dependences of one
 /// mapping: bucket `d` counts edges whose endpoints sit `d` topology
@@ -121,10 +116,9 @@ pub struct MapResult {
 /// formulation size); fields an engine does not produce stay at their
 /// defaults.
 ///
-/// Reports are self-describing: [`MapStats::time_strategy`] and
-/// [`MapStats::space_parallelism`] echo the configuration the search
-/// actually ran with, so consumers no longer re-derive them from the
-/// request out-of-band.
+/// Reports are self-describing: [`MapStats::time_strategy`] echoes the
+/// time-phase algorithm the search actually ran with, so consumers no
+/// longer re-derive it from the request out-of-band.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MapStats {
     /// The lower bound `mII` the search started from.
@@ -144,9 +138,7 @@ pub struct MapStats {
     pub time_solve_seconds: f64,
     /// Wall-clock spent in monomorphism search (including pattern
     /// construction, and the [`crate::SpaceEngine`]'s construction on
-    /// the first map at its route bound). In portfolio mode this is the
-    /// elapsed wall-clock of the races — the Table III phase semantics —
-    /// not the summed search time of the parallel workers.
+    /// the first map at its route bound).
     pub space_phase_seconds: f64,
     /// Time solutions produced by the SMT layer.
     pub time_solutions: usize,
@@ -166,9 +158,6 @@ pub struct MapStats {
     /// without a decoupled time phase (the coupled and annealing
     /// baselines).
     pub time_strategy: Option<TimeStrategy>,
-    /// Worker threads the space phase raced schedules across (`1` is
-    /// the deterministic serial path; baselines are always serial).
-    pub space_parallelism: usize,
     /// SAT variables of the successful coupled formulation (coupled
     /// baseline only; 0 otherwise).
     pub sat_vars: usize,
@@ -197,25 +186,11 @@ impl Default for MapStats {
             solver_reuses: 0,
             window_slack: 0,
             time_strategy: None,
-            space_parallelism: 1,
             sat_vars: 0,
             clauses: 0,
             route_hops_histogram: RouteHopsHistogram::default(),
         }
     }
-}
-
-/// What searching one batch of schedules under one step budget gave.
-struct Searched {
-    /// The winning `(index into the batch, monomorphism)`.
-    winner: Option<(usize, Vec<usize>)>,
-    /// Per schedule: its search stopped at the budget, so it is still
-    /// undecided.
-    limited: Vec<bool>,
-    /// Searches run (a decided race leaves the rest of its batch
-    /// unsearched) and their summed steps.
-    attempts: usize,
-    steps: u64,
 }
 
 /// The mapper: SMT time solve, then monomorphism space solve, with
@@ -312,16 +287,13 @@ impl DecoupledMapper {
     /// its II-independent form; the first map at that bound builds it,
     /// and every later one, on this mapper or a clone, reuses it.
     ///
-    /// Each `(II, slack)` level takes its schedules from one fresh
-    /// [`TimeSolver`], the mapper's only SMT path. With
-    /// [`MapperConfig::space_parallelism`] above 1 the level pulls them
-    /// in batches of that size and races each batch's monomorphism
-    /// searches across worker threads; the first success cancels the
-    /// rest. Within one II the searches run under a rising ladder of
-    /// step budgets that ends at [`MapperConfig::mono_step_limit`], so
-    /// one hard schedule cannot hold up the easy ones behind it, and the
-    /// II rises only after every undecided schedule has had the full
-    /// limit.
+    /// Each `(II, slack)` level takes its schedules one at a time from
+    /// one fresh [`TimeSolver`], the mapper's only SMT path, and searches
+    /// each before solving for the next. Within one II the searches run
+    /// under a rising ladder of step budgets that ends at
+    /// [`MapperConfig::mono_step_limit`], so one hard schedule cannot
+    /// hold up the easy ones behind it, and the II rises only after every
+    /// undecided schedule has had the full limit.
     ///
     /// # Errors
     ///
@@ -342,11 +314,9 @@ impl DecoupledMapper {
     /// Like [`DecoupledMapper::map`], but emitting structured
     /// [`MapEvent`]s to `observer` as the search progresses.
     ///
-    /// On the serial path (`space_parallelism == 1`) the event sequence
-    /// is deterministic: identical inputs produce the identical event
-    /// stream run to run. In portfolio mode the space races of one
-    /// batch are coalesced into a single [`MapEvent::SpaceAttempt`]
-    /// (per-worker attempts finish in nondeterministic order).
+    /// The event sequence is deterministic: identical inputs produce
+    /// the identical event stream run to run, one
+    /// [`MapEvent::SpaceAttempt`] per monomorphism search.
     pub fn map_observed(
         &self,
         dfg: &Dfg,
@@ -381,7 +351,6 @@ impl DecoupledMapper {
         let mut stats = MapStats {
             mii,
             time_strategy: Some(self.config.time_strategy),
-            space_parallelism: self.config.space_parallelism,
             ..MapStats::default()
         };
         let t0 = Instant::now();
@@ -475,22 +444,20 @@ impl DecoupledMapper {
             emit(obs, MapEvent::Escalated { ii, slack });
             kept.push((slack, undecided));
         }
-        let workers = self.config.space_parallelism.max(1);
         for budget in budgets {
             for (slack, sols) in &mut kept {
                 let mut undecided = Vec::with_capacity(sols.len());
-                for batch in sols.chunks(workers) {
-                    let searched = self.attempt(dfg, ii, *slack, batch, budget, engine, stats, obs);
-                    if let Some((idx, map)) = searched.winner {
-                        return Ok(Some((batch[idx].clone(), map, *slack)));
+                for sol in sols.drain(..) {
+                    match self.attempt(dfg, ii, *slack, &sol, budget, engine, stats, obs) {
+                        SpaceOutcome::Found(map) => return Ok(Some((sol, map, *slack))),
+                        SpaceOutcome::LimitReached => undecided.push(sol),
+                        SpaceOutcome::Exhausted | SpaceOutcome::Cancelled => {}
                     }
                     if self.cancelled() {
                         return Err(MapError::Timeout { ii });
                     }
-                    undecided.extend(searched.limited);
                 }
-                let mut undecided = undecided.into_iter();
-                sols.retain(|_| undecided.next().expect("one flag per schedule"));
+                *sols = undecided;
             }
         }
         Ok(None)
@@ -509,11 +476,10 @@ impl DecoupledMapper {
     /// worse, and screening Unsat levels on it re-encodes more than it
     /// saves (README, "The time phase", has both measurements).
     ///
-    /// Schedules are pulled in batches of up to
-    /// [`MapperConfig::space_parallelism`], never more than
-    /// [`MapperConfig::max_time_solutions`] per level, and each batch is
-    /// one [`DecoupledMapper::attempt`]: the serial path runs solve →
-    /// search → block → solve exactly in enumeration order.
+    /// Schedules are pulled one at a time, never more than
+    /// [`MapperConfig::max_time_solutions`] per level, and each is one
+    /// [`DecoupledMapper::attempt`]: solve → search → block → solve, in
+    /// enumeration order.
     ///
     /// Returns the winning `(schedule, monomorphism)`, or `None` when
     /// the level ended without one — no schedule left, the enumeration
@@ -552,13 +518,15 @@ impl DecoupledMapper {
         // A level always tries its first schedule, even under a cap of 0.
         let mut remaining = self.config.max_time_solutions.max(1);
         while remaining > 0 {
-            let batch_cap = self.config.space_parallelism.clamp(1, remaining);
             let t0 = Instant::now();
-            let (mut batch, batch_end) = match &mut solver {
-                Some(solver) => solver.enumerate_solutions(batch_cap),
+            let (sol, end) = match &mut solver {
+                Some(solver) => {
+                    let (mut sols, end) = solver.enumerate_solutions(1);
+                    (sols.pop(), end)
+                }
                 // IMS is single-shot: one schedule at most, then the end.
                 None => (
-                    Vec::from_iter(ims_schedule(dfg, ii, &self.time_config(slack))),
+                    ims_schedule(dfg, ii, &self.time_config(slack)),
                     EnumerationEnd::Unsat,
                 ),
             };
@@ -567,24 +535,21 @@ impl DecoupledMapper {
             if solver.is_some() {
                 stats.time_solve_seconds += solve;
             }
-            stats.time_solutions += batch.len();
-            remaining -= batch.len();
 
-            if !batch.is_empty() {
-                for _ in &batch {
-                    emit(obs, MapEvent::TimeSolutionFound { ii, slack });
-                }
-                let searched = self.attempt(dfg, ii, slack, &batch, budget, engine, stats, obs);
-                if let Some((idx, map)) = searched.winner {
-                    return Ok(Some((batch.swap_remove(idx), map)));
+            if let Some(sol) = sol {
+                stats.time_solutions += 1;
+                remaining -= 1;
+                emit(obs, MapEvent::TimeSolutionFound { ii, slack });
+                match self.attempt(dfg, ii, slack, &sol, budget, engine, stats, obs) {
+                    SpaceOutcome::Found(map) => return Ok(Some((sol, map))),
+                    SpaceOutcome::LimitReached => undecided.push(sol),
+                    SpaceOutcome::Exhausted | SpaceOutcome::Cancelled => {}
                 }
                 if self.cancelled() {
                     return Err(MapError::Timeout { ii });
                 }
-                let stopped = batch.into_iter().zip(searched.limited);
-                undecided.extend(stopped.filter_map(|(sol, limited)| limited.then_some(sol)));
             }
-            match batch_end {
+            match end {
                 EnumerationEnd::CapReached => {}
                 EnumerationEnd::Unsat => return Ok(None),
                 // The flag may have been raised while the SMT solve was
@@ -599,111 +564,33 @@ impl DecoupledMapper {
         Ok(None)
     }
 
-    /// Searches one batch of schedules of `(ii, slack)` for a
-    /// monomorphism under `budget` steps each, books the work in
-    /// `stats` and reports it as one [`MapEvent::SpaceAttempt`].
-    ///
-    /// A batch of one is searched inline; a larger one is raced across
-    /// scoped worker threads sharing the engine. The first success
-    /// raises a race flag that cancels the remaining searches; the
-    /// supervisor loop wakes on worker completion and forwards user
-    /// cancellation into the race between wake-ups. When several
-    /// workers win, the earliest schedule's monomorphism is kept.
+    /// Searches one schedule of `(ii, slack)` for a monomorphism under
+    /// `budget` steps, books the work in `stats` and reports it as one
+    /// [`MapEvent::SpaceAttempt`].
     #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
         dfg: &Dfg,
         ii: usize,
         slack: usize,
-        batch: &[TimeSolution],
+        sol: &TimeSolution,
         budget: u64,
         engine: &SpaceEngine,
         stats: &mut MapStats,
         obs: Option<&dyn MapObserver>,
-    ) -> Searched {
+    ) -> SpaceOutcome {
         let t0 = Instant::now();
-        let race = CancelFlag::new();
-        let next = AtomicUsize::new(0);
-        let result = Mutex::new(Searched {
-            winner: None,
-            limited: vec![false; batch.len()],
-            attempts: 0,
-            steps: 0,
-        });
-        // Takes schedules off the batch until it is empty or the race
-        // is decided.
-        let work = |cancel: Option<&CancelFlag>| loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            if idx >= batch.len() || race.is_cancelled() {
-                break;
-            }
-            let (outcome, steps) = engine.search(dfg, &batch[idx], budget, cancel);
-            let mut result = result.lock().expect("no search panics holding the lock");
-            result.attempts += 1;
-            result.steps += steps;
-            match outcome {
-                SpaceOutcome::Found(map) => {
-                    if result.winner.as_ref().is_none_or(|(best, _)| idx < *best) {
-                        result.winner = Some((idx, map));
-                    }
-                    race.cancel(); // first win cancels the rest
-                }
-                SpaceOutcome::LimitReached => result.limited[idx] = true,
-                SpaceOutcome::Exhausted | SpaceOutcome::Cancelled => {}
-            }
-        };
-        let workers = self.config.space_parallelism.clamp(1, batch.len().max(1));
-        if workers == 1 {
-            work(self.cancel.as_ref());
-        } else {
-            let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let done = done_tx.clone();
-                    let work = &work;
-                    let race = &race;
-                    scope.spawn(move || {
-                        work(Some(race));
-                        let _ = done.send(());
-                    });
-                }
-                // Only the workers hold senders now: one that panics
-                // drops its own, the channel disconnects instead of
-                // blocking forever, and `scope` re-raises the panic.
-                drop(done_tx);
-                let mut running = workers;
-                while running > 0 {
-                    match done_rx.recv_timeout(PORTFOLIO_POLL) {
-                        Ok(()) => running -= 1,
-                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                            if self.cancelled() {
-                                race.cancel();
-                            }
-                        }
-                        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            });
-        }
-        let searched = result
-            .into_inner()
-            .expect("no search panics holding the lock");
-        // Wall-clock of the batch (the Table III phase semantics), not
-        // the sum over parallel workers.
+        let (outcome, steps) = engine.search(dfg, sol, budget, self.cancel.as_ref());
         stats.space_phase_seconds += t0.elapsed().as_secs_f64();
-        stats.space_attempts += searched.attempts;
-        stats.mono_steps += searched.steps;
-        let outcome = if searched.winner.is_some() {
-            SpaceAttemptOutcome::Found
-        } else if searched.limited.contains(&true) {
-            SpaceAttemptOutcome::LimitReached
-        } else if self.cancelled() {
-            SpaceAttemptOutcome::Cancelled
-        } else {
-            SpaceAttemptOutcome::Exhausted
+        stats.space_attempts += 1;
+        stats.mono_steps += steps;
+        let event = MapEvent::SpaceAttempt {
+            ii,
+            slack,
+            outcome: SpaceAttemptOutcome::from(&outcome),
         };
-        emit(obs, MapEvent::SpaceAttempt { ii, slack, outcome });
-        searched
+        emit(obs, event);
+        outcome
     }
 
     /// Converts a found monomorphism into the final [`Mapping`] and
@@ -861,50 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flag_times_out_portfolio() {
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = running_example();
-        let cfg = MapperConfig::new().with_space_parallelism(3);
-        let mut mapper = DecoupledMapper::with_config(&cgra, cfg);
-        let flag = CancelFlag::new();
-        flag.cancel();
-        mapper.set_cancel(flag);
-        assert!(matches!(mapper.map(&dfg), Err(MapError::Timeout { .. })));
-    }
-
-    #[test]
-    fn cancel_mid_map_portfolio_reports_timeout_not_no_solution() {
-        // Regression: a flag raised while the portfolio level was
-        // blocked inside the SMT enumeration used to fall through as
-        // level exhaustion and could surface as NoSolution. Cancel a
-        // long-running portfolio map mid-flight: the error must be
-        // Timeout, and the return prompt.
-        let cgra = Cgra::new(5, 5).unwrap();
-        let dfg = suite::generate("hotspot3D"); // the slow suite kernel
-        let cfg = MapperConfig::new().with_space_parallelism(3);
-        let mut mapper = DecoupledMapper::with_config(&cgra, cfg);
-        let flag = CancelFlag::new();
-        mapper.set_cancel(flag.clone());
-        let started = std::time::Instant::now();
-        let result = std::thread::scope(|scope| {
-            scope.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                flag.cancel();
-            });
-            mapper.map(&dfg)
-        });
-        assert!(
-            matches!(result, Err(MapError::Timeout { .. })),
-            "{result:?}"
-        );
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(30),
-            "cancelled portfolio map must return promptly, took {:?}",
-            started.elapsed()
-        );
-    }
-
-    #[test]
     fn max_ii_below_mii_is_rejected_immediately() {
         // Regression: the cap used to be silently clamped up to mII and
         // one II was searched anyway.
@@ -955,8 +798,8 @@ mod tests {
 
     #[test]
     fn serial_mappings_are_byte_identical_across_runs() {
-        // The deterministic default (space_parallelism = 1): repeated
-        // runs produce byte-for-byte identical mappings.
+        // The mapper is deterministic: repeated runs produce
+        // byte-for-byte identical mappings.
         let cgra = Cgra::new(5, 5).unwrap();
         for name in ["susan", "gsm", "bitcount"] {
             let dfg = suite::generate(name);
@@ -964,37 +807,8 @@ mod tests {
             let b = DecoupledMapper::new(&cgra).map(&dfg).unwrap();
             let ja = serde_json::to_string(&a.mapping).unwrap();
             let jb = serde_json::to_string(&b.mapping).unwrap();
-            assert_eq!(ja, jb, "{name}: serial path must be deterministic");
+            assert_eq!(ja, jb, "{name}: the mapper must be deterministic");
         }
-    }
-
-    #[test]
-    fn portfolio_maps_suite_at_serial_ii() {
-        let cgra = Cgra::new(5, 5).unwrap();
-        for name in ["susan", "gsm", "bitcount"] {
-            let dfg = suite::generate(name);
-            let serial = DecoupledMapper::new(&cgra).map(&dfg).unwrap();
-            let cfg = MapperConfig::new().with_space_parallelism(4);
-            let portfolio = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
-            portfolio.mapping.validate(&dfg, &cgra).unwrap();
-            assert_eq!(
-                serial.mapping.ii(),
-                portfolio.mapping.ii(),
-                "{name}: portfolio must achieve the serial II"
-            );
-        }
-    }
-
-    #[test]
-    fn portfolio_running_example_reaches_paper_ii() {
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = running_example();
-        let cfg = MapperConfig::new().with_space_parallelism(2);
-        let result = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
-        assert_eq!(result.mapping.ii(), 4);
-        result.mapping.validate(&dfg, &cgra).unwrap();
-        assert!(result.stats.space_attempts >= 1);
-        assert!(result.stats.mono_steps >= 1);
     }
 
     #[test]
@@ -1084,20 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_portfolio_matches_serial_ii() {
-        use cgra_arch::CapabilityProfile;
-        let cgra = Cgra::new(4, 4)
-            .unwrap()
-            .with_capability_profile(CapabilityProfile::MemLeftMulCheckerboard);
-        let dfg = mem_mul_kernel();
-        let serial = DecoupledMapper::new(&cgra).map(&dfg).unwrap();
-        let cfg = MapperConfig::new().with_space_parallelism(3);
-        let portfolio = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
-        portfolio.mapping.validate(&dfg, &cgra).unwrap();
-        assert_eq!(serial.mapping.ii(), portfolio.mapping.ii());
-    }
-
-    #[test]
     fn unsupported_class_fails_fast() {
         use cgra_arch::{OpClass, OpClassSet};
         let cgra = Cgra::new(3, 3)
@@ -1155,7 +955,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Maps `dfg` on a 2x2 with the default (serial) configuration,
+    /// Maps `dfg` on a 2x2 with the default configuration,
     /// returning the mapping's JSON, the stats and the event stream.
     fn observed_serial_map(dfg: &Dfg) -> (String, MapStats, Vec<MapEvent>) {
         let collector = crate::api::EventCollector::new();
@@ -1250,20 +1050,14 @@ mod tests {
         use MapEvent::{Escalated, IiStarted};
         let dfg = running_example();
         let (_, full, _) = observed_serial_map(&dfg);
-        let run = |space_parallelism| {
-            let cfg = MapperConfig {
-                space_parallelism,
-                ..MapperConfig::new()
-                    .with_mono_step_limit(100)
-                    .with_max_time_solutions(1)
-            };
-            let collector = crate::api::EventCollector::new();
-            let result = DecoupledMapper::with_config(&Cgra::new(2, 2).unwrap(), cfg)
-                .map_observed(&dfg, Some(&collector))
-                .unwrap();
-            (result, collector.events())
-        };
-        let (result, events) = run(1);
+        let cfg = MapperConfig::new()
+            .with_mono_step_limit(100)
+            .with_max_time_solutions(1);
+        let collector = crate::api::EventCollector::new();
+        let result = DecoupledMapper::with_config(&Cgra::new(2, 2).unwrap(), cfg)
+            .map_observed(&dfg, Some(&collector))
+            .unwrap();
+        let events = collector.events();
         let mut expected = vec![IiStarted { ii: 4 }];
         for slack in 0..=2 {
             expected.extend(attempt(4, slack, SpaceAttemptOutcome::LimitReached));
@@ -1288,104 +1082,6 @@ mod tests {
         assert_eq!((stats.time_solutions, stats.space_attempts), (3, 7));
         assert_eq!(stats.mono_steps, 3 + 3 * 10 + full.mono_steps);
         assert_eq!(stats.window_slack, 0);
-
-        // A struct-literal parallelism of 0 batches like 1 on every rung.
-        let (zero, zero_events) = run(0);
-        assert_eq!(zero_events, events);
-        assert_eq!(zero.mapping, result.mapping);
-    }
-
-    #[test]
-    fn raced_batch_that_stops_at_the_limit_reports_limit_reached() {
-        // Regression: a raced batch without a winner used to report
-        // `Exhausted` whatever its workers had stopped on. One step is
-        // never enough for the running example, so every batch here
-        // stops at the limit and none proves anything.
-        let collector = crate::api::EventCollector::new();
-        let cfg = MapperConfig::new()
-            .with_mono_step_limit(1)
-            .with_space_parallelism(2)
-            .with_max_ii(4);
-        let err = DecoupledMapper::with_config(&Cgra::new(2, 2).unwrap(), cfg)
-            .map_observed(&running_example(), Some(&collector))
-            .unwrap_err();
-        assert_eq!(err, MapError::NoSolution { mii: 4, max_ii: 4 });
-        let outcomes: Vec<SpaceAttemptOutcome> = collector
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                MapEvent::SpaceAttempt { outcome, .. } => Some(*outcome),
-                _ => None,
-            })
-            .collect();
-        assert!(!outcomes.is_empty());
-        assert!(
-            outcomes
-                .iter()
-                .all(|o| *o == SpaceAttemptOutcome::LimitReached),
-            "{outcomes:?}"
-        );
-    }
-
-    #[test]
-    fn portfolio_remainder_batch_never_exceeds_the_enumeration_cap() {
-        // 16 is not a multiple of 3: the sixth batch of a level is
-        // capped at one schedule, never a 17th pull. star8 exhausts the
-        // cap at two levels, so an uncapped remainder would show.
-        let collector = crate::api::EventCollector::new();
-        let cfg = MapperConfig::new()
-            .with_max_time_solutions(16)
-            .with_space_parallelism(3);
-        let result = DecoupledMapper::with_config(&Cgra::new(2, 2).unwrap(), cfg)
-            .map_observed(&star_k(8), Some(&collector))
-            .unwrap();
-        assert_eq!(result.mapping.ii(), 4);
-        let events = collector.events();
-        let levels = events
-            .iter()
-            .filter(|e| matches!(e, MapEvent::Escalated { .. }))
-            .count()
-            + 1;
-        assert!(
-            result.stats.time_solutions <= 16 * levels,
-            "{:?}",
-            result.stats
-        );
-        for (ii, slack) in [(3, 1), (3, 2)] {
-            let pulled = events
-                .iter()
-                .filter(|e| **e == MapEvent::TimeSolutionFound { ii, slack })
-                .count();
-            assert_eq!(pulled, 16, "level ({ii}, {slack})");
-        }
-    }
-
-    #[test]
-    fn heuristic_strategy_ignores_space_parallelism() {
-        // One IMS schedule per level is a batch of one: it is searched
-        // inline (the event carries the search's own outcome and the
-        // attempt count is one per schedule, as on the serial path), so
-        // the mapping is the serial one byte for byte.
-        let cgra = Cgra::new(4, 4).unwrap();
-        for name in ["susan", "bitcount", "gsm"] {
-            let dfg = suite::generate(name);
-            let run = |workers| {
-                let cfg = MapperConfig::new()
-                    .with_time_strategy(TimeStrategy::Heuristic)
-                    .with_space_parallelism(workers);
-                let collector = crate::api::EventCollector::new();
-                let result = DecoupledMapper::with_config(&cgra, cfg)
-                    .map_observed(&dfg, Some(&collector))
-                    .unwrap();
-                (result, collector.events())
-            };
-            let (one, events_one) = run(1);
-            let (four, events_four) = run(4);
-            assert_eq!(four.mapping, one.mapping, "{name}");
-            assert_eq!(events_four, events_one, "{name}");
-            assert_eq!(four.stats.space_attempts, four.stats.time_solutions);
-            assert_eq!(four.stats.mono_steps, one.stats.mono_steps, "{name}");
-        }
     }
 
     #[test]
@@ -1487,14 +1183,10 @@ mod tests {
         let dfg = running_example();
         let serial = DecoupledMapper::new(&cgra).map(&dfg).unwrap();
         assert_eq!(serial.stats.time_strategy, Some(TimeStrategy::Smt));
-        assert_eq!(serial.stats.space_parallelism, 1);
         assert_eq!(serial.stats.sat_vars, 0, "decoupled has no coupled CNF");
 
-        let cfg = MapperConfig::new()
-            .with_space_parallelism(2)
-            .with_time_strategy(TimeStrategy::Heuristic);
-        let portfolio = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
-        assert_eq!(portfolio.stats.time_strategy, Some(TimeStrategy::Heuristic));
-        assert_eq!(portfolio.stats.space_parallelism, 2);
+        let cfg = MapperConfig::new().with_time_strategy(TimeStrategy::Heuristic);
+        let heuristic = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
+        assert_eq!(heuristic.stats.time_strategy, Some(TimeStrategy::Heuristic));
     }
 }

@@ -26,7 +26,8 @@ pub struct KmsEntry {
 ///
 /// Each node contributes one [`KmsEntry`] per time step in its mobility
 /// window; entries are grouped by kernel slot. An optional window slack
-/// extends every ALAP bound by `slack · II` (see DESIGN.md §6 — a pure
+/// extends every ALAP bound by `slack · II` (see docs/ARCHITECTURE.md,
+/// "The time phase" — a pure
 /// window fold can be unsatisfiable even when a legal modulo schedule
 /// exists, e.g. when capacity forces independent operations apart).
 #[derive(Clone, Debug)]

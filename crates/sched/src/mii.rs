@@ -92,7 +92,8 @@ mod tests {
 
     /// Golden test: mII for every suite benchmark × CGRA size must match
     /// the paper's Table III. The single documented exception is sha2 on
-    /// 2×2, where the paper lists 6 but `⌈25/4⌉ = 7` (see DESIGN.md §8).
+    /// 2×2, where the paper lists 6 but `⌈25/4⌉ = 7` (see
+    /// docs/ARCHITECTURE.md, "The time phase").
     #[test]
     fn table3_mii_columns() {
         // (name, mII at 2x2, mII at 5x5, mII at 10x10, mII at 20x20)

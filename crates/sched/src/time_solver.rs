@@ -50,7 +50,7 @@ pub struct TimeSolverConfig {
     /// shares the slot) instead of the paper's uniform `D_M`.
     pub strict_connectivity: bool,
     /// Extend every ALAP window by `window_slack · II` steps (see
-    /// DESIGN.md §6).
+    /// docs/ARCHITECTURE.md, "The time phase").
     pub window_slack: usize,
     /// Optional resource budget per solve call.
     pub budget: Option<Budget>,
@@ -611,8 +611,7 @@ impl<'a> TimeSolver<'a> {
     }
 
     /// Pulls up to `max` distinct schedules in one call, blocking each
-    /// before searching for the next — the handoff the mapper's
-    /// portfolio mode uses to race several space searches at once.
+    /// before searching for the next.
     ///
     /// Returns the schedules found (possibly empty) together with why
     /// enumeration stopped.

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{row}");
     }
     println!(
-        "\nThe torus is the paper-faithful default (uniform degree; see DESIGN.md §1).\n\
+        "\nThe torus is the paper-faithful default (uniform degree; see docs/ARCHITECTURE.md).\n\
          On the mesh the conservative degree bound (min degree + 1) keeps the\n\
          monomorphism-existence argument sound at the cost of occasional II/slack."
     );

@@ -12,7 +12,7 @@ fn counts(s: &MapStats) -> impl PartialEq + std::fmt::Debug {
     (
         (s.mii, s.achieved_ii, s.time_solutions, s.space_attempts),
         (s.mono_steps, s.iis_tried, s.solver_reuses, s.window_slack),
-        (s.time_strategy, s.space_parallelism, s.sat_vars, s.clauses),
+        (s.time_strategy, s.sat_vars, s.clauses),
         s.route_hops_histogram,
     )
 }

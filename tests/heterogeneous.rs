@@ -279,23 +279,3 @@ fn homogeneous_serial_mappings_are_byte_identical_to_pre_heterogeneity() {
         assert_eq!(json, golden, "{name}@{size}x{size} serial mapping drifted");
     }
 }
-
-/// Under `with_space_parallelism` the winning placement may legitimately
-/// vary, but the achieved II must still match the pre-heterogeneity
-/// (golden) II and the mapping must pass every invariant.
-#[test]
-fn homogeneous_portfolio_iis_match_pre_heterogeneity() {
-    for (name, size, golden) in GOLDEN_SERIAL {
-        let dfg = golden_dfg(name);
-        let cgra = Cgra::new(size, size).unwrap();
-        let golden_ii: Mapping = serde_json::from_str(golden).unwrap();
-        let cfg = MapperConfig::new().with_space_parallelism(4);
-        let result = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
-        result.mapping.validate(&dfg, &cgra).unwrap();
-        assert_eq!(
-            result.mapping.ii(),
-            golden_ii.ii(),
-            "{name}@{size}x{size} portfolio II drifted"
-        );
-    }
-}

@@ -252,9 +252,23 @@ fn disk_log_record() -> String {
     String::from_utf8(log[report_at + 4..report_at + 4 + report_len].to_vec()).unwrap()
 }
 
+/// A mapped report as the parent format wrote it, with the retired
+/// `space_parallelism` echo in its stats, and the report it must decode
+/// to: a disk log written by an older build replays.
+fn parent_format_report() -> (String, MapReport) {
+    let report = reports().swap_remove(0);
+    let text = serde_json::to_string(&report).unwrap().replacen(
+        ",\"sat_vars\":",
+        ",\"space_parallelism\":1,\"sat_vars\":",
+        1,
+    );
+    assert!(text.contains("\"space_parallelism\":1"), "{text}");
+    (text, report)
+}
+
 /// Every seed: the 17 suite `/map` bodies in both forms, the bodies of
-/// `tests/wire_golden.rs`, one report per outcome kind, and a disk-log
-/// record.
+/// `tests/wire_golden.rs`, one report per outcome kind, a parent-format
+/// report and a disk-log record.
 fn corpus() -> Vec<(Kind, String)> {
     let mut seeds = Vec::new();
     for name in suite::names() {
@@ -283,6 +297,7 @@ fn corpus() -> Vec<(Kind, String)> {
     for report in reports() {
         seeds.push((Kind::Report, serde_json::to_string(&report).unwrap()));
     }
+    seeds.push((Kind::Report, parent_format_report().0));
     seeds.push((Kind::Report, disk_log_record()));
     seeds
 }
@@ -360,6 +375,13 @@ fn direct_decoders_take_every_seed_and_agree_with_the_tree() {
         valid += usize::from(tree);
     }
     assert!(valid >= 40, "only {valid} valid seeds");
+}
+
+#[test]
+fn parent_format_report_decodes_to_the_same_report_on_both_paths() {
+    let (text, report) = parent_format_report();
+    assert_eq!(direct_path::<MapReport>(&text), Some(report.clone()));
+    assert_eq!(tree_path::<MapReport>(&text), Ok(report));
 }
 
 #[test]

@@ -106,3 +106,35 @@ fn heuristic_maps_hotspot3d_on_5x5_at_its_mii() {
     assert_eq!(result.mapping.ii(), 3);
     assert_eq!(result.stats.space_attempts, 1);
 }
+
+#[test]
+fn cancel_mid_map_reports_timeout_not_no_solution() {
+    // Regression: a flag raised while a level was blocked inside the
+    // SMT enumeration used to fall through as level exhaustion and
+    // could surface as NoSolution. This numbering of hotspot3D searches
+    // for seconds on 5×5 (it ends at II 4 after 68 attempts and 35.6 M
+    // steps), so a flag raised at 50 ms always lands mid-map: the
+    // error must be Timeout, and the return prompt.
+    let cgra = Cgra::new(5, 5).unwrap();
+    let dfg = renumbered(&suite::generate("hotspot3D"), 1);
+    let mut mapper = DecoupledMapper::new(&cgra);
+    let flag = CancelFlag::new();
+    mapper.set_cancel(flag.clone());
+    let started = std::time::Instant::now();
+    let result = std::thread::scope(|scope| {
+        scope.spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            flag.cancel();
+        });
+        mapper.map(&dfg)
+    });
+    assert!(
+        matches!(result, Err(MapError::Timeout { .. })),
+        "{result:?}"
+    );
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "a cancelled map must return promptly, took {:?}",
+        started.elapsed()
+    );
+}
