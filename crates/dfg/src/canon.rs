@@ -278,6 +278,18 @@ fn kind_code(kind: EdgeKind) -> (u8, u32) {
     }
 }
 
+/// The FNV-1a state after an edge signature's fixed 7 bytes:
+/// direction, operand slot, kind code, distance (little-endian). The
+/// signature itself continues it with the neighbour's color.
+fn edge_sig_prefix(direction: u8, operand: u8, kind: EdgeKind) -> u64 {
+    let (code, distance) = kind_code(kind);
+    let d = distance.to_le_bytes();
+    fnv64(
+        FNV64_OFFSET,
+        &[direction, operand, code, d[0], d[1], d[2], d[3]],
+    )
+}
+
 // ---------------------------------------------------------------------
 // Individualization–refinement
 // ---------------------------------------------------------------------
@@ -298,6 +310,20 @@ struct Canonicalizer<'a> {
     dfg: &'a Dfg,
     /// Node-invariant hash of each node's operation.
     op_color: Vec<u64>,
+    /// Every node's incident edges, one entry per (node, edge) pair:
+    /// `sig_prefix[sig_start[v]..sig_start[v + 1]]` are `v`'s in-edges
+    /// then its out-edges, and `sig_neighbor` the node at each edge's
+    /// other end. An edge signature hashes (direction, operand slot,
+    /// edge kind, distance) and then the neighbour's color; FNV-1a
+    /// streams, so the state after the fixed part is computed once
+    /// here and each round only folds in the 8 color bytes.
+    sig_start: Vec<u32>,
+    sig_prefix: Vec<u64>,
+    sig_neighbor: Vec<u32>,
+    /// Scratch: a round's edge signatures, laid out as `sig_prefix`.
+    sigs: Vec<u64>,
+    /// Scratch: the sorted colors [`Canonicalizer::distinct`] counts.
+    sorted: Vec<u64>,
     best: Option<(Vec<u8>, Vec<u32>)>,
     /// Edge signatures computed so far (bounded by [`WORK_LIMIT`]).
     work: u64,
@@ -305,17 +331,40 @@ struct Canonicalizer<'a> {
 
 impl<'a> Canonicalizer<'a> {
     fn new(dfg: &'a Dfg) -> Self {
+        let mut bytes = Vec::with_capacity(9);
         let op_color = dfg
             .nodes()
             .map(|v| {
-                let mut bytes = Vec::with_capacity(9);
+                bytes.clear();
                 encode_op(dfg.op(v), &mut bytes);
                 fnv64(FNV64_OFFSET, &bytes)
             })
             .collect();
+        let adj = dfg.adjacency();
+        let incident = 2 * dfg.num_edges();
+        let mut sig_start = Vec::with_capacity(dfg.num_nodes() + 1);
+        let mut sig_prefix = Vec::with_capacity(incident);
+        let mut sig_neighbor = Vec::with_capacity(incident);
+        sig_start.push(0);
+        for v in dfg.nodes() {
+            for e in adj.in_edges(v) {
+                sig_prefix.push(edge_sig_prefix(0, e.operand, e.kind));
+                sig_neighbor.push(e.src.index() as u32);
+            }
+            for e in adj.out_edges(v) {
+                sig_prefix.push(edge_sig_prefix(1, e.operand, e.kind));
+                sig_neighbor.push(e.dst.index() as u32);
+            }
+            sig_start.push(sig_prefix.len() as u32);
+        }
         Canonicalizer {
             dfg,
             op_color,
+            sig_start,
+            sig_prefix,
+            sig_neighbor,
+            sigs: Vec::new(),
+            sorted: Vec::new(),
             best: None,
             work: 0,
         }
@@ -335,48 +384,44 @@ impl<'a> Canonicalizer<'a> {
         }
     }
 
-    /// One round of Weisfeiler–Leman refinement: every node's color is
-    /// re-hashed with the sorted multiset of its edge signatures
-    /// (direction, operand slot, edge kind, neighbour color).
-    fn refine_once(&mut self, colors: &[u64]) -> Vec<u64> {
+    /// One round of Weisfeiler–Leman refinement into `next`: every
+    /// node's color is re-hashed with the sorted multiset of its edge
+    /// signatures (direction, operand slot, edge kind, neighbour color).
+    fn refine_once(&mut self, colors: &[u64], next: &mut Vec<u64>) {
         self.work += 2 * self.dfg.num_edges() as u64 + self.dfg.num_nodes() as u64;
-        let mut sigs: Vec<u64> = Vec::new();
-        self.dfg
-            .nodes()
-            .map(|v| {
-                sigs.clear();
-                for e in self.dfg.in_edges(v) {
-                    sigs.push(self.edge_sig(0, e.operand, e.kind, colors[e.src.index()]));
-                }
-                for e in self.dfg.out_edges(v) {
-                    sigs.push(self.edge_sig(1, e.operand, e.kind, colors[e.dst.index()]));
-                }
-                sigs.sort_unstable();
-                let mut h = colors[v.index()];
-                for &s in &sigs {
-                    h = fnv64(h, &s.to_le_bytes());
-                }
-                h
-            })
-            .collect()
+        // Three passes, each free of the others' dependencies: every
+        // edge signature, then each node's signatures sorted, then
+        // each node's fold. Separate passes keep many independent FNV
+        // multiply chains in flight.
+        self.sigs.clear();
+        self.sigs.extend(
+            self.sig_prefix
+                .iter()
+                .zip(&self.sig_neighbor)
+                .map(|(&prefix, &u)| fnv64(prefix, &colors[u as usize].to_le_bytes())),
+        );
+        for w in self.sig_start.windows(2) {
+            self.sigs[w[0] as usize..w[1] as usize].sort_unstable();
+        }
+        next.clear();
+        next.extend(
+            colors
+                .iter()
+                .zip(self.sig_start.windows(2))
+                .map(|(&color, w)| {
+                    self.sigs[w[0] as usize..w[1] as usize]
+                        .iter()
+                        .fold(color, |h, s| fnv64(h, &s.to_le_bytes()))
+                }),
+        );
     }
 
-    fn edge_sig(&self, direction: u8, operand: u8, kind: EdgeKind, neighbor_color: u64) -> u64 {
-        let (code, distance) = kind_code(kind);
-        let mut bytes = Vec::with_capacity(15);
-        bytes.push(direction);
-        bytes.push(operand);
-        bytes.push(code);
-        push_u32(&mut bytes, distance);
-        bytes.extend_from_slice(&neighbor_color.to_le_bytes());
-        fnv64(FNV64_OFFSET, &bytes)
-    }
-
-    fn distinct(colors: &[u64]) -> usize {
-        let mut sorted = colors.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.len()
+    fn distinct(&mut self, colors: &[u64]) -> usize {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(colors);
+        self.sorted.sort_unstable();
+        self.sorted.dedup();
+        self.sorted.len()
     }
 
     /// Refines until the partition stops splitting; branches on the
@@ -385,20 +430,21 @@ impl<'a> Canonicalizer<'a> {
     /// by recording a tie-broken leaf and pruning once exhausted.
     fn search(&mut self, mut colors: Vec<u64>) {
         let n = colors.len();
-        let mut classes = Self::distinct(&colors);
+        let mut classes = self.distinct(&colors);
         // Refinement only ever splits classes (the old color feeds the
         // new hash), so at most n rounds are needed.
+        let mut next = Vec::with_capacity(n);
         for _ in 0..n {
             if self.exhausted() {
                 break;
             }
-            let next = self.refine_once(&colors);
-            let next_classes = Self::distinct(&next);
+            self.refine_once(&colors, &mut next);
+            let next_classes = self.distinct(&next);
             if next_classes == classes {
                 break;
             }
             classes = next_classes;
-            colors = next;
+            std::mem::swap(&mut colors, &mut next);
         }
         if classes == n || self.exhausted() {
             // Discrete, or out of budget: record this leaf (ties, if
@@ -439,42 +485,51 @@ impl<'a> Canonicalizer<'a> {
         // Canonical index = rank of the node's color. On the normal
         // (discrete) path colors are pairwise distinct and the index
         // tie-break never fires; it only matters for budget-exhausted
-        // leaves, where it keeps the output deterministic.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by_key(|&v| (colors[v], v));
+        // leaves, where it keeps the output deterministic. Here and for
+        // the edges below, a sort key packs a tuple into one integer
+        // whose order is the tuple's lexicographic order.
+        let mut order: Vec<u128> = colors
+            .iter()
+            .enumerate()
+            .map(|(v, &c)| (c as u128) << 32 | v as u128)
+            .collect();
+        order.sort_unstable();
         let mut to_canonical = vec![0u32; n];
-        for (rank, &v) in order.iter().enumerate() {
-            to_canonical[v] = rank as u32;
+        for (rank, &key) in order.iter().enumerate() {
+            to_canonical[key as u32 as usize] = rank as u32;
         }
-        let mut bytes = Vec::new();
+        let e = self.dfg.num_edges();
+        let mut bytes = Vec::with_capacity(13 + 9 * n + 14 * e);
         bytes.extend_from_slice(b"MDFG1");
         push_u32(&mut bytes, n as u32);
-        push_u32(&mut bytes, self.dfg.num_edges() as u32);
-        for &v in &order {
-            encode_op(self.dfg.op(NodeId::from_index(v)), &mut bytes);
+        push_u32(&mut bytes, e as u32);
+        for &key in &order {
+            encode_op(
+                self.dfg.op(NodeId::from_index(key as u32 as usize)),
+                &mut bytes,
+            );
         }
-        let mut edges: Vec<(u32, u32, u8, u8, u32)> = self
+        // (src, dst, operand, kind code, distance) in canonical numbering.
+        let mut edges: Vec<u128> = self
             .dfg
             .edges()
             .iter()
             .map(|e| {
                 let (code, distance) = kind_code(e.kind);
-                (
-                    to_canonical[e.src.index()],
-                    to_canonical[e.dst.index()],
-                    e.operand,
-                    code,
-                    distance,
-                )
+                (to_canonical[e.src.index()] as u128) << 80
+                    | (to_canonical[e.dst.index()] as u128) << 48
+                    | (e.operand as u128) << 40
+                    | (code as u128) << 32
+                    | distance as u128
             })
             .collect();
         edges.sort_unstable();
-        for (src, dst, operand, code, distance) in edges {
-            push_u32(&mut bytes, src);
-            push_u32(&mut bytes, dst);
-            bytes.push(operand);
-            bytes.push(code);
-            push_u32(&mut bytes, distance);
+        for key in edges {
+            push_u32(&mut bytes, (key >> 80) as u32);
+            push_u32(&mut bytes, (key >> 48) as u32);
+            bytes.push((key >> 40) as u8);
+            bytes.push((key >> 32) as u8);
+            push_u32(&mut bytes, key as u32);
         }
         match &self.best {
             Some((best_bytes, _)) if *best_bytes <= bytes => {}

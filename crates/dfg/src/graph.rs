@@ -261,20 +261,30 @@ impl Dfg {
         &self.edges
     }
 
-    /// Edges entering `node` (its operands).
+    /// Edges entering `node` (its operands), in edge order.
+    ///
+    /// One call scans every edge; to visit every node's edges, build
+    /// the index once with [`Dfg::adjacency`].
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = &Edge> + '_ {
         self.edges.iter().filter(move |e| e.dst == node)
     }
 
-    /// Edges leaving `node` (its consumers).
+    /// Edges leaving `node` (its consumers), in edge order.
+    ///
+    /// One call scans every edge; to visit every node's edges, build
+    /// the index once with [`Dfg::adjacency`].
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = &Edge> + '_ {
         self.edges.iter().filter(move |e| e.src == node)
     }
 
     /// The distinct undirected neighbours of `node` over all edges,
-    /// excluding `node` itself. This is the neighbour notion used by the
-    /// paper's connectivity constraint and by the monomorphism search
-    /// (edge direction is dropped after scheduling, §IV-B).
+    /// excluding `node` itself, sorted by id. This is the neighbour
+    /// notion used by the paper's connectivity constraint and by the
+    /// monomorphism search (edge direction is dropped after scheduling,
+    /// §IV-B).
+    ///
+    /// One call scans every edge; for every node's neighbours, use
+    /// [`Adjacency::undirected_neighbors`].
     pub fn undirected_neighbors(&self, node: NodeId) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
             .edges
@@ -296,37 +306,68 @@ impl Dfg {
 
     /// Maximum undirected degree over all nodes.
     pub fn max_undirected_degree(&self) -> usize {
+        let adj = self.adjacency();
+        let mut scratch = Vec::new();
         self.nodes()
-            .map(|n| self.undirected_neighbors(n).len())
+            .map(|v| {
+                adj.undirected_neighbors_into(v, &mut scratch);
+                scratch.len()
+            })
             .max()
             .unwrap_or(0)
     }
 
-    /// A topological order of the nodes over data edges only.
+    /// Builds the per-node in/out edge index in `O(V + E)`.
+    ///
+    /// An edge naming a node id past the last (which fails
+    /// [`Dfg::validate`] with [`DfgError::UnknownNode`]) is listed only
+    /// at its endpoint that exists, as the per-node scans find it.
+    pub fn adjacency(&self) -> Adjacency<'_> {
+        let n = self.num_nodes();
+        let (in_start, in_list) = csr(n, &self.edges, |e| e.dst.index());
+        let (out_start, out_list) = csr(n, &self.edges, |e| e.src.index());
+        Adjacency {
+            dfg: self,
+            in_start,
+            in_list,
+            out_start,
+            out_list,
+        }
+    }
+
+    /// A topological order of the nodes over data edges only: Kahn's
+    /// algorithm with a FIFO queue seeded in index order, successors
+    /// visited in edge order.
     ///
     /// # Errors
     ///
-    /// Returns [`DfgError::DataCycle`] if data edges form a cycle.
+    /// Returns [`DfgError::DataCycle`] if data edges form a cycle; the
+    /// witness is the lowest-index node left with unmet inputs.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, DfgError> {
         let n = self.num_nodes();
-        let mut indeg = vec![0usize; n];
+        // The out-edge half of the adjacency index.
+        let (out_start, out_list) = csr(n, &self.edges, |e| e.src.index());
+        let mut indeg = vec![0u32; n];
         for e in &self.edges {
             if e.kind == EdgeKind::Data {
                 indeg[e.dst.index()] += 1;
             }
         }
-        let mut queue: Vec<NodeId> = self.nodes().filter(|v| indeg[v.index()] == 0).collect();
-        let mut order = Vec::with_capacity(n);
+        // The order doubles as the FIFO queue: everything before `head`
+        // has been popped.
+        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        order.extend(self.nodes().filter(|v| indeg[v.index()] == 0));
         let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
+        while head < order.len() {
+            let v = order[head];
             head += 1;
-            order.push(v);
-            for e in &self.edges {
-                if e.kind == EdgeKind::Data && e.src == v {
-                    indeg[e.dst.index()] -= 1;
-                    if indeg[e.dst.index()] == 0 {
-                        queue.push(e.dst);
+            let out = &out_list[out_start[v.index()] as usize..out_start[v.index() + 1] as usize];
+            for e in out.iter().map(|&i| &self.edges[i as usize]) {
+                if e.kind == EdgeKind::Data {
+                    let d = e.dst.index();
+                    indeg[d] -= 1;
+                    if indeg[d] == 0 {
+                        order.push(e.dst);
                     }
                 }
             }
@@ -342,6 +383,12 @@ impl Dfg {
     }
 
     /// Checks all structural invariants.
+    ///
+    /// The checks run in a fixed order, and the first violation is
+    /// returned: edge by edge, an unknown endpoint (source first), then
+    /// the edge's own kind rules; then node by node, each in-edge in
+    /// edge order against the node's operand slots (out of range, fed
+    /// twice), then the lowest unfed slot; then data-edge acyclicity.
     ///
     /// # Errors
     ///
@@ -374,31 +421,45 @@ impl Dfg {
                 }
             }
         }
-        // Operand completeness.
-        for v in self.nodes() {
-            let arity = self.op(v).arity();
-            let mut fed = vec![false; arity];
-            for e in self.in_edges(v) {
-                let slot = e.operand as usize;
-                if slot >= arity {
-                    return Err(DfgError::OperandOutOfRange {
-                        node: v,
-                        operand: e.operand,
-                        arity,
-                    });
-                }
-                if fed[slot] {
-                    return Err(DfgError::DuplicateOperand {
-                        node: v,
-                        operand: e.operand,
-                    });
-                }
-                fed[slot] = true;
+        // Operand completeness, in one pass over the edges: each node
+        // keeps a bitmask of its fed slots and its first faulty in-edge
+        // (out of range or fed twice, in edge order, as a walk over the
+        // node's in-edges meets them); the lowest-index node with a
+        // fault or a gap reports.
+        let mut fed = vec![0u8; n];
+        let mut first_fault = vec![NO_FAULT; n];
+        for (i, e) in self.edges.iter().enumerate() {
+            let v = e.dst.index();
+            if first_fault[v] != NO_FAULT {
+                continue;
             }
-            if let Some(slot) = fed.iter().position(|&f| !f) {
+            let slot = e.operand as usize;
+            if slot >= self.nodes[v].op.arity() || fed[v] & (1 << slot) != 0 {
+                first_fault[v] = i as u32;
+            } else {
+                fed[v] |= 1 << slot;
+            }
+        }
+        for (v, &fault) in first_fault.iter().enumerate() {
+            let node = NodeId(v as u32);
+            let arity = self.nodes[v].op.arity();
+            if fault != NO_FAULT {
+                let operand = self.edges[fault as usize].operand;
+                return Err(if operand as usize >= arity {
+                    DfgError::OperandOutOfRange {
+                        node,
+                        operand,
+                        arity,
+                    }
+                } else {
+                    DfgError::DuplicateOperand { node, operand }
+                });
+            }
+            let unfed = !fed[v] & OPERAND_MASK[arity];
+            if unfed != 0 {
                 return Err(DfgError::MissingOperand {
-                    node: v,
-                    operand: slot as u8,
+                    node,
+                    operand: unfed.trailing_zeros() as u8,
                 });
             }
         }
@@ -419,6 +480,7 @@ impl Dfg {
             Ok(o) => o,
             Err(_) => return Vec::new(),
         };
+        let adj = self.adjacency();
         let mut cycles = Vec::new();
         for e in &self.edges {
             if let EdgeKind::LoopCarried { distance } = e.kind {
@@ -434,12 +496,10 @@ impl Dfg {
                     if dist[w.index()] == i64::MIN {
                         continue;
                     }
-                    for oe in self.edges.iter().filter(|x| x.kind == EdgeKind::Data) {
-                        if oe.src == w {
-                            let cand = dist[w.index()] + 1;
-                            if cand > dist[oe.dst.index()] {
-                                dist[oe.dst.index()] = cand;
-                            }
+                    for oe in adj.out_edges(w).filter(|x| x.kind == EdgeKind::Data) {
+                        let cand = dist[w.index()] + 1;
+                        if cand > dist[oe.dst.index()] {
+                            dist[oe.dst.index()] = cand;
                         }
                     }
                 }
@@ -453,6 +513,100 @@ impl Dfg {
         }
         cycles
     }
+}
+
+/// `OPERAND_MASK[arity]` has one bit per operand slot; every
+/// [`Operation`] has at most three.
+const OPERAND_MASK: [u8; 4] = [0b000, 0b001, 0b011, 0b111];
+
+/// "No faulty in-edge yet" in [`Dfg::validate`]'s operand pass.
+const NO_FAULT: u32 = u32::MAX;
+
+/// A compressed-sparse-row index over a [`Dfg`]'s edges: for every
+/// node, its in-edges and its out-edges, each in edge order. Built by
+/// [`Dfg::adjacency`] in `O(V + E)`; borrowing the graph, it cannot
+/// outlive a later `add_node`/`add_edge`.
+///
+/// It answers the per-node queries that otherwise scan every edge
+/// ([`Dfg::in_edges`], [`Dfg::out_edges`],
+/// [`Dfg::undirected_neighbors`]) with the same items in the same
+/// order, so a loop over all nodes is linear rather than `O(V·E)`.
+#[derive(Clone, Debug)]
+pub struct Adjacency<'a> {
+    dfg: &'a Dfg,
+    /// `in_list[in_start[v]..in_start[v + 1]]` are the indices of the
+    /// edges entering `v`.
+    in_start: Vec<u32>,
+    in_list: Vec<u32>,
+    /// Likewise for the edges leaving `v`.
+    out_start: Vec<u32>,
+    out_list: Vec<u32>,
+}
+
+impl<'a> Adjacency<'a> {
+    /// Edges entering `node`, in edge order (as [`Dfg::in_edges`]).
+    pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = &'a Edge> + '_ {
+        let v = node.index();
+        let edges = &self.dfg.edges;
+        self.in_list[self.in_start[v] as usize..self.in_start[v + 1] as usize]
+            .iter()
+            .map(move |&i| &edges[i as usize])
+    }
+
+    /// Edges leaving `node`, in edge order (as [`Dfg::out_edges`]).
+    pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = &'a Edge> + '_ {
+        let v = node.index();
+        let edges = &self.dfg.edges;
+        self.out_list[self.out_start[v] as usize..self.out_start[v + 1] as usize]
+            .iter()
+            .map(move |&i| &edges[i as usize])
+    }
+
+    /// The distinct undirected neighbours of `node`, excluding `node`
+    /// itself, sorted by id (as [`Dfg::undirected_neighbors`]).
+    pub fn undirected_neighbors(&self, node: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.undirected_neighbors_into(node, &mut out);
+        out
+    }
+
+    /// [`Adjacency::undirected_neighbors`] into a reused buffer.
+    fn undirected_neighbors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend(self.out_edges(node).map(|e| e.dst));
+        out.extend(self.in_edges(node).map(|e| e.src));
+        out.retain(|&u| u != node);
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
+/// A counting sort of edge indices by `key`: `list[start[k]..start[k +
+/// 1]]` are the indices of the edges with key `k`, in edge order.
+/// Edges with a key `>= n` are left out.
+fn csr(n: usize, edges: &[Edge], key: impl Fn(&Edge) -> usize) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for e in edges {
+        if key(e) < n {
+            start[key(e) + 1] += 1;
+        }
+    }
+    for k in 0..n {
+        start[k + 1] += start[k];
+    }
+    // Fill through `start[k]` as a cursor; afterwards `start[k]` holds
+    // the end of key `k`, which is the start of `k + 1`: shift back.
+    let mut list = vec![0u32; start[n] as usize];
+    for (i, e) in edges.iter().enumerate() {
+        let k = key(e);
+        if k < n {
+            list[start[k] as usize] = i as u32;
+            start[k] += 1;
+        }
+    }
+    start.copy_within(0..n, 1);
+    start[0] = 0;
+    (start, list)
 }
 
 impl fmt::Display for Dfg {

@@ -47,6 +47,6 @@ mod op;
 
 pub use builder::DfgBuilder;
 pub use canon::{CanonicalDfg, DfgDigest};
-pub use graph::{Dfg, DfgError, Edge, EdgeKind, NodeId};
+pub use graph::{Adjacency, Dfg, DfgError, Edge, EdgeKind, NodeId};
 pub use metrics::DfgMetrics;
 pub use op::Operation;

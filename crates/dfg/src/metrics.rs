@@ -36,9 +36,10 @@ impl DfgMetrics {
         let order = dfg
             .topo_order()
             .expect("metrics need an acyclic data subgraph");
+        let adj = dfg.adjacency();
         let mut level = vec![0usize; dfg.num_nodes()];
         for &v in &order {
-            for e in dfg.out_edges(v).filter(|e| e.kind == EdgeKind::Data) {
+            for e in adj.out_edges(v).filter(|e| e.kind == EdgeKind::Data) {
                 level[e.dst.index()] = level[e.dst.index()].max(level[v.index()] + 1);
             }
         }

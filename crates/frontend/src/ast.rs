@@ -2,52 +2,77 @@
 //!
 //! Every node carries the [`Span`] it started at, so the DFG builder
 //! can anchor semantic diagnostics (undefined names, type mismatches,
-//! recurrence misuse) to source positions without re-parsing.
+//! recurrence misuse) to source positions without re-parsing. Names
+//! borrow from the source text (`'src`), so building the tree copies
+//! no identifier. A kernel's expressions live in one vector
+//! ([`Kernel::exprs`]) and refer to their operands by [`ExprId`]: the
+//! tree costs one allocation, not one per operator, and dropping a
+//! long operator chain does not recurse once per operator.
 
 use crate::lexer::Span;
 
 /// A whole source file: zero or more kernels.
 #[derive(Clone, Debug)]
-pub struct Program {
+pub struct Program<'src> {
     /// The kernels, in source order.
-    pub kernels: Vec<Kernel>,
+    pub kernels: Vec<Kernel<'src>>,
 }
 
 /// One `kernel name { ... }` block.
 #[derive(Clone, Debug)]
-pub struct Kernel {
+pub struct Kernel<'src> {
     /// The kernel's name (becomes the [`cgra_dfg::Dfg`] name).
-    pub name: String,
+    pub name: &'src str,
     /// Where the name appears.
     pub span: Span,
     /// The body, in source order.
-    pub stmts: Vec<Stmt>,
+    pub stmts: Vec<Stmt<'src>>,
+    /// Every expression of the body, indexed by [`ExprId`].
+    pub exprs: Vec<Expr<'src>>,
+}
+
+impl<'src> Kernel<'src> {
+    /// The expression `id` names.
+    pub fn expr(&self, id: ExprId) -> &Expr<'src> {
+        &self.exprs[id.index()]
+    }
+}
+
+/// An expression of a kernel: its index in [`Kernel::exprs`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExprId(pub u32);
+
+impl ExprId {
+    /// The index into [`Kernel::exprs`].
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// One statement.
 #[derive(Clone, Debug)]
-pub enum Stmt {
+pub enum Stmt<'src> {
     /// `i32[] name;` — declares a memory region for loads/stores.
     ArrayDecl {
         /// The array name.
-        name: String,
+        name: &'src str,
         /// Where the name appears.
         span: Span,
     },
     /// `i32 name = expr;` — names the value of an expression.
     ScalarDecl {
         /// The scalar name.
-        name: String,
+        name: &'src str,
         /// Where the name appears.
         span: Span,
         /// The initializer.
-        expr: Expr,
+        expr: ExprId,
     },
     /// `rec i32 name = init;` — a loop-carried recurrence (a φ node
     /// seeded with `init`), closed later by a [`Stmt::Close`].
     RecDecl {
         /// The recurrence name.
-        name: String,
+        name: &'src str,
         /// Where the name appears.
         span: Span,
         /// The first-iteration value (the φ payload).
@@ -57,31 +82,31 @@ pub enum Stmt {
     /// the value carried `d` iterations forward (default 1).
     Close {
         /// The recurrence being closed.
-        name: String,
+        name: &'src str,
         /// Where the name appears.
         span: Span,
         /// The carried value.
-        expr: Expr,
+        expr: ExprId,
         /// The iteration distance (≥ 1, enforced by the parser).
         distance: u32,
     },
     /// `name[index] = value;` — a store whose value nobody reads.
     Store {
         /// The array name.
-        array: String,
+        array: &'src str,
         /// Where the array name appears.
         span: Span,
         /// The address expression.
-        index: Expr,
+        index: ExprId,
         /// The stored value.
-        value: Expr,
+        value: ExprId,
     },
     /// `out(expr);` — marks a loop live-out.
     Out {
         /// Where `out` appears.
         span: Span,
         /// The exported value.
-        expr: Expr,
+        expr: ExprId,
     },
 }
 
@@ -130,7 +155,7 @@ pub enum BinOp {
 /// One expression. Every operator application becomes one DFG node;
 /// integer literals become fresh `Const` nodes per occurrence.
 #[derive(Clone, Debug)]
-pub enum Expr {
+pub enum Expr<'src> {
     /// An integer literal.
     Int {
         /// The literal value (a leading `-` on a literal is folded).
@@ -141,7 +166,7 @@ pub enum Expr {
     /// A reference to a declared scalar or recurrence.
     Name {
         /// The referenced name.
-        name: String,
+        name: &'src str,
         /// Where the reference appears.
         span: Span,
     },
@@ -157,7 +182,7 @@ pub enum Expr {
         /// The operator.
         op: UnOp,
         /// The operand.
-        operand: Box<Expr>,
+        operand: ExprId,
         /// Where the operator appears.
         span: Span,
     },
@@ -166,54 +191,54 @@ pub enum Expr {
         /// The operator.
         op: BinOp,
         /// Left operand (slot 0).
-        lhs: Box<Expr>,
+        lhs: ExprId,
         /// Right operand (slot 1).
-        rhs: Box<Expr>,
+        rhs: ExprId,
         /// Where the operator appears.
         span: Span,
     },
     /// `select(c, t, e)`.
     Select {
         /// The condition (slot 0).
-        cond: Box<Expr>,
+        cond: ExprId,
         /// Value when the condition is non-zero (slot 1).
-        then: Box<Expr>,
+        then: ExprId,
         /// Value when the condition is zero (slot 2).
-        otherwise: Box<Expr>,
+        otherwise: ExprId,
         /// Where `select` appears.
         span: Span,
     },
     /// `name[index]` — a load.
     Load {
         /// The array name.
-        array: String,
+        array: &'src str,
         /// Where the array name appears.
         span: Span,
         /// The address expression.
-        index: Box<Expr>,
+        index: ExprId,
     },
     /// `(name[index] = value)` — a store used as a value (yields the
     /// stored value, as in C).
     StoreValue {
         /// The array name.
-        array: String,
+        array: &'src str,
         /// Where the array name appears.
         span: Span,
         /// The address expression.
-        index: Box<Expr>,
+        index: ExprId,
         /// The stored value.
-        value: Box<Expr>,
+        value: ExprId,
     },
     /// `out(expr)` used as a value (yields the exported value).
     OutValue {
         /// Where `out` appears.
         span: Span,
         /// The exported value.
-        expr: Box<Expr>,
+        expr: ExprId,
     },
 }
 
-impl Expr {
+impl Expr<'_> {
     /// The span the expression starts at.
     pub fn span(&self) -> Span {
         match self {

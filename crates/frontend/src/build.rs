@@ -7,11 +7,12 @@
 //! — undefined or redefined names, type mismatches, recurrence misuse
 //! — carries the span of the offending token.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use cgra_dfg::{Dfg, EdgeKind, NodeId, Operation};
 
-use crate::ast::{BinOp, Expr, Kernel, Program, Stmt, UnOp};
+use crate::ast::{BinOp, Expr, ExprId, Kernel, Program, Stmt, UnOp};
 use crate::lexer::Span;
 use crate::ParseError;
 
@@ -31,10 +32,10 @@ enum Binding {
 }
 
 /// Builds every kernel of a parsed program, in source order.
-pub fn build_program(program: &Program) -> Result<Vec<Dfg>, ParseError> {
+pub fn build_program(program: &Program<'_>) -> Result<Vec<Dfg>, ParseError> {
     let mut seen: HashMap<&str, Span> = HashMap::new();
     for kernel in &program.kernels {
-        if seen.insert(&kernel.name, kernel.span).is_some() {
+        if seen.insert(kernel.name, kernel.span).is_some() {
             return Err(ParseError::new(
                 kernel.span,
                 format!("duplicate kernel name `{}`", kernel.name),
@@ -45,10 +46,13 @@ pub fn build_program(program: &Program) -> Result<Vec<Dfg>, ParseError> {
 }
 
 /// Builds one kernel into a validated [`Dfg`].
-pub fn build_kernel(kernel: &Kernel) -> Result<Dfg, ParseError> {
+pub fn build_kernel(kernel: &Kernel<'_>) -> Result<Dfg, ParseError> {
     let mut b = KernelBuilder {
-        dfg: Dfg::new(kernel.name.clone()),
-        env: HashMap::new(),
+        dfg: Dfg::new(kernel.name),
+        // At most one name per statement.
+        env: HashMap::with_capacity(kernel.stmts.len()),
+        exprs: &kernel.exprs,
+        spine: Vec::new(),
         temps: 0,
     };
     for stmt in &kernel.stmts {
@@ -57,7 +61,7 @@ pub fn build_kernel(kernel: &Kernel) -> Result<Dfg, ParseError> {
     // Every recurrence must have been closed — an unclosed φ has no
     // operand, which is a missing loop-carried dependence, not a
     // mapper-level validation failure.
-    let mut unclosed: Option<(&String, Span)> = None;
+    let mut unclosed: Option<(&str, Span)> = None;
     for (name, binding) in &b.env {
         if let Binding::Rec {
             closed: false,
@@ -91,24 +95,49 @@ pub fn build_kernel(kernel: &Kernel) -> Result<Dfg, ParseError> {
     Ok(b.dfg)
 }
 
-struct KernelBuilder {
+/// Lowers one kernel; names resolve against an environment that
+/// borrows them from the kernel's tree.
+struct KernelBuilder<'k> {
     dfg: Dfg,
-    env: HashMap<String, Binding>,
+    env: HashMap<&'k str, Binding>,
+    exprs: &'k [Expr<'k>],
+    /// Scratch for [`KernelBuilder::binary_chain`]: the operators of
+    /// the left-leaning chains being lowered, innermost last.
+    spine: Vec<ExprId>,
     temps: usize,
 }
 
-impl KernelBuilder {
+impl<'k> KernelBuilder<'k> {
+    /// The next temporary's node name: `prefix` and a running count
+    /// (`c1`, `b2`, ...).
     fn fresh_name(&mut self, prefix: &str) -> String {
         self.temps += 1;
-        format!("{prefix}{}", self.temps)
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut n = self.temps;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        let digits = std::str::from_utf8(&digits[at..]).expect("ASCII digits");
+        let mut name = String::with_capacity(prefix.len() + digits.len());
+        name.push_str(prefix);
+        name.push_str(digits);
+        name
     }
 
-    fn declare(&mut self, name: &str, span: Span, binding: Binding) -> Result<(), ParseError> {
-        if self.env.contains_key(name) {
-            return Err(ParseError::new(span, format!("redefinition of `{name}`")));
+    fn declare(&mut self, name: &'k str, span: Span, binding: Binding) -> Result<(), ParseError> {
+        match self.env.entry(name) {
+            Entry::Occupied(_) => Err(ParseError::new(span, format!("redefinition of `{name}`"))),
+            Entry::Vacant(slot) => {
+                slot.insert(binding);
+                Ok(())
+            }
         }
-        self.env.insert(name.to_string(), binding);
-        Ok(())
     }
 
     /// Resolves a scalar reference. `declaring` is the name currently
@@ -121,22 +150,20 @@ impl KernelBuilder {
         span: Span,
         declaring: Option<&str>,
     ) -> Result<NodeId, ParseError> {
-        if Some(name) == declaring && !self.env.contains_key(name) {
-            return Err(ParseError::new(
-                span,
-                format!(
-                    "`{name}` depends on itself: within an iteration a value cannot \
-                     be its own operand; declare `rec i32 {name} = ...;` and close it \
-                     with `{name} = ...;` to carry it across iterations"
-                ),
-            ));
-        }
         match self.env.get(name) {
             Some(Binding::Scalar(id)) => Ok(*id),
             Some(Binding::Rec { phi, .. }) => Ok(*phi),
             Some(Binding::Array) => Err(ParseError::new(
                 span,
                 format!("type mismatch: `{name}` is an array, expected a scalar value"),
+            )),
+            None if Some(name) == declaring => Err(ParseError::new(
+                span,
+                format!(
+                    "`{name}` depends on itself: within an iteration a value cannot \
+                     be its own operand; declare `rec i32 {name} = ...;` and close it \
+                     with `{name} = ...;` to carry it across iterations"
+                ),
             )),
             None => Err(ParseError::new(span, format!("undefined name `{name}`"))),
         }
@@ -154,15 +181,15 @@ impl KernelBuilder {
         }
     }
 
-    fn stmt(&mut self, stmt: &Stmt) -> Result<(), ParseError> {
+    fn stmt(&mut self, stmt: &Stmt<'k>) -> Result<(), ParseError> {
         match stmt {
             Stmt::ArrayDecl { name, span } => self.declare(name, *span, Binding::Array),
             Stmt::ScalarDecl { name, span, expr } => {
-                let id = self.expr(expr, Some(name))?;
+                let id = self.expr(*expr, Some(name))?;
                 self.declare(name, *span, Binding::Scalar(id))
             }
             Stmt::RecDecl { name, span, init } => {
-                let phi = self.dfg.add_node(Operation::Phi(*init), name.clone());
+                let phi = self.dfg.add_node(Operation::Phi(*init), *name);
                 self.declare(
                     name,
                     *span,
@@ -179,7 +206,7 @@ impl KernelBuilder {
                 expr,
                 distance,
             } => {
-                let value = self.expr(expr, None)?;
+                let value = self.expr(*expr, None)?;
                 match self.env.get_mut(name) {
                     Some(Binding::Rec { closed: true, .. }) => Err(ParseError::new(
                         *span,
@@ -218,9 +245,9 @@ impl KernelBuilder {
                 span,
                 index,
                 value,
-            } => self.store(array, *span, index, value).map(|_| ()),
+            } => self.store(array, *span, *index, *value).map(|_| ()),
             Stmt::Out { expr, .. } => {
-                let value = self.expr(expr, None)?;
+                let value = self.expr(*expr, None)?;
                 let name = self.fresh_name("out");
                 let id = self.dfg.add_node(Operation::Output, name);
                 self.dfg.add_edge(value, id, 0, EdgeKind::Data);
@@ -233,8 +260,8 @@ impl KernelBuilder {
         &mut self,
         array: &str,
         span: Span,
-        index: &Expr,
-        value: &Expr,
+        index: ExprId,
+        value: ExprId,
     ) -> Result<NodeId, ParseError> {
         self.array(array, span)?;
         let addr = self.expr(index, None)?;
@@ -246,10 +273,54 @@ impl KernelBuilder {
         Ok(id)
     }
 
+    /// Lowers the binary operator `id` and the chain of binary
+    /// operators down its left operands (`a + b - c` leans left) in a
+    /// loop rather than one recursion per operator, so a long chain
+    /// cannot exhaust the stack. Nodes come out in the same post-order
+    /// as recursion: the innermost left operand, then per operator its
+    /// right operand and itself.
+    fn binary_chain(&mut self, id: ExprId, declaring: Option<&str>) -> Result<NodeId, ParseError> {
+        let base = self.spine.len();
+        let mut leftmost = id;
+        while let Expr::Binary { lhs, .. } = self.exprs[leftmost.index()] {
+            self.spine.push(leftmost);
+            leftmost = lhs;
+        }
+        let mut acc = self.expr(leftmost, declaring)?;
+        for k in (base..self.spine.len()).rev() {
+            let Expr::Binary { op, rhs, .. } = self.exprs[self.spine[k].index()] else {
+                unreachable!("the spine holds binary operators");
+            };
+            let b = self.expr(rhs, declaring)?;
+            let operation = match op {
+                BinOp::Add => Operation::Add,
+                BinOp::Sub => Operation::Sub,
+                BinOp::Mul => Operation::Mul,
+                BinOp::Div => Operation::Div,
+                BinOp::And => Operation::And,
+                BinOp::Or => Operation::Or,
+                BinOp::Xor => Operation::Xor,
+                BinOp::Shl => Operation::Shl,
+                BinOp::Shr => Operation::Shr,
+                BinOp::Lt => Operation::Lt,
+                BinOp::Eq => Operation::Eq,
+                BinOp::Min => Operation::Min,
+                BinOp::Max => Operation::Max,
+            };
+            let name = self.fresh_name("b");
+            let node = self.dfg.add_node(operation, name);
+            self.dfg.add_edge(acc, node, 0, EdgeKind::Data);
+            self.dfg.add_edge(b, node, 1, EdgeKind::Data);
+            acc = node;
+        }
+        self.spine.truncate(base);
+        Ok(acc)
+    }
+
     /// Lowers an expression to the node producing its value, creating
     /// operand nodes first (post-order).
-    fn expr(&mut self, expr: &Expr, declaring: Option<&str>) -> Result<NodeId, ParseError> {
-        match expr {
+    fn expr(&mut self, id: ExprId, declaring: Option<&str>) -> Result<NodeId, ParseError> {
+        match &self.exprs[id.index()] {
             Expr::Int { value, .. } => {
                 let name = self.fresh_name("c");
                 Ok(self.dfg.add_node(Operation::Const(*value), name))
@@ -260,7 +331,7 @@ impl KernelBuilder {
                 Ok(self.dfg.add_node(Operation::Input(*channel), name))
             }
             Expr::Unary { op, operand, .. } => {
-                let a = self.expr(operand, declaring)?;
+                let a = self.expr(*operand, declaring)?;
                 let operation = match op {
                     UnOp::Neg => Operation::Neg,
                     UnOp::Not => Operation::Not,
@@ -271,39 +342,16 @@ impl KernelBuilder {
                 self.dfg.add_edge(a, id, 0, EdgeKind::Data);
                 Ok(id)
             }
-            Expr::Binary { op, lhs, rhs, .. } => {
-                let a = self.expr(lhs, declaring)?;
-                let b = self.expr(rhs, declaring)?;
-                let operation = match op {
-                    BinOp::Add => Operation::Add,
-                    BinOp::Sub => Operation::Sub,
-                    BinOp::Mul => Operation::Mul,
-                    BinOp::Div => Operation::Div,
-                    BinOp::And => Operation::And,
-                    BinOp::Or => Operation::Or,
-                    BinOp::Xor => Operation::Xor,
-                    BinOp::Shl => Operation::Shl,
-                    BinOp::Shr => Operation::Shr,
-                    BinOp::Lt => Operation::Lt,
-                    BinOp::Eq => Operation::Eq,
-                    BinOp::Min => Operation::Min,
-                    BinOp::Max => Operation::Max,
-                };
-                let name = self.fresh_name("b");
-                let id = self.dfg.add_node(operation, name);
-                self.dfg.add_edge(a, id, 0, EdgeKind::Data);
-                self.dfg.add_edge(b, id, 1, EdgeKind::Data);
-                Ok(id)
-            }
+            Expr::Binary { .. } => self.binary_chain(id, declaring),
             Expr::Select {
                 cond,
                 then,
                 otherwise,
                 ..
             } => {
-                let c = self.expr(cond, declaring)?;
-                let t = self.expr(then, declaring)?;
-                let e = self.expr(otherwise, declaring)?;
+                let c = self.expr(*cond, declaring)?;
+                let t = self.expr(*then, declaring)?;
+                let e = self.expr(*otherwise, declaring)?;
                 let name = self.fresh_name("s");
                 let id = self.dfg.add_node(Operation::Select, name);
                 self.dfg.add_edge(c, id, 0, EdgeKind::Data);
@@ -313,7 +361,7 @@ impl KernelBuilder {
             }
             Expr::Load { array, span, index } => {
                 self.array(array, *span)?;
-                let addr = self.expr(index, declaring)?;
+                let addr = self.expr(*index, declaring)?;
                 let name = self.fresh_name("ld");
                 let id = self.dfg.add_node(Operation::Load, name);
                 self.dfg.add_edge(addr, id, 0, EdgeKind::Data);
@@ -324,9 +372,9 @@ impl KernelBuilder {
                 span,
                 index,
                 value,
-            } => self.store(array, *span, index, value),
+            } => self.store(array, *span, *index, *value),
             Expr::OutValue { expr, .. } => {
-                let value = self.expr(expr, declaring)?;
+                let value = self.expr(*expr, declaring)?;
                 let name = self.fresh_name("out");
                 let id = self.dfg.add_node(Operation::Output, name);
                 self.dfg.add_edge(value, id, 0, EdgeKind::Data);

@@ -171,6 +171,27 @@ mod tests {
     }
 
     #[test]
+    fn long_operator_chains_compile_on_a_small_stack() {
+        // Binary operators cost no nesting level, so a chain is as long
+        // as the source: parsing, lowering and dropping it must not
+        // recurse once per operator.
+        let terms = 20_000;
+        let nodes = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let mut src = String::from("kernel k { i32 a = in(0); out(a");
+                src.push_str(&" + a * a".repeat(terms));
+                src.push_str("); }");
+                compile_one(&src).map(|dfg| dfg.num_nodes())
+            })
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        // in, 2 nodes per term (`*` and `+`), out.
+        assert_eq!(nodes, Ok(2 * terms + 2));
+    }
+
+    #[test]
     fn parse_error_displays_position_first() {
         let err = compile("kernel k {\n  i32 x = ;\n}").unwrap_err();
         assert!(err.to_string().starts_with("2:11: "), "{err}");

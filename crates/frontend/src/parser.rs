@@ -3,17 +3,30 @@
 //! The grammar is LL(1) except for one spot — `(name[i] = v)` versus a
 //! plain parenthesized load — which is resolved by parsing the load
 //! first and upgrading it to a [`Expr::StoreValue`] when an `=`
-//! follows (assignment-as-expression, as in C).
+//! follows (assignment-as-expression, as in C). Binary operators are
+//! parsed by precedence climbing, which builds the same left-leaning
+//! trees as one recursive function per precedence level would, without
+//! descending through every level for every operand.
 //!
 //! Expression nesting is depth-bounded so crafted inputs degrade into
 //! a [`ParseError`] instead of exhausting the stack (the fuzz battery
-//! feeds the parser arbitrarily mangled bytes).
+//! feeds the parser arbitrarily mangled bytes): each parenthesis,
+//! bracketed index, call's argument list and unary operator opens one
+//! level, and `MAX_DEPTH` (128) levels may be open at once.
+//!
+//! Nothing is copied on the way: identifiers stay slices of the source
+//! from token to tree, and diagnostic text is only formatted once an
+//! error is certain.
 
-use crate::ast::{BinOp, Expr, Kernel, Program, Stmt, UnOp};
+use std::fmt;
+
+use crate::ast::{BinOp, Expr, ExprId, Kernel, Program, Stmt, UnOp};
 use crate::lexer::{lex, Lexeme, Span, Tok};
 use crate::ParseError;
 
-/// Maximum expression nesting depth before the parser refuses.
+/// Maximum expression nesting depth before the parser refuses: how
+/// many parentheses, bracketed indices, call argument lists and unary
+/// operators may enclose one another.
 const MAX_DEPTH: usize = 128;
 
 /// Parses a whole source text.
@@ -22,23 +35,29 @@ const MAX_DEPTH: usize = 128;
 ///
 /// Returns the first lexical or syntactic error, positioned at the
 /// offending token.
-pub fn parse(source: &str) -> Result<Program, ParseError> {
+pub fn parse(source: &str) -> Result<Program<'_>, ParseError> {
     let toks = lex(source)?;
-    let mut parser = Parser { toks, pos: 0 };
+    let mut parser = Parser {
+        toks,
+        pos: 0,
+        exprs: Vec::new(),
+    };
     parser.program()
 }
 
-struct Parser {
-    toks: Vec<Lexeme>,
+struct Parser<'src> {
+    toks: Vec<Lexeme<'src>>,
     pos: usize,
+    /// The expressions of the kernel being parsed.
+    exprs: Vec<Expr<'src>>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'src> Parser<'src> {
+    fn peek(&self) -> &Tok<'src> {
         &self.toks[self.pos].tok
     }
 
-    fn peek2(&self) -> &Tok {
+    fn peek2(&self) -> &Tok<'src> {
         &self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
     }
 
@@ -46,15 +65,14 @@ impl Parser {
         self.toks[self.pos].span
     }
 
-    fn bump(&mut self) -> Lexeme {
-        let lexeme = self.toks[self.pos].clone();
+    /// Steps past the current token (never past the final `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        lexeme
     }
 
-    fn eat(&mut self, tok: &Tok) -> bool {
+    fn eat(&mut self, tok: &Tok<'_>) -> bool {
         if self.peek() == tok {
             self.bump();
             true
@@ -63,9 +81,9 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, tok: Tok, context: &str) -> Result<Lexeme, ParseError> {
-        if self.peek() == &tok {
-            Ok(self.bump())
+    fn expect(&mut self, tok: Tok<'_>, context: impl fmt::Display) -> Result<(), ParseError> {
+        if self.eat(&tok) {
+            Ok(())
         } else {
             Err(ParseError::new(
                 self.span(),
@@ -78,21 +96,43 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self, context: &str) -> Result<(String, Span), ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
-                let span = self.span();
-                self.bump();
-                Ok((name, span))
-            }
+    /// The current identifier's name (the caller has checked the token
+    /// is one), stepping past it.
+    fn take_ident(&mut self) -> &'src str {
+        let Tok::Ident(name) = self.toks[self.pos].tok else {
+            unreachable!("take_ident on a non-identifier");
+        };
+        self.bump();
+        name
+    }
+
+    fn expect_ident(&mut self, context: &str) -> Result<(&'src str, Span), ParseError> {
+        let span = self.span();
+        match self.peek() {
+            Tok::Ident(_) => Ok((self.take_ident(), span)),
             other => Err(ParseError::new(
-                self.span(),
+                span,
                 format!("expected {context}, found {}", other.describe()),
             )),
         }
     }
 
-    fn program(&mut self) -> Result<Program, ParseError> {
+    /// Stores an expression of the current kernel.
+    fn push(&mut self, expr: Expr<'src>) -> ExprId {
+        self.exprs.push(expr);
+        ExprId(self.exprs.len() as u32 - 1)
+    }
+
+    /// Opens one nesting level for a construct starting at `at`.
+    fn nest(depth: usize, at: Span) -> Result<usize, ParseError> {
+        if depth >= MAX_DEPTH {
+            Err(ParseError::new(at, "expression nesting too deep"))
+        } else {
+            Ok(depth + 1)
+        }
+    }
+
+    fn program(&mut self) -> Result<Program<'src>, ParseError> {
         let mut kernels = Vec::new();
         while self.peek() != &Tok::Eof {
             self.expect(Tok::KwKernel, "to start a kernel")?;
@@ -109,13 +149,20 @@ impl Parser {
                 stmts.push(self.stmt()?);
             }
             self.bump(); // `}`
-            kernels.push(Kernel { name, span, stmts });
+            let exprs = std::mem::take(&mut self.exprs);
+            kernels.push(Kernel {
+                name,
+                span,
+                stmts,
+                exprs,
+            });
         }
         Ok(Program { kernels })
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        let stmt = match self.peek().clone() {
+    fn stmt(&mut self) -> Result<Stmt<'src>, ParseError> {
+        let span = self.span();
+        let stmt = match self.peek() {
             Tok::KwI32 => {
                 self.bump();
                 if self.eat(&Tok::LBracket) {
@@ -138,16 +185,14 @@ impl Parser {
                 Stmt::RecDecl { name, span, init }
             }
             Tok::KwOut => {
-                let span = self.span();
                 self.bump();
                 self.expect(Tok::LParen, "after `out`")?;
                 let expr = self.expr(0)?;
                 self.expect(Tok::RParen, "to finish `out(...)`")?;
                 Stmt::Out { span, expr }
             }
-            Tok::Ident(name) => {
-                let span = self.span();
-                self.bump();
+            Tok::Ident(_) => {
+                let name = self.take_ident();
                 if self.eat(&Tok::LBracket) {
                     let index = self.expr(0)?;
                     self.expect(Tok::RBracket, "to finish the store address")?;
@@ -187,7 +232,7 @@ impl Parser {
             }
             other => {
                 return Err(ParseError::new(
-                    self.span(),
+                    span,
                     format!("expected a statement, found {}", other.describe()),
                 ));
             }
@@ -212,276 +257,284 @@ impl Parser {
         }
     }
 
-    // ----- expressions, lowest precedence first -----------------------
+    // ----- expressions -------------------------------------------------
 
-    fn expr(&mut self, depth: usize) -> Result<Expr, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(ParseError::new(self.span(), "expression nesting too deep"));
-        }
-        self.binary_level(depth + 1, 0)
+    /// An expression inside `depth` open nesting levels.
+    fn expr(&mut self, depth: usize) -> Result<ExprId, ParseError> {
+        let lhs = self.unary(depth)?;
+        self.climb(lhs, 0, depth)
     }
 
-    /// Binary operator precedence table, loosest binding first (C
-    /// order: `|` < `^` < `&` < `==` < `<` < shifts < additive <
-    /// multiplicative).
-    const LEVELS: &'static [&'static [(Tok, BinOp)]] = &[
-        &[(Tok::Pipe, BinOp::Or)],
-        &[(Tok::Caret, BinOp::Xor)],
-        &[(Tok::Amp, BinOp::And)],
-        &[(Tok::EqEq, BinOp::Eq)],
-        &[(Tok::Lt, BinOp::Lt)],
-        &[(Tok::Shl, BinOp::Shl), (Tok::Shr, BinOp::Shr)],
-        &[(Tok::Plus, BinOp::Add), (Tok::Minus, BinOp::Sub)],
-        &[(Tok::Star, BinOp::Mul), (Tok::Slash, BinOp::Div)],
-    ];
+    /// The binary operator at the cursor and its precedence level,
+    /// loosest binding first (C order: `|` < `^` < `&` < `==` < `<` <
+    /// shifts < additive < multiplicative).
+    fn binary_op(&self) -> Option<(u8, BinOp)> {
+        Some(match self.peek() {
+            Tok::Pipe => (0, BinOp::Or),
+            Tok::Caret => (1, BinOp::Xor),
+            Tok::Amp => (2, BinOp::And),
+            Tok::EqEq => (3, BinOp::Eq),
+            Tok::Lt => (4, BinOp::Lt),
+            Tok::Shl => (5, BinOp::Shl),
+            Tok::Shr => (5, BinOp::Shr),
+            Tok::Plus => (6, BinOp::Add),
+            Tok::Minus => (6, BinOp::Sub),
+            Tok::Star => (7, BinOp::Mul),
+            Tok::Slash => (7, BinOp::Div),
+            _ => return None,
+        })
+    }
 
-    fn binary_level(&mut self, depth: usize, level: usize) -> Result<Expr, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(ParseError::new(self.span(), "expression nesting too deep"));
-        }
-        if level >= Self::LEVELS.len() {
-            return self.unary(depth + 1);
-        }
-        let mut lhs = self.binary_level(depth + 1, level + 1)?;
-        loop {
+    /// Precedence climbing: folds every following operator of level
+    /// `min_level` or tighter onto `lhs`, left-associatively; an
+    /// operator's right operand takes only tighter-binding operators.
+    fn climb(
+        &mut self,
+        mut lhs: ExprId,
+        min_level: u8,
+        depth: usize,
+    ) -> Result<ExprId, ParseError> {
+        while let Some((level, op)) = self.binary_op() {
+            if level < min_level {
+                break;
+            }
             let span = self.span();
-            let Some(&(_, op)) = Self::LEVELS[level].iter().find(|(t, _)| t == self.peek()) else {
-                return Ok(lhs);
-            };
             self.bump();
-            let rhs = self.binary_level(depth + 1, level + 1)?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            let rhs = self.unary(depth)?;
+            let rhs = self.climb(rhs, level + 1, depth)?;
+            lhs = self.push(Expr::Binary { op, lhs, rhs, span });
+        }
+        Ok(lhs)
+    }
+
+    fn unary(&mut self, depth: usize) -> Result<ExprId, ParseError> {
+        // Parentheses are dispatched here rather than in `primary`, one
+        // frame fewer per nesting level.
+        match self.peek() {
+            Tok::Minus | Tok::Tilde => self.prefixed(depth),
+            Tok::LParen => self.paren(depth),
+            _ => self.primary(depth),
         }
     }
 
-    fn unary(&mut self, depth: usize) -> Result<Expr, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(ParseError::new(self.span(), "expression nesting too deep"));
-        }
+    /// `-e` or `~e`; `-literal` folds to a negative constant (this is
+    /// how negative `Const` payloads are written).
+    fn prefixed(&mut self, depth: usize) -> Result<ExprId, ParseError> {
         let span = self.span();
-        if self.eat(&Tok::Minus) {
-            // `-literal` folds to a negative constant (this is how
-            // negative `Const` payloads are written); `-expr` is a
-            // negation node.
-            if let Tok::Int(magnitude) = *self.peek() {
-                let lit_span = self.span();
-                self.bump();
-                let value = fold_literal(magnitude, true, lit_span)?;
-                return Ok(Expr::Int { value, span });
-            }
-            let operand = self.unary(depth + 1)?;
-            return Ok(Expr::Unary {
-                op: UnOp::Neg,
-                operand: Box::new(operand),
-                span,
-            });
+        let op = if self.peek() == &Tok::Minus {
+            UnOp::Neg
+        } else {
+            UnOp::Not
+        };
+        self.bump();
+        if let (UnOp::Neg, &Tok::Int(magnitude)) = (op, self.peek()) {
+            let lit_span = self.span();
+            self.bump();
+            let value = fold_literal(magnitude, true, lit_span)?;
+            return Ok(self.push(Expr::Int { value, span }));
         }
-        if self.eat(&Tok::Tilde) {
-            let operand = self.unary(depth + 1)?;
-            return Ok(Expr::Unary {
-                op: UnOp::Not,
-                operand: Box::new(operand),
-                span,
-            });
-        }
-        self.primary(depth + 1)
+        let operand = self.unary(Self::nest(depth, span)?)?;
+        Ok(self.push(Expr::Unary { op, operand, span }))
     }
 
-    fn primary(&mut self, depth: usize) -> Result<Expr, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(ParseError::new(self.span(), "expression nesting too deep"));
-        }
-        let span = self.span();
-        match self.peek().clone() {
-            Tok::Int(magnitude) => {
-                self.bump();
-                let value = fold_literal(magnitude, false, span)?;
-                Ok(Expr::Int { value, span })
+    /// A primary expression other than a parenthesized one (which
+    /// [`Parser::unary`] dispatches). Every form has its own function,
+    /// so the frames that stay live while a nested expression is parsed
+    /// are small (in unoptimized builds too, where each local keeps its
+    /// own stack slot) and the nesting bound also bounds stack use.
+    fn primary(&mut self, depth: usize) -> Result<ExprId, ParseError> {
+        match self.peek() {
+            Tok::Int(_) => self.literal(),
+            Tok::Ident(_) => self.name_or_load(depth),
+            Tok::KwIn => self.input(),
+            Tok::KwAbs | Tok::KwMin | Tok::KwMax | Tok::KwSelect | Tok::KwOut => {
+                self.builtin(depth)
             }
-            Tok::Ident(name) => {
+            _ => Err(self.expected_expression()),
+        }
+    }
+
+    #[cold]
+    fn expected_expression(&self) -> ParseError {
+        ParseError::new(
+            self.span(),
+            format!("expected an expression, found {}", self.peek().describe()),
+        )
+    }
+
+    fn literal(&mut self) -> Result<ExprId, ParseError> {
+        let span = self.span();
+        let Tok::Int(magnitude) = *self.peek() else {
+            unreachable!("literal on a non-literal");
+        };
+        self.bump();
+        let value = fold_literal(magnitude, false, span)?;
+        Ok(self.push(Expr::Int { value, span }))
+    }
+
+    /// `name` or the load `name[index]`.
+    fn name_or_load(&mut self, depth: usize) -> Result<ExprId, ParseError> {
+        let span = self.span();
+        let name = self.take_ident();
+        if self.peek() != &Tok::LBracket {
+            return Ok(self.push(Expr::Name { name, span }));
+        }
+        let index = self.index(depth)?;
+        self.expect(Tok::RBracket, "to finish the load address")?;
+        Ok(self.push(Expr::Load {
+            array: name,
+            span,
+            index,
+        }))
+    }
+
+    /// `in(channel)`.
+    fn input(&mut self) -> Result<ExprId, ParseError> {
+        let span = self.span();
+        self.bump();
+        self.expect(Tok::LParen, "after `in`")?;
+        let ch_span = self.span();
+        let channel = match *self.peek() {
+            Tok::Int(ch) => {
                 self.bump();
-                if self.eat(&Tok::LBracket) {
-                    let index = self.expr(depth + 1)?;
-                    self.expect(Tok::RBracket, "to finish the load address")?;
-                    Ok(Expr::Load {
-                        array: name,
-                        span,
-                        index: Box::new(index),
-                    })
-                } else {
-                    Ok(Expr::Name { name, span })
+                u32::try_from(ch).map_err(|_| {
+                    ParseError::new(ch_span, "in() channel index does not fit in 32 bits")
+                })?
+            }
+            ref other => {
+                return Err(ParseError::new(
+                    ch_span,
+                    format!(
+                        "in() takes a literal channel index, found {}",
+                        other.describe()
+                    ),
+                ));
+            }
+        };
+        self.expect(Tok::RParen, "to finish `in(...)`")?;
+        Ok(self.push(Expr::In { channel, span }))
+    }
+
+    /// A call of `abs`, `min`, `max`, `select` or `out`.
+    fn builtin(&mut self, depth: usize) -> Result<ExprId, ParseError> {
+        let span = self.span();
+        let keyword = self.peek().clone();
+        self.bump();
+        let expr = match keyword {
+            Tok::KwAbs => {
+                let [operand] = self.call_args("abs", depth, span)?;
+                Expr::Unary {
+                    op: UnOp::Abs,
+                    operand,
+                    span,
                 }
             }
-            Tok::KwIn => {
-                self.bump();
-                self.expect(Tok::LParen, "after `in`")?;
-                let ch_span = self.span();
-                let channel = match *self.peek() {
-                    Tok::Int(ch) => {
-                        self.bump();
-                        u32::try_from(ch).map_err(|_| {
-                            ParseError::new(ch_span, "in() channel index does not fit in 32 bits")
-                        })?
-                    }
-                    ref other => {
-                        return Err(ParseError::new(
-                            ch_span,
-                            format!(
-                                "in() takes a literal channel index, found {}",
-                                other.describe()
-                            ),
-                        ));
-                    }
-                };
-                self.expect(Tok::RParen, "to finish `in(...)`")?;
-                Ok(Expr::In { channel, span })
-            }
-            Tok::KwAbs => {
-                self.bump();
-                let mut args = self.call_args("abs", 1, depth)?;
-                Ok(Expr::Unary {
-                    op: UnOp::Abs,
-                    operand: Box::new(args.pop().expect("arity checked")),
-                    span,
-                })
-            }
             Tok::KwMin | Tok::KwMax => {
-                let op = if self.peek() == &Tok::KwMin {
-                    BinOp::Min
+                let (op, name) = if keyword == Tok::KwMin {
+                    (BinOp::Min, "min")
                 } else {
-                    BinOp::Max
+                    (BinOp::Max, "max")
                 };
-                let name = if op == BinOp::Min { "min" } else { "max" };
-                self.bump();
-                let mut args = self.call_args(name, 2, depth)?;
-                let rhs = args.pop().expect("arity checked");
-                let lhs = args.pop().expect("arity checked");
-                Ok(Expr::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                    span,
-                })
+                let [lhs, rhs] = self.call_args(name, depth, span)?;
+                Expr::Binary { op, lhs, rhs, span }
             }
             Tok::KwSelect => {
-                self.bump();
-                let mut args = self.call_args("select", 3, depth)?;
-                let otherwise = args.pop().expect("arity checked");
-                let then = args.pop().expect("arity checked");
-                let cond = args.pop().expect("arity checked");
-                Ok(Expr::Select {
-                    cond: Box::new(cond),
-                    then: Box::new(then),
-                    otherwise: Box::new(otherwise),
+                let [cond, then, otherwise] = self.call_args("select", depth, span)?;
+                Expr::Select {
+                    cond,
+                    then,
+                    otherwise,
                     span,
-                })
+                }
             }
-            Tok::KwOut => {
-                self.bump();
-                let mut args = self.call_args("out", 1, depth)?;
-                Ok(Expr::OutValue {
-                    span,
-                    expr: Box::new(args.pop().expect("arity checked")),
-                })
+            _ => {
+                let [expr] = self.call_args("out", depth, span)?;
+                Expr::OutValue { span, expr }
             }
-            Tok::LParen => {
-                self.bump();
-                // `(name[i] = v)` is a store used as a value; anything
-                // else is an ordinary parenthesized expression.
-                let inner =
-                    if matches!(self.peek(), Tok::Ident(_)) && self.peek2() == &Tok::LBracket {
-                        let (array, array_span) = self.expect_ident("an array name")?;
-                        self.bump(); // `[`
-                        let index = self.expr(depth + 1)?;
-                        self.expect(Tok::RBracket, "to finish the address")?;
-                        if self.eat(&Tok::Assign) {
-                            let value = self.expr(depth + 1)?;
-                            Expr::StoreValue {
-                                array,
-                                span: array_span,
-                                index: Box::new(index),
-                                value: Box::new(value),
-                            }
-                        } else {
-                            // Just a parenthesized load: resume the
-                            // precedence climb with it as the leftmost
-                            // operand.
-                            let load = Expr::Load {
-                                array,
-                                span: array_span,
-                                index: Box::new(index),
-                            };
-                            self.continue_binary(load, depth)?
-                        }
-                    } else {
-                        self.expr(depth + 1)?
-                    };
-                self.expect(Tok::RParen, "to close the parenthesis")?;
-                Ok(inner)
-            }
-            other => Err(ParseError::new(
-                span,
-                format!("expected an expression, found {}", other.describe()),
-            )),
-        }
+        };
+        Ok(self.push(expr))
     }
 
-    /// Continues parsing binary operators after an already-parsed
-    /// leftmost operand (used when the store-vs-load lookahead inside
-    /// parentheses committed to a load).
-    fn continue_binary(&mut self, lhs: Expr, depth: usize) -> Result<Expr, ParseError> {
-        let mut lhs = lhs;
-        loop {
-            let span = self.span();
-            let found = Self::LEVELS.iter().enumerate().find_map(|(level, row)| {
-                row.iter()
-                    .find(|(t, _)| t == self.peek())
-                    .map(|&(_, op)| (level, op))
-            });
-            let Some((level, op)) = found else {
-                return Ok(lhs);
-            };
-            self.bump();
-            let rhs = self.binary_level(depth + 1, level + 1)?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
+    /// `( expr )`, or `(name[i] = v)`: a store used as a value.
+    fn paren(&mut self, depth: usize) -> Result<ExprId, ParseError> {
+        let depth = Self::nest(depth, self.span())?;
+        self.bump();
+        let inner = if matches!(self.peek(), Tok::Ident(_)) && self.peek2() == &Tok::LBracket {
+            self.store_or_load(depth)?
+        } else {
+            self.expr(depth)?
+        };
+        self.expect(Tok::RParen, "to close the parenthesis")?;
+        Ok(inner)
     }
 
-    fn call_args(
+    /// Inside parentheses, `name[i] = v` (a store whose value is
+    /// used) or a load that starts an ordinary expression.
+    fn store_or_load(&mut self, depth: usize) -> Result<ExprId, ParseError> {
+        let array_span = self.span();
+        let array = self.take_ident();
+        let index = self.index(depth)?;
+        self.expect(Tok::RBracket, "to finish the address")?;
+        if self.eat(&Tok::Assign) {
+            let value = self.expr(depth)?;
+            return Ok(self.push(Expr::StoreValue {
+                array,
+                span: array_span,
+                index,
+                value,
+            }));
+        }
+        // Just a parenthesized load: resume the precedence climb with
+        // it as the leftmost operand.
+        let load = self.push(Expr::Load {
+            array,
+            span: array_span,
+            index,
+        });
+        self.climb(load, 0, depth)
+    }
+
+    /// The `[index]` address after an array name, up to (not
+    /// including) the `]`; the bracket opens a nesting level.
+    fn index(&mut self, depth: usize) -> Result<ExprId, ParseError> {
+        let depth = Self::nest(depth, self.span())?;
+        self.bump(); // `[`
+        self.expr(depth)
+    }
+
+    /// The parenthesized arguments of the built-in `name`, which takes
+    /// exactly `N`; the argument list opens a nesting level at `at`,
+    /// the call's name.
+    fn call_args<const N: usize>(
         &mut self,
         name: &str,
-        arity: usize,
         depth: usize,
-    ) -> Result<Vec<Expr>, ParseError> {
+        at: Span,
+    ) -> Result<[ExprId; N], ParseError> {
+        let depth = Self::nest(depth, at)?;
         let open = self.span();
-        self.expect(Tok::LParen, &format!("after `{name}`"))?;
-        let mut args = Vec::new();
+        self.expect(Tok::LParen, format_args!("after `{name}`"))?;
+        // Surplus arguments are still parsed (an error inside one comes
+        // first) and counted for the diagnostic, but not kept.
+        let mut args = [ExprId(0); N];
+        let mut found = 0;
         if self.peek() != &Tok::RParen {
             loop {
-                args.push(self.expr(depth + 1)?);
+                let arg = self.expr(depth)?;
+                if let Some(slot) = args.get_mut(found) {
+                    *slot = arg;
+                }
+                found += 1;
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
             }
         }
-        self.expect(Tok::RParen, &format!("to finish `{name}(...)`"))?;
-        if args.len() != arity {
+        self.expect(Tok::RParen, format_args!("to finish `{name}(...)`"))?;
+        if found != N {
             return Err(ParseError::new(
                 open,
-                format!(
-                    "{name}() takes exactly {arity} argument(s), found {}",
-                    args.len()
-                ),
+                format!("{name}() takes exactly {N} argument(s), found {found}"),
             ));
         }
         Ok(args)
@@ -505,7 +558,7 @@ fn fold_literal(magnitude: u64, negative: bool, span: Span) -> Result<i64, Parse
 mod tests {
     use super::*;
 
-    fn one_kernel(src: &str) -> Kernel {
+    fn one_kernel(src: &str) -> Kernel<'_> {
         let program = parse(src).expect("parse");
         assert_eq!(program.kernels.len(), 1);
         program.kernels.into_iter().next().unwrap()
@@ -542,11 +595,11 @@ mod tests {
             op: BinOp::Add,
             rhs,
             ..
-        } = expr
+        } = k.expr(*expr)
         else {
             panic!("expected + at the root, got {expr:?}");
         };
-        assert!(matches!(**rhs, Expr::Binary { op: BinOp::Mul, .. }));
+        assert!(matches!(k.expr(*rhs), Expr::Binary { op: BinOp::Mul, .. }));
     }
 
     #[test]
@@ -555,10 +608,10 @@ mod tests {
         let Stmt::ScalarDecl { expr, .. } = &k.stmts[2] else {
             panic!("expected decl");
         };
-        let Expr::Binary { lhs, .. } = expr else {
+        let Expr::Binary { lhs, .. } = k.expr(*expr) else {
             panic!("expected + at the root");
         };
-        assert!(matches!(**lhs, Expr::StoreValue { .. }));
+        assert!(matches!(k.expr(*lhs), Expr::StoreValue { .. }));
     }
 
     #[test]
@@ -567,7 +620,7 @@ mod tests {
         let Stmt::ScalarDecl { expr, .. } = &k.stmts[2] else {
             panic!("expected decl");
         };
-        assert!(matches!(expr, Expr::Binary { op: BinOp::Add, .. }));
+        assert!(matches!(k.expr(*expr), Expr::Binary { op: BinOp::Add, .. }));
     }
 
     #[test]
@@ -594,6 +647,86 @@ mod tests {
         assert!(err.message.contains("nesting too deep"), "{}", err.message);
     }
 
+    /// `kernel k` whose output is `a` wrapped in `levels` copies of
+    /// `open` ... `close`.
+    fn nested(levels: usize, open: &str, close: &str) -> String {
+        format!(
+            "kernel k {{ i32[] mem; i32 a = in(0); out({}a{}); }}",
+            open.repeat(levels),
+            close.repeat(levels)
+        )
+    }
+
+    /// Parses `levels` nestings of one construct: `Ok` or the error's
+    /// `(line, col, message)`.
+    fn nesting_verdict(levels: usize, open: &str, close: &str) -> Result<(), (u32, u32, String)> {
+        parse(&nested(levels, open, close))
+            .map(|_| ())
+            .map_err(|e| (e.line, e.col, e.message))
+    }
+
+    /// The verdict for one more nesting than allowed: refused at the
+    /// construct that opens level `MAX_DEPTH + 1` (a call at its name,
+    /// an index at its `[`).
+    fn too_deep<T>(open: &str) -> Result<T, (u32, u32, String)> {
+        let at = open.find('[').unwrap_or(0);
+        let col =
+            "kernel k { i32[] mem; i32 a = in(0); out(".len() + MAX_DEPTH * open.len() + at + 1;
+        Err((1, col as u32, "expression nesting too deep".into()))
+    }
+
+    #[test]
+    fn nesting_is_charged_per_construct() {
+        // Each parenthesis, unary operator, call argument list and
+        // index bracket is one level, whatever precedence levels lie
+        // between them: MAX_DEPTH levels parse, and one more is refused
+        // where it opens.
+        for (open, close) in [
+            ("(", ")"),
+            ("-", ""),
+            ("~", ""),
+            ("abs(", ")"),
+            ("mem[", "]"),
+        ] {
+            for levels in [10, MAX_DEPTH] {
+                assert_eq!(
+                    nesting_verdict(levels, open, close),
+                    Ok(()),
+                    "{levels} x {open}"
+                );
+            }
+            for levels in [MAX_DEPTH + 1, 4000] {
+                assert_eq!(
+                    nesting_verdict(levels, open, close),
+                    too_deep(open),
+                    "{levels} x {open}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nested_parentheses_fit_a_small_stack() {
+        // The bound keeps recursion shallow: MAX_DEPTH parentheses
+        // compile, and deeper ones are refused, on a 256 KiB thread.
+        let verdicts = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                [MAX_DEPTH, MAX_DEPTH + 1, 4000].map(|levels| {
+                    let src = nested(levels, "(", ")");
+                    crate::compile_one(&src)
+                        .map(|dfg| dfg.num_nodes())
+                        .map_err(|e| (e.line, e.col, e.message))
+                })
+            })
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(verdicts[0], Ok(2), "in(0) and its output");
+        assert_eq!(verdicts[1], too_deep("("));
+        assert_eq!(verdicts[2], too_deep("("));
+    }
+
     #[test]
     fn negative_literal_folds_to_min() {
         let k = one_kernel("kernel k { i32 x = -9223372036854775808; }");
@@ -601,7 +734,7 @@ mod tests {
             panic!("expected decl");
         };
         assert!(matches!(
-            expr,
+            k.expr(*expr),
             Expr::Int {
                 value: i64::MIN,
                 ..

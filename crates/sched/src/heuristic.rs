@@ -46,7 +46,8 @@ pub fn ims_schedule(dfg: &Dfg, ii: usize, config: &TimeSolverConfig) -> Option<T
         .map(|v| mobility.length() - mobility.alap(v))
         .collect();
 
-    let neighbors: Vec<Vec<NodeId>> = dfg.nodes().map(|v| dfg.undirected_neighbors(v)).collect();
+    let adj = dfg.adjacency();
+    let neighbors: Vec<Vec<NodeId>> = dfg.nodes().map(|v| adj.undirected_neighbors(v)).collect();
     let classes: Vec<OpClass> = dfg.nodes().map(|v| dfg.op(v).op_class()).collect();
 
     let mut time: Vec<Option<usize>> = vec![None; n];
@@ -68,7 +69,7 @@ pub fn ims_schedule(dfg: &Dfg, ii: usize, config: &TimeSolverConfig) -> Option<T
 
         // Earliest start from scheduled predecessors.
         let mut earliest = lo[v] as i64;
-        for e in dfg.in_edges(NodeId::from_index(v)) {
+        for e in adj.in_edges(NodeId::from_index(v)) {
             if e.src.index() == v {
                 continue;
             }
@@ -86,7 +87,7 @@ pub fn ims_schedule(dfg: &Dfg, ii: usize, config: &TimeSolverConfig) -> Option<T
         if start > hi[v] {
             // The window cannot satisfy the predecessors: evict the
             // latest predecessor and retry.
-            let worst = dfg
+            let worst = adj
                 .in_edges(NodeId::from_index(v))
                 .filter(|e| e.src.index() != v)
                 .filter_map(|e| time[e.src.index()].map(|t| (t, e.src.index())))

@@ -244,8 +244,9 @@ impl<'a> IncrementalTimeSolver<'a> {
             }
         }
         if self.config.connectivity_constraints {
+            let adj = self.dfg.adjacency();
             for v in self.dfg.nodes() {
-                let neighbors = self.dfg.undirected_neighbors(v);
+                let neighbors = adj.undirected_neighbors(v);
                 if neighbors.len() <= self.config.degree.saturating_sub(1) {
                     continue; // can never exceed any bound
                 }

@@ -25,17 +25,18 @@ impl Mobility {
     /// Returns [`DfgError::DataCycle`] if the data subgraph is cyclic.
     pub fn compute(dfg: &Dfg) -> Result<Mobility, DfgError> {
         let order = dfg.topo_order()?;
+        let adj = dfg.adjacency();
         let n = dfg.num_nodes();
         let mut asap = vec![0usize; n];
         for &v in &order {
-            for e in dfg.out_edges(v).filter(|e| e.kind == EdgeKind::Data) {
+            for e in adj.out_edges(v).filter(|e| e.kind == EdgeKind::Data) {
                 asap[e.dst.index()] = asap[e.dst.index()].max(asap[v.index()] + 1);
             }
         }
         let length = asap.iter().map(|&t| t + 1).max().unwrap_or(0);
         let mut alap = vec![length.saturating_sub(1); n];
         for &v in order.iter().rev() {
-            for e in dfg.out_edges(v).filter(|e| e.kind == EdgeKind::Data) {
+            for e in adj.out_edges(v).filter(|e| e.kind == EdgeKind::Data) {
                 alap[v.index()] = alap[v.index()].min(alap[e.dst.index()] - 1);
             }
         }

@@ -351,8 +351,9 @@ impl TimeSolution {
         }
         // Connectivity.
         if config.connectivity_constraints {
+            let adj = dfg.adjacency();
             for v in dfg.nodes() {
-                let neighbors = dfg.undirected_neighbors(v);
+                let neighbors = adj.undirected_neighbors(v);
                 for slot in 0..self.ii {
                     let count = neighbors.iter().filter(|&&u| self.slot(u) == slot).count();
                     let bound = if config.strict_connectivity && self.slot(v) == slot {
@@ -510,8 +511,9 @@ impl<'a> TimeSolver<'a> {
 
         // 3. Connectivity constraints: ∀ v, slot, |S_v^slot| ≤ D_M.
         if config.connectivity_constraints {
+            let adj = dfg.adjacency();
             for v in dfg.nodes() {
-                let neighbors = dfg.undirected_neighbors(v);
+                let neighbors = adj.undirected_neighbors(v);
                 if neighbors.len() <= config.degree.saturating_sub(1) {
                     // Cannot exceed any bound; skip the encoding.
                     continue;

@@ -1,5 +1,8 @@
 //! Helpers shared across the e2e integration-test binaries.
 
+pub mod reference;
+
+use monomap::dfg::{DfgError, Edge};
 use monomap::prelude::*;
 
 /// Checks every mapping-validity invariant directly, without going
@@ -169,4 +172,123 @@ pub fn mutate(rng: &mut XorShift, corpus: &[Vec<u8>]) -> Vec<u8> {
         }
     }
     bytes
+}
+
+/// Asserts that `dfg`'s validation and adjacency queries, and (when
+/// every edge names a real node) its topological order and canonical
+/// form, equal the [`reference`] implementations and the per-node edge
+/// scans exactly. Returns the reference validation result and, when
+/// compared, the reference canonicalizer's work.
+#[allow(dead_code)] // not every test binary runs the oracle
+pub fn assert_matches_reference(dfg: &Dfg, what: &str) -> (Result<(), DfgError>, Option<u64>) {
+    let expected = reference::validate(dfg);
+    assert_eq!(dfg.validate(), expected, "{what}: validate");
+    let adj = dfg.adjacency();
+    for v in dfg.nodes() {
+        assert!(
+            adj.in_edges(v).eq(dfg.in_edges(v)),
+            "{what}: in-edges of {v}"
+        );
+        assert!(
+            adj.out_edges(v).eq(dfg.out_edges(v)),
+            "{what}: out-edges of {v}"
+        );
+        assert_eq!(
+            adj.undirected_neighbors(v),
+            dfg.undirected_neighbors(v),
+            "{what}: neighbours of {v}"
+        );
+    }
+    let n = dfg.num_nodes();
+    if dfg
+        .edges()
+        .iter()
+        .any(|e| e.src.index() >= n || e.dst.index() >= n)
+    {
+        return (expected, None);
+    }
+    assert_eq!(
+        dfg.topo_order(),
+        reference::topo_order(dfg),
+        "{what}: topo_order"
+    );
+    let canon = dfg.canonical_form();
+    let (bytes, to_canonical, work) = reference::canonical_form(dfg);
+    assert!(canon.bytes() == bytes, "{what}: canonical bytes differ");
+    for v in dfg.nodes() {
+        assert_eq!(
+            canon.to_canonical(v),
+            to_canonical[v.index()] as usize,
+            "{what}: canonical index of {v}"
+        );
+    }
+    (expected, Some(work))
+}
+
+/// `dfg`'s nodes with another edge list.
+#[allow(dead_code)] // not every test binary runs the oracle
+pub fn with_edges(dfg: &Dfg, edges: &[Edge]) -> Dfg {
+    let mut out = Dfg::new(dfg.name());
+    for v in dfg.nodes() {
+        out.add_node(dfg.op(v), dfg.node_name(v));
+    }
+    for e in edges {
+        out.add_edge(e.src, e.dst, e.operand, e.kind);
+    }
+    out
+}
+
+/// `dfg` with `faults` random edge mutations: drop, duplicate or add
+/// an edge, move an operand slot, move an endpoint (sometimes past the
+/// last node), or flip an edge between data and loop-carried (distance
+/// 0 to 2). Between them they reach every [`DfgError`]; with two or
+/// more, which error comes first is what is compared.
+#[allow(dead_code)] // not every test binary runs the oracle
+pub fn with_random_faults(dfg: &Dfg, rng: &mut XorShift, faults: usize) -> Dfg {
+    let n = dfg.num_nodes() as u64;
+    let node = |rng: &mut XorShift| {
+        // One draw in sixteen lands past the last node.
+        let bound = n + (n / 16).max(1);
+        NodeId::from_index(rng.below(bound))
+    };
+    let mut edges: Vec<Edge> = dfg.edges().to_vec();
+    for _ in 0..faults {
+        let at = rng.below(edges.len() as u64);
+        match rng.below(7) {
+            0 if !edges.is_empty() => {
+                edges.remove(at);
+            }
+            1 if !edges.is_empty() => {
+                let dup = edges[at];
+                edges.insert(rng.below(edges.len() as u64 + 1), dup);
+            }
+            2 if !edges.is_empty() => edges[at].operand = rng.below(4) as u8,
+            3 if !edges.is_empty() => edges[at].src = node(rng),
+            4 if !edges.is_empty() => edges[at].dst = node(rng),
+            5 if !edges.is_empty() => {
+                edges[at].kind = match edges[at].kind {
+                    EdgeKind::Data => EdgeKind::LoopCarried {
+                        distance: rng.below(3) as u32,
+                    },
+                    EdgeKind::LoopCarried { .. } => EdgeKind::Data,
+                }
+            }
+            _ => {
+                let kind = if rng.below(2) == 0 {
+                    EdgeKind::Data
+                } else {
+                    EdgeKind::LoopCarried {
+                        distance: rng.below(3) as u32,
+                    }
+                };
+                edges.push(Edge {
+                    src: node(rng),
+                    dst: node(rng),
+                    operand: rng.below(4) as u8,
+                    kind,
+                });
+            }
+        }
+    }
+    with_edges(dfg, &edges)
 }

@@ -4,7 +4,7 @@
 //! file must compile to the canonical digest pinned in `EXPECTED`
 //! below, read from disk and through `monomap_frontend::suite` alike,
 //! so drift in a kernel file, the frontend or the canonicalizer fails
-//! loudly.
+//! loudly; `COMPILED_GRAPHS` pins the compiled graphs themselves.
 //!
 //! `corpus/invalid/*.mk` files carry a `// expect: L:C message` first
 //! line; compilation must fail with exactly that position and message.
@@ -13,6 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use cgra_arch::Cgra;
+use cgra_base::hash::fnv128;
 use monomap_core::DecoupledMapper;
 use monomap_frontend::{class_counts, compile_one, emit, suite};
 
@@ -39,6 +40,31 @@ const EXPECTED: [(&str, &str, usize); 17] = [
     ("susan", "5af99dc9c09007f2e935efce101b900e", 3),
 ];
 
+/// FNV-128 of each compiled kernel's JSON (`serde_json::to_string` of
+/// what `compile_one` returns, the `/compile` body's `dfg`): the graph
+/// itself — node order, operations, names, edge order. The digests
+/// above are blind to numbering and names, but the mapper searches in
+/// the compiled order, so a frontend change must keep this too.
+const COMPILED_GRAPHS: [(&str, &str); 17] = [
+    ("aes", "671cbae1003a04bf9fd37be612ddfd15"),
+    ("backprop", "1730e576f7374605a15f2ba76b41db0e"),
+    ("basicmath", "492e0f5be32d610fac8acdd0cf396fb8"),
+    ("bitcount", "3dd90ab7e4efb8e109b5680bb4500051"),
+    ("cfd", "c9090529a362f6ca3c585108882032eb"),
+    ("crc32", "ea630a5f56605c06a8a9c343fe197c30"),
+    ("fft", "dc95e186715eb6d9cf00660d02aa2857"),
+    ("gsm", "74bd77ac67b9668f251d8221b81cf3be"),
+    ("heartwall", "b50cca636e34ec1a286514b80b28413c"),
+    ("hotspot3D", "37f48122f2653aab2633e5b55be05bd8"),
+    ("lud", "0aab647dde628dd8861946b66dddea09"),
+    ("nw", "bd7a9106b07433ee99631664288ab44d"),
+    ("particlefilter", "24e5c889c15d91877591fd5c387d9de6"),
+    ("sha1", "7bae5b52cd789f9f06015b2a855754e7"),
+    ("sha2", "019d286f2c09d9d3204611068b487d9e"),
+    ("stringsearch", "21e5adddce6f12cb609d855cb5dd62f9"),
+    ("susan", "04f2c975205c90452aa6848eb9a5b1e5"),
+];
+
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
 }
@@ -59,6 +85,20 @@ fn every_suite_kernel_compiles_to_its_generated_digest() {
                 "{name}: canonical digest drifted from the pinned value"
             );
         }
+    }
+}
+
+#[test]
+fn every_suite_kernel_compiles_to_its_pinned_graph() {
+    for (name, expected_hex) in COMPILED_GRAPHS {
+        let source = fs::read_to_string(repo_path(&format!("kernels/{name}.mk"))).unwrap();
+        let compiled = compile_one(&source).expect("compiles");
+        let json = serde_json::to_string(&compiled).expect("DFGs serialize");
+        assert_eq!(
+            format!("{:032x}", fnv128(json.as_bytes())),
+            expected_hex,
+            "{name}: the compiled graph drifted (node order, names or edge order)"
+        );
     }
 }
 

@@ -6,6 +6,9 @@
 //! * every generated well-formed source compiles (and never panics);
 //! * pretty-printing the compiled DFG and re-parsing it is a canonical
 //!   fixpoint (`compile(emit(compile(s)))` has the same digest);
+//! * validation and canonical form of every compiled kernel (and of
+//!   renumbered and faulty variants) match the reference
+//!   implementations in `tests/common/reference.rs`;
 //! * mappings of compiled random kernels satisfy every invariant in
 //!   `tests/common` and execute identically on the machine simulator
 //!   and the reference interpreter (the sim-validation corpus is
@@ -154,6 +157,26 @@ fn random_well_formed_sources_always_compile() {
         dfg.validate()
             .unwrap_or_else(|e| panic!("seed {seed}: invalid DFG: {e}\nsource:\n{source}"));
         assert!(dfg.num_nodes() >= 3, "seed {seed} produced a trivial graph");
+    }
+}
+
+#[test]
+fn random_kernels_match_the_reference_dfg_checks() {
+    // Validation, topological order, adjacency and canonical form of
+    // every random kernel, a renumbering of it and faulty variants of
+    // it equal the `O(V·E)` reference implementations exactly.
+    let mut faults = common::XorShift(0x0ddb_a110);
+    for seed in 1..=COMPILE_CASES {
+        let mut rng = XorShift::new(seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        let source = random_kernel(&mut rng, true);
+        let dfg = compile_one(&source).expect("well-formed by construction");
+        let what = format!("seed {seed}\n{source}");
+        assert_eq!(common::assert_matches_reference(&dfg, &what).0, Ok(()));
+        let _ = common::assert_matches_reference(&common::renumbered(&dfg, seed), &what);
+        for count in 1..=2 {
+            let faulty = common::with_random_faults(&dfg, &mut faults, count);
+            let _ = common::assert_matches_reference(&faulty, &what);
+        }
     }
 }
 
