@@ -428,7 +428,52 @@ impl<'a> Canonicalizer<'a> {
     /// first non-singleton color class if any remains; records the
     /// lexicographically smallest leaf encoding. Honours [`WORK_LIMIT`]
     /// by recording a tie-broken leaf and pruning once exhausted.
-    fn search(&mut self, mut colors: Vec<u64>) {
+    ///
+    /// The tree is walked depth-first with an explicit stack of branch
+    /// points (one per individualized node, so a symmetric graph's depth
+    /// grows with its size): each entry holds its refined coloring, the
+    /// color of the cell it branches on and the next member to try.
+    fn search(&mut self, root: Vec<u64>) {
+        let mut stack: Vec<(Vec<u64>, u64, usize)> = Vec::new();
+        let mut visit = Some(root);
+        loop {
+            if let Some(colors) = visit.take() {
+                if let Some((colors, cell_color)) = self.refine_or_record(colors) {
+                    stack.push((colors, cell_color, 0));
+                }
+            }
+            // A branch point is pushed only while budget remains, so
+            // this fires only after a leaf: at least one leaf was
+            // recorded, stop growing the tree.
+            if self.exhausted() {
+                return;
+            }
+            let Some((colors, cell_color, next)) = stack.last_mut() else {
+                return;
+            };
+            match (*next..colors.len()).find(|&v| colors[v] == *cell_color) {
+                Some(v) => {
+                    *next = v + 1;
+                    // Individualize: give this node a fresh color
+                    // derived from its old one (invariant across
+                    // numberings because every member of the cell is
+                    // tried).
+                    let mut branched = colors.clone();
+                    branched[v] = fnv64(branched[v], b"individualized");
+                    visit = Some(branched);
+                }
+                None => {
+                    stack.pop();
+                }
+            }
+        }
+    }
+
+    /// Refines `colors` until the partition stops splitting. A discrete
+    /// partition, or any once the budget is spent, is recorded as a leaf
+    /// (`None`); otherwise returns the refined colors and the color of
+    /// the cell to branch on.
+    fn refine_or_record(&mut self, mut colors: Vec<u64>) -> Option<(Vec<u64>, u64)> {
         let n = colors.len();
         let mut classes = self.distinct(&colors);
         // Refinement only ever splits classes (the old color feeds the
@@ -450,32 +495,18 @@ impl<'a> Canonicalizer<'a> {
             // Discrete, or out of budget: record this leaf (ties, if
             // any remain, break by original index inside record_leaf).
             self.record_leaf(&colors);
-            return;
+            return None;
         }
         // The first non-singleton class, by color value: a deterministic,
         // renumbering-invariant choice of branching cell.
         let mut sorted = colors.clone();
         sorted.sort_unstable();
-        let cell_color = *sorted
+        let cell_color = sorted
             .windows(2)
             .find(|w| w[0] == w[1])
-            .map(|w| &w[0])
+            .map(|w| w[0])
             .expect("non-discrete partition has a duplicated color");
-        for v in 0..n {
-            if colors[v] == cell_color {
-                let mut branched = colors.clone();
-                // Individualize: give this node a fresh color derived
-                // from its old one (invariant across numberings because
-                // every member of the cell is tried).
-                branched[v] = fnv64(branched[v], b"individualized");
-                self.search(branched);
-                if self.exhausted() {
-                    // At least one leaf was recorded below; stop
-                    // growing the tree.
-                    return;
-                }
-            }
-        }
+        Some((colors, cell_color))
     }
 
     /// Encodes the graph under the coloring and keeps it if it beats
@@ -676,6 +707,28 @@ mod tests {
             let perm = shuffle(g.num_nodes(), seed);
             assert_eq!(renumber(&g, &perm).digest(), d0, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn a_wide_star_canonicalizes_on_a_small_stack() {
+        // One input feeding 256 interchangeable negations: the search
+        // individualizes one leaf per level, 255 deep, before the first
+        // leaf is discrete. That depth must stay off the call stack (a
+        // walk recursing per level needs more than 1 MiB for it in a
+        // debug build), so a quarter-MiB thread holds it.
+        let mut g = Dfg::new("star");
+        let hub = g.add_node(Op::Input(0), "hub");
+        for i in 0..256 {
+            let leaf = g.add_node(Op::Neg, format!("l{i}"));
+            g.add_edge(hub, leaf, 0, EdgeKind::Data);
+        }
+        let digest = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || g.digest())
+            .unwrap()
+            .join()
+            .expect("canonicalization fits a 256 KiB stack");
+        assert_ne!(digest, Dfg::new("star").digest());
     }
 
     #[test]

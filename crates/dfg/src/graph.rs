@@ -570,8 +570,9 @@ impl<'a> Adjacency<'a> {
         out
     }
 
-    /// [`Adjacency::undirected_neighbors`] into a reused buffer.
-    fn undirected_neighbors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
+    /// [`Adjacency::undirected_neighbors`] into a reused buffer (cleared
+    /// first).
+    pub fn undirected_neighbors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend(self.out_edges(node).map(|e| e.dst));
         out.extend(self.in_edges(node).map(|e| e.src));

@@ -16,16 +16,26 @@ use cgra_base::{Budget, CancelFlag};
 use crate::luby::luby;
 use crate::types::{LBool, Lit, SatResult, Var};
 
-/// Reference to a clause in the solver's arena.
+/// Reference to a clause: the index of its header. References stay
+/// valid for the solver's lifetime (until [`Solver::clear`]); compacting
+/// the literal arena moves literals, never headers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct ClauseRef(u32);
 
-#[derive(Debug)]
+/// Where a clause's literals live in the arena, and its bookkeeping.
+#[derive(Clone, Copy, Debug)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     activity: f32,
     learnt: bool,
     deleted: bool,
+}
+
+impl Clause {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -52,19 +62,22 @@ pub struct SolverStats {
     pub learnt_clauses: u64,
     /// Number of learnt clauses deleted by database reduction.
     pub deleted_clauses: u64,
+    /// Number of times the clause arena was compacted.
+    pub compactions: u64,
 }
 
 impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "decisions={} propagations={} conflicts={} restarts={} learnt={} deleted={}",
+            "decisions={} propagations={} conflicts={} restarts={} learnt={} deleted={} compactions={}",
             self.decisions,
             self.propagations,
             self.conflicts,
             self.restarts,
             self.learnt_clauses,
-            self.deleted_clauses
+            self.deleted_clauses,
+            self.compactions
         )
     }
 }
@@ -116,8 +129,16 @@ impl fmt::Display for SolverStats {
 /// assert!(solver.value(b).is_true());
 /// ```
 pub struct Solver {
+    /// Clause headers, indexed by [`ClauseRef`], in creation order.
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back in clause order.
+    arena: Vec<Lit>,
+    /// Arena literals that belong to deleted clauses; the arena is
+    /// compacted once they are more than half of it.
+    dead_lits: usize,
     /// Indexed by literal code: clauses in which that literal is watched.
+    /// May be longer than `2 * num_vars()` after [`Solver::clear`]; the
+    /// lists past the live variables are empty and kept for reuse.
     watches: Vec<Vec<Watcher>>,
     /// Variable assignment values.
     assigns: Vec<LBool>,
@@ -160,6 +181,18 @@ pub struct Solver {
     cancel: Option<CancelFlag>,
 
     learnt_cap: usize,
+
+    // Scratch buffers, reused across calls so that steady-state clause
+    // addition and conflict analysis do not allocate.
+    /// `add_clause`'s input, simplified in place.
+    add_buf: Vec<Lit>,
+    /// The clause being learnt by `analyze`.
+    learnt: Vec<Lit>,
+    /// `analyze`'s literals before minimisation, whose seen flags are
+    /// cleared afterwards.
+    to_clear: Vec<Lit>,
+    /// `reduce_db`'s learnt clauses by activity.
+    reduce_buf: Vec<(f32, u32)>,
 }
 
 impl fmt::Debug for Solver {
@@ -184,6 +217,8 @@ impl Solver {
     pub fn new() -> Self {
         Solver {
             clauses: Vec::new(),
+            arena: Vec::new(),
+            dead_lits: 0,
             watches: Vec::new(),
             assigns: Vec::new(),
             level: Vec::new(),
@@ -204,7 +239,49 @@ impl Solver {
             stats: SolverStats::default(),
             cancel: None,
             learnt_cap: 4000,
+            add_buf: Vec::new(),
+            learnt: Vec::new(),
+            to_clear: Vec::new(),
+            reduce_buf: Vec::new(),
         }
+    }
+
+    /// Returns the solver to the state of [`Solver::new`] — no
+    /// variables, no clauses, no learnt state, statistics zeroed, no
+    /// cancellation flag — while keeping the capacity of every buffer,
+    /// so a formula of similar size can be encoded again without
+    /// allocating.
+    pub fn clear(&mut self) {
+        let live_watches = 2 * self.num_vars();
+        for ws in &mut self.watches[..live_watches] {
+            ws.clear();
+        }
+        self.clauses.clear();
+        self.arena.clear();
+        self.dead_lits = 0;
+        self.assigns.clear();
+        self.level.clear();
+        self.reason.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.var_decay = 0.95;
+        self.heap.clear();
+        self.heap_index.clear();
+        self.polarity.clear();
+        self.cla_inc = 1.0;
+        self.ok = true;
+        self.seen.clear();
+        self.conflict.clear();
+        self.stats = SolverStats::default();
+        self.cancel = None;
+        self.learnt_cap = 4000;
+        self.add_buf.clear();
+        self.learnt.clear();
+        self.to_clear.clear();
+        self.reduce_buf.clear();
     }
 
     /// Number of variables created so far.
@@ -247,8 +324,11 @@ impl Solver {
         self.polarity.push(false);
         self.seen.push(false);
         self.heap_index.push(-1);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        // Lists past the live variables are empty (see `clear`).
+        if self.watches.len() < 2 * self.assigns.len() {
+            self.watches.push(Vec::new());
+            self.watches.push(Vec::new());
+        }
         self.heap_insert(v);
         v
     }
@@ -298,13 +378,22 @@ impl Solver {
     where
         I: IntoIterator<Item = Lit>,
     {
-        let mut ps: Vec<Lit> = lits.into_iter().collect();
+        let mut ps = std::mem::take(&mut self.add_buf);
+        ps.clear();
+        ps.extend(lits);
         for l in &ps {
             assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l:?} refers to an unknown variable"
             );
         }
+        let ok = self.add_simplified(&mut ps);
+        self.add_buf = ps;
+        ok
+    }
+
+    /// `add_clause` after the variable check, simplifying `ps` in place.
+    fn add_simplified(&mut self, ps: &mut Vec<Lit>) -> bool {
         if !self.ok {
             return false;
         }
@@ -313,12 +402,12 @@ impl Solver {
         self.cancel_until(0);
 
         // Simplify: sort, drop duplicates, drop false literals, detect
-        // tautologies and satisfied clauses.
+        // tautologies and satisfied clauses. Kept literals move down to
+        // `kept`, never past the unread `ps[i + 1]`.
         ps.sort_unstable();
         ps.dedup();
-        let mut simplified = Vec::with_capacity(ps.len());
-        let mut i = 0;
-        while i < ps.len() {
+        let mut kept = 0;
+        for i in 0..ps.len() {
             let l = ps[i];
             if i + 1 < ps.len() && ps[i + 1] == !l {
                 return true; // tautology: l and !l both present
@@ -326,29 +415,32 @@ impl Solver {
             match self.lit_value(l) {
                 LBool::True => return true, // already satisfied at level 0
                 LBool::False => {}          // drop
-                LBool::Undef => simplified.push(l),
+                LBool::Undef => {
+                    ps[kept] = l;
+                    kept += 1;
+                }
             }
-            i += 1;
         }
+        ps.truncate(kept);
 
-        match simplified.len() {
+        match ps.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(simplified[0], None);
+                self.unchecked_enqueue(ps[0], None);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             _ => {
-                self.attach_clause(simplified, false);
+                self.attach_clause(ps, false);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = ClauseRef(self.clauses.len() as u32);
         let w0 = Watcher {
@@ -365,12 +457,19 @@ impl Solver {
             self.stats.learnt_clauses += 1;
         }
         self.clauses.push(Clause {
-            lits,
+            start: self.arena.len() as u32,
+            len: lits.len() as u32,
             activity: 0.0,
             learnt,
             deleted: false,
         });
+        self.arena.extend_from_slice(lits);
         cref
+    }
+
+    /// The first literal of a clause (the implied one, for a reason).
+    fn first_lit(&self, c: ClauseRef) -> Lit {
+        self.arena[self.clauses[c.0 as usize].start as usize]
     }
 
     fn decision_level(&self) -> u32 {
@@ -410,20 +509,18 @@ impl Solver {
                     kept += 1;
                     continue;
                 }
-                let cidx = w.clause.0 as usize;
-                if self.clauses[cidx].deleted {
+                let clause = self.clauses[w.clause.0 as usize];
+                if clause.deleted {
                     continue; // drop the watcher entirely
                 }
+                let (start, end) = (clause.start as usize, (clause.start + clause.len) as usize);
                 // Normalise: watched literals live at positions 0 and 1;
                 // put !p at position 1.
-                {
-                    let lits = &mut self.clauses[cidx].lits;
-                    if lits[0] == not_p {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], not_p);
+                if self.arena[start] == not_p {
+                    self.arena.swap(start, start + 1);
                 }
-                let first = self.clauses[cidx].lits[0];
+                debug_assert_eq!(self.arena[start + 1], not_p);
+                let first = self.arena[start];
                 let new_watcher = Watcher {
                     clause: w.clause,
                     blocker: first,
@@ -434,11 +531,10 @@ impl Solver {
                     continue;
                 }
                 // Look for a replacement watch.
-                let len = self.clauses[cidx].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cidx].lits[k];
+                for k in start + 2..end {
+                    let lk = self.arena[k];
                     if !self.lit_value(lk).is_false() {
-                        self.clauses[cidx].lits.swap(1, k);
+                        self.arena.swap(start + 1, k);
                         self.watches[lk.code()].push(new_watcher);
                         continue 'watches;
                     }
@@ -586,10 +682,12 @@ impl Solver {
 
     // ----- conflict analysis -------------------------------------------
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for the UIP
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `self.learnt` and returns the backtrack level.
+    fn analyze(&mut self, confl: ClauseRef) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit(0)); // placeholder for the UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = confl;
@@ -600,10 +698,10 @@ impl Solver {
             if self.clauses[confl.0 as usize].learnt {
                 self.bump_clause(confl);
             }
-            let nlits = self.clauses[confl.0 as usize].lits.len();
-            let start = if p.is_some() { 1 } else { 0 };
-            for k in start..nlits {
-                let q = self.clauses[confl.0 as usize].lits[k];
+            let range = self.clauses[confl.0 as usize].range();
+            let skip = if p.is_some() { 1 } else { 0 };
+            for k in range.start + skip..range.end {
+                let q = self.arena[k];
                 let qv = q.var();
                 if !self.seen[qv.index()] && self.level[qv.index()] > 0 {
                     self.seen[qv.index()] = true;
@@ -635,27 +733,27 @@ impl Solver {
 
         // Local minimisation: a non-asserting literal is redundant if its
         // reason clause lies entirely within the learnt clause's seen set.
-        let mut keep = vec![true; learnt.len()];
-        for (i, &l) in learnt.iter().enumerate().skip(1) {
-            if let Some(r) = self.reason[l.var().index()] {
-                let redundant = self.clauses[r.0 as usize]
-                    .lits
+        // The seen set is the unminimised clause throughout, so its flags
+        // are cleared from a copy afterwards.
+        self.to_clear.clear();
+        self.to_clear.extend_from_slice(&learnt);
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            let redundant = self.reason[l.var().index()].is_some_and(|r| {
+                let range = self.clauses[r.0 as usize].range();
+                self.arena[range.start + 1..range.end]
                     .iter()
-                    .skip(1)
-                    .all(|q| self.seen[q.var().index()] || self.level[q.var().index()] == 0);
-                if redundant {
-                    keep[i] = false;
-                }
+                    .all(|q| self.seen[q.var().index()] || self.level[q.var().index()] == 0)
+            });
+            if !redundant {
+                learnt[kept] = l;
+                kept += 1;
             }
         }
-        let mut minimized = Vec::with_capacity(learnt.len());
-        for (i, l) in learnt.iter().enumerate() {
-            if keep[i] {
-                minimized.push(*l);
-            }
-        }
-        // Clear seen flags.
-        for l in &learnt {
+        learnt.truncate(kept);
+        let minimized = &mut learnt;
+        for l in &self.to_clear {
             self.seen[l.var().index()] = false;
         }
 
@@ -675,7 +773,8 @@ impl Solver {
             minimized.swap(1, max_i);
             self.level[minimized[1].var().index()]
         };
-        (minimized, bt)
+        self.learnt = learnt;
+        bt
     }
 
     /// Builds the final conflict over assumptions: the set of assumption
@@ -698,8 +797,9 @@ impl Solver {
                     self.conflict.push(!self.trail[i]);
                 }
                 Some(r) => {
-                    for k in 1..self.clauses[r.0 as usize].lits.len() {
-                        let q = self.clauses[r.0 as usize].lits[k];
+                    let range = self.clauses[r.0 as usize].range();
+                    for k in range.start + 1..range.end {
+                        let q = self.arena[k];
                         if self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
@@ -714,43 +814,73 @@ impl Solver {
     // ----- learnt DB reduction ------------------------------------------
 
     fn reduce_db(&mut self) {
-        let mut learnts: Vec<(f32, usize)> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted && c.lits.len() > 2)
-            .map(|(i, c)| (c.activity, i))
-            .collect();
-        learnts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        let locked: Vec<bool> = learnts
-            .iter()
-            .map(|&(_, i)| {
-                let first = self.clauses[i].lits[0];
-                self.reason[first.var().index()] == Some(ClauseRef(i as u32))
-                    && !self.lit_value(first).is_undef()
-            })
-            .collect();
+        let mut learnts = std::mem::take(&mut self.reduce_buf);
+        learnts.clear();
+        learnts.extend(
+            self.clauses
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.learnt && !c.deleted && c.len > 2)
+                .map(|(i, c)| (c.activity, i as u32)),
+        );
+        // By activity, ties in clause order (what a stable sort on
+        // activity gives, without its buffer).
+        learnts.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        });
         let target = learnts.len() / 2;
         let mut removed = 0;
-        for (k, &(_, i)) in learnts.iter().enumerate() {
+        for &(_, i) in &learnts {
             if removed >= target {
                 break;
             }
-            if locked[k] {
+            let cref = ClauseRef(i);
+            let first = self.first_lit(cref);
+            let locked =
+                self.reason[first.var().index()] == Some(cref) && !self.lit_value(first).is_undef();
+            if locked {
                 continue;
             }
-            self.clauses[i].deleted = true;
-            self.clauses[i].lits.clear();
-            self.clauses[i].lits.shrink_to_fit();
+            let clause = &mut self.clauses[i as usize];
+            clause.deleted = true;
+            self.dead_lits += clause.len as usize;
             removed += 1;
         }
+        self.reduce_buf = learnts;
         self.stats.deleted_clauses += removed as u64;
         self.stats.learnt_clauses -= removed as u64;
         // Watch lists lazily drop deleted clauses during propagation, but
         // sweep them here so memory does not accumulate.
-        for ws in &mut self.watches {
+        let live_watches = 2 * self.num_vars();
+        for ws in &mut self.watches[..live_watches] {
             ws.retain(|w| !self.clauses[w.clause.0 as usize].deleted);
         }
+        if 2 * self.dead_lits > self.arena.len() {
+            self.compact_arena();
+        }
+    }
+
+    /// Drops deleted clauses' literals from the arena, moving the live
+    /// ones down in clause order. Headers (and so every `ClauseRef`)
+    /// stay where they are; a deleted header keeps no literals.
+    fn compact_arena(&mut self) {
+        let mut write = 0usize;
+        for clause in &mut self.clauses {
+            if clause.deleted {
+                clause.start = write as u32;
+                clause.len = 0;
+                continue;
+            }
+            let range = clause.range();
+            self.arena.copy_within(range.clone(), write);
+            clause.start = write as u32;
+            write += range.len();
+        }
+        self.arena.truncate(write);
+        self.dead_lits = 0;
+        self.stats.compactions += 1;
     }
 
     // ----- search --------------------------------------------------------
@@ -769,20 +899,22 @@ impl Solver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
                 // Backjump; if this undoes assumption levels the decide
                 // loop below re-establishes them.
                 self.cancel_until(bt);
+                let learnt = std::mem::take(&mut self.learnt);
                 if learnt.len() == 1 {
                     debug_assert_eq!(self.decision_level(), 0);
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
-                    let cref = self.attach_clause(learnt, true);
+                    let cref = self.attach_clause(&learnt, true);
                     self.bump_clause(cref);
-                    let first = self.clauses[cref.0 as usize].lits[0];
+                    let first = self.first_lit(cref);
                     debug_assert!(self.lit_value(first).is_undef());
                     self.unchecked_enqueue(first, Some(cref));
                 }
+                self.learnt = learnt;
                 self.decay_activities();
             } else {
                 // Budget and cancellation are checked at every decision
@@ -1229,6 +1361,185 @@ mod tests {
         // Back to the guilty guard: Unsat again with the same culprit.
         assert_eq!(s.solve_with_assumptions(&[g1.pos()]), SatResult::Unsat);
         assert!(s.unsat_core().iter().all(|l| l.var() == g1));
+    }
+
+    /// A seeded xorshift stream for the random-formula tests.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// Random 3-SAT over `nvars` variables at the satisfiability
+    /// threshold (4.26 clauses per variable): about half the instances
+    /// are Sat.
+    fn threshold_3sat(next: &mut impl FnMut() -> u64, nvars: usize) -> Vec<Vec<Lit>> {
+        let nclauses = nvars * 426 / 100;
+        (0..nclauses)
+            .map(|_| {
+                (0..3)
+                    .map(|_| {
+                        let v = Var::from_index((next() % nvars as u64) as usize);
+                        v.lit(next() & 1 == 1)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn satisfies(clauses: &[Vec<Lit>], model: &[bool]) -> bool {
+        clauses
+            .iter()
+            .all(|c| c.iter().any(|l| model[l.var().index()] == l.is_positive()))
+    }
+
+    /// Decides `clauses` by trying every assignment.
+    fn brute_force(clauses: &[Vec<Lit>], nvars: usize) -> bool {
+        let mut model = vec![false; nvars];
+        (0u32..1 << nvars).any(|bits| {
+            for (i, m) in model.iter_mut().enumerate() {
+                *m = bits >> i & 1 == 1;
+            }
+            satisfies(clauses, &model)
+        })
+    }
+
+    fn load(s: &mut Solver, clauses: &[Vec<Lit>], nvars: usize) {
+        s.new_vars(nvars);
+        for c in clauses {
+            s.add_clause(c.iter().copied());
+        }
+    }
+
+    /// Pigeonhole: `pigeons` into `holes`, Sat iff `pigeons <= holes`.
+    fn pigeonhole(pigeons: usize, holes: usize) -> Vec<Vec<Lit>> {
+        let x = |p: usize, h: usize| Var::from_index(p * holes + h);
+        let mut clauses: Vec<Vec<Lit>> = (0..pigeons)
+            .map(|p| (0..holes).map(|h| x(p, h).pos()).collect())
+            .collect();
+        for h in 0..holes {
+            for p1 in 0..pigeons {
+                for p2 in (p1 + 1)..pigeons {
+                    clauses.push(vec![x(p1, h).neg(), x(p2, h).neg()]);
+                }
+            }
+        }
+        clauses
+    }
+
+    #[test]
+    fn learnt_clause_reduction_and_arena_compaction_keep_answers_exact() {
+        // A learnt-clause cap of 2 makes `reduce_db` run every few
+        // conflicts, so deleted clauses pile up in the arena and it is
+        // compacted mid-search; every answer must still be the known
+        // one, and every model must satisfy the formula.
+        let mut compactions = 0;
+        for (pigeons, holes) in [(5, 4), (6, 5), (7, 6), (6, 6), (7, 7)] {
+            let clauses = pigeonhole(pigeons, holes);
+            let mut s = Solver::new();
+            s.learnt_cap = 2;
+            load(&mut s, &clauses, pigeons * holes);
+            let result = s.solve();
+            assert_eq!(result.is_sat(), pigeons <= holes, "{pigeons} into {holes}");
+            if result.is_sat() {
+                assert!(satisfies(&clauses, &s.model()));
+            }
+            compactions += s.stats().compactions;
+        }
+        assert!(compactions > 0, "the arena was never compacted");
+
+        // Random 3-SAT at the threshold, checked against brute force.
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        let (mut sat, mut unsat, mut deleted) = (0, 0, 0);
+        for trial in 0..40 {
+            let nvars = 14 + trial % 4;
+            let clauses = threshold_3sat(&mut next, nvars);
+            let mut s = Solver::new();
+            s.learnt_cap = 2;
+            load(&mut s, &clauses, nvars);
+            let result = s.solve();
+            assert_eq!(
+                result.is_sat(),
+                brute_force(&clauses, nvars),
+                "trial {trial}: {result:?}"
+            );
+            if result.is_sat() {
+                assert!(satisfies(&clauses, &s.model()), "trial {trial}");
+                sat += 1;
+            } else {
+                unsat += 1;
+            }
+            deleted += s.stats().deleted_clauses;
+        }
+        assert!(sat > 0 && unsat > 0, "sat {sat}, unsat {unsat}");
+        assert!(deleted > 0, "no learnt clause was ever deleted");
+    }
+
+    /// Everything observable about a solve: the answer, the model or
+    /// core, the work counters and the database size.
+    fn observe(
+        s: &mut Solver,
+        assumptions: &[Lit],
+    ) -> (SatResult, Vec<bool>, Vec<Lit>, SolverStats, usize) {
+        let r = s.solve_with_assumptions(assumptions);
+        (
+            r,
+            s.model(),
+            s.unsat_core().to_vec(),
+            s.stats(),
+            s.num_clauses(),
+        )
+    }
+
+    #[test]
+    fn a_cleared_solver_answers_exactly_as_a_new_one() {
+        let texts = [
+            "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n",
+            "p cnf 3 1\n1 2\n3 0\n",
+            "p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n",
+            "p cnf 2 1\n1 2 0\n",
+            "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n",
+        ];
+        let mut formulas: Vec<(usize, Vec<Vec<Lit>>)> = texts
+            .iter()
+            .map(|t| {
+                let cnf = crate::dimacs::Cnf::parse(t).unwrap();
+                (cnf.num_vars, cnf.clauses)
+            })
+            .collect();
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        for nvars in [30, 60, 90] {
+            formulas.push((nvars, threshold_3sat(&mut next, nvars)));
+        }
+
+        let mut reused = Solver::new();
+        for (i, (nvars, clauses)) in formulas.iter().enumerate() {
+            // Leave the store dirty in every way a use can: learnt and
+            // deleted clauses, a compacted arena, a model on the trail,
+            // a raised cancel flag.
+            reused.clear();
+            reused.learnt_cap = 4;
+            let mut next = xorshift(i as u64 + 1);
+            load(&mut reused, &threshold_3sat(&mut next, 80), 80);
+            reused.solve();
+            reused.set_cancel_flag(Arc::new(AtomicBool::new(true)));
+
+            reused.clear();
+            let mut fresh = Solver::new();
+            load(&mut reused, clauses, *nvars);
+            load(&mut fresh, clauses, *nvars);
+            let assumptions = [Var::from_index(0).pos()];
+            for a in [&[][..], &assumptions[..], &[][..]] {
+                assert_eq!(
+                    observe(&mut reused, a),
+                    observe(&mut fresh, a),
+                    "formula {i} under {a:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ mod mii;
 mod mobility;
 mod time_solver;
 
+pub use cgra_smt::SolverStats;
 pub use heuristic::ims_schedule;
 pub use incremental::IncrementalTimeSolver;
 pub use kms::{Kms, KmsEntry};

@@ -16,6 +16,7 @@
 //! monomorphism-based space solution possible (§IV-D); both can be
 //! disabled for the ablation experiments.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -23,9 +24,9 @@ use std::sync::Arc;
 use cgra_arch::{Cgra, OpClass};
 use cgra_base::Budget;
 use cgra_dfg::{Dfg, DfgError, EdgeKind, NodeId};
-use cgra_smt::{FdSolver, IntVar, Lit, SatResult};
+use cgra_smt::{FdSolver, IntVar, Lit, SatResult, SolverStats};
 
-use crate::{Kms, Mobility};
+use crate::Mobility;
 
 /// Configuration of the time search.
 #[derive(Clone, Debug)]
@@ -389,19 +390,72 @@ pub struct TimeSolverStats {
     pub solutions: usize,
 }
 
+/// The storage one encoding needs: the SAT store and the encoder's
+/// buffers. Each thread keeps the last one a [`TimeSolver`] dropped and
+/// the next [`TimeSolver::new`] on that thread clears and reuses it, so
+/// a mapper walking `(II, slack)` levels, or a worker serving requests
+/// one after another, encodes without allocating once its buffers have
+/// grown to the largest formula it has seen.
+#[derive(Default)]
+struct Store {
+    fd: FdSolver,
+    /// The time variable of each node, in node order.
+    vars: Vec<IntVar>,
+    /// `slots[v * II + slot]`: the literal `T_v mod II == slot`, if
+    /// that slot is in `v`'s window.
+    slots: Vec<Option<Lit>>,
+    /// The literals of the clause or cardinality row being built.
+    lits: Vec<Lit>,
+    /// The neighbours of the node being encoded.
+    neighbors: Vec<NodeId>,
+}
+
+thread_local! {
+    static RECYCLED: Cell<Option<Store>> = const { Cell::new(None) };
+}
+
+impl Store {
+    /// This thread's recycled store, cleared, or a new one.
+    fn take() -> Store {
+        let mut store = RECYCLED
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        store.fd.clear();
+        store.vars.clear();
+        store
+    }
+
+    /// Keeps `self` for this thread's next encoding.
+    fn give_back(self) {
+        let _ = RECYCLED.try_with(|slot| slot.set(Some(self)));
+    }
+}
+
 /// The SMT time-dimension search of the paper, for one `(DFG, II)` pair.
 ///
 /// Construct, then call [`TimeSolver::solve_outcome`]; enumerate further
 /// schedules for the mapper's fall-back path with
 /// [`TimeSolver::next_outcome`].
+///
+/// The SAT store is recycled per thread: dropping a solver keeps its
+/// storage for the next `TimeSolver::new` on the same thread, which
+/// clears it first, so the formula and the search are exactly those of
+/// a fresh store.
 pub struct TimeSolver<'a> {
     dfg: &'a Dfg,
     ii: usize,
     config: TimeSolverConfig,
-    fd: FdSolver,
-    vars: Vec<IntVar>,
+    store: Store,
     stats: TimeSolverStats,
     have_model: bool,
+}
+
+impl Drop for TimeSolver<'_> {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.store).give_back();
+    }
 }
 
 impl fmt::Debug for TimeSolver<'_> {
@@ -430,14 +484,23 @@ impl<'a> TimeSolver<'a> {
         }
         dfg.validate()?;
         let mobility = Mobility::compute(dfg)?;
-        let kms = Kms::with_slack(&mobility, ii, config.window_slack);
-        let mut fd = FdSolver::new();
+        let mut store = Store::take();
+        let Store {
+            fd,
+            vars,
+            slots,
+            lits,
+            neighbors,
+        } = &mut store;
 
-        // One finite-domain variable per node: its absolute time.
-        let vars: Vec<IntVar> = dfg
-            .nodes()
-            .map(|v| fd.new_int(kms.times_of(v).into_iter().map(|t| t as i64)))
-            .collect();
+        // One finite-domain variable per node: its absolute time, over
+        // its mobility window with the ALAP bound extended by
+        // `slack · II` (the node's times in the KMS, see `Kms`).
+        let stretch = config.window_slack * ii;
+        vars.extend(
+            dfg.nodes()
+                .map(|v| fd.new_int(mobility.asap(v) as i64..=(mobility.alap(v) + stretch) as i64)),
+        );
 
         // 1. Modulo-scheduling constraints.
         let ii_i = ii as i64;
@@ -459,31 +522,30 @@ impl<'a> TimeSolver<'a> {
         }
 
         // Slot indicator literals y[v][slot] = (T_v mod II == slot).
-        let mut slot_lits: Vec<Vec<Option<Lit>>> = Vec::with_capacity(vars.len());
+        slots.clear();
+        slots.resize(vars.len() * ii, None);
         for (vi, &var) in vars.iter().enumerate() {
-            let node = NodeId::from_index(vi);
-            let _ = node;
-            let mut per_slot: Vec<Option<Lit>> = vec![None; ii];
-            #[allow(clippy::needless_range_loop)]
             for slot in 0..ii {
-                let lits: Vec<Lit> = fd
-                    .indicator_lits(var)
-                    .filter(|&(t, _)| (t as usize) % ii == slot)
-                    .map(|(_, l)| l)
-                    .collect();
+                lits.clear();
+                lits.extend(
+                    fd.indicator_lits(var)
+                        .filter(|&(t, _)| (t as usize) % ii == slot)
+                        .map(|(_, l)| l),
+                );
                 if !lits.is_empty() {
-                    per_slot[slot] = Some(fd.or_lit(&lits));
+                    slots[vi * ii + slot] = Some(fd.or_lit(lits));
                 }
             }
-            slot_lits.push(per_slot);
         }
+        let slot_lit = |v: NodeId, slot: usize| slots[v.index() * ii + slot];
 
         // 2. Capacity constraints: ∀ slot, |{v : l(v) = slot}| ≤ |V_Mi|.
         if config.capacity_constraints {
             for slot in 0..ii {
-                let lits: Vec<Lit> = slot_lits.iter().filter_map(|row| row[slot]).collect();
+                lits.clear();
+                lits.extend(dfg.nodes().filter_map(|v| slot_lit(v, slot)));
                 if lits.len() > config.capacity {
-                    fd.at_most_k(&lits, config.capacity);
+                    fd.at_most_k(lits, config.capacity);
                 }
             }
             // 2b. Per-class capacities of heterogeneous grids:
@@ -491,19 +553,15 @@ impl<'a> TimeSolver<'a> {
             // `class_capacities` is empty on homogeneous grids, so the
             // CNF there is unchanged.
             for &(class, cap) in &config.class_capacities {
-                let members: Vec<usize> = dfg
-                    .nodes()
-                    .filter(|&v| dfg.op(v).op_class() == class)
-                    .map(|v| v.index())
-                    .collect();
-                #[allow(clippy::needless_range_loop)]
                 for slot in 0..ii {
-                    let lits: Vec<Lit> = members
-                        .iter()
-                        .filter_map(|&vi| slot_lits[vi][slot])
-                        .collect();
+                    lits.clear();
+                    lits.extend(
+                        dfg.nodes()
+                            .filter(|&v| dfg.op(v).op_class() == class)
+                            .filter_map(|v| slot_lit(v, slot)),
+                    );
                     if lits.len() > cap {
-                        fd.at_most_k(&lits, cap);
+                        fd.at_most_k(lits, cap);
                     }
                 }
             }
@@ -513,27 +571,24 @@ impl<'a> TimeSolver<'a> {
         if config.connectivity_constraints {
             let adj = dfg.adjacency();
             for v in dfg.nodes() {
-                let neighbors = adj.undirected_neighbors(v);
+                adj.undirected_neighbors_into(v, neighbors);
                 if neighbors.len() <= config.degree.saturating_sub(1) {
                     // Cannot exceed any bound; skip the encoding.
                     continue;
                 }
-                #[allow(clippy::needless_range_loop)]
                 for slot in 0..ii {
-                    let mut lits: Vec<Lit> = neighbors
-                        .iter()
-                        .filter_map(|u| slot_lits[u.index()][slot])
-                        .collect();
+                    lits.clear();
+                    lits.extend(neighbors.iter().filter_map(|&u| slot_lit(u, slot)));
                     if config.strict_connectivity {
                         // Counting v itself alongside its neighbours
                         // enforces: neighbours ≤ D_M − 1 when v shares
                         // the slot, ≤ D_M otherwise.
-                        if let Some(own) = slot_lits[v.index()][slot] {
+                        if let Some(own) = slot_lit(v, slot) {
                             lits.push(own);
                         }
                     }
                     if lits.len() > config.degree {
-                        fd.at_most_k(&lits, config.degree);
+                        fd.at_most_k(lits, config.degree);
                     }
                 }
             }
@@ -544,8 +599,7 @@ impl<'a> TimeSolver<'a> {
             dfg,
             ii,
             config,
-            fd,
-            vars,
+            store,
             stats: TimeSolverStats {
                 int_vars: fd_stats.int_vars,
                 sat_vars: fd_stats.sat_vars,
@@ -566,26 +620,34 @@ impl<'a> TimeSolver<'a> {
         self.stats
     }
 
+    /// The SAT core's work counters (decisions, conflicts, learnt and
+    /// deleted clauses, arena compactions) since this solver was built.
+    pub fn sat_stats(&self) -> SolverStats {
+        self.store.fd.sat().stats()
+    }
+
     /// Installs a cooperative cancellation flag on the underlying SAT
     /// core.
     pub fn set_cancel_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.fd.set_cancel_flag(flag);
+        self.store.fd.set_cancel_flag(flag);
     }
 
     /// Attempts to find a schedule.
     pub fn solve_outcome(&mut self) -> SolveOutcome {
+        let fd = &mut self.store.fd;
         let result = match &self.config.budget {
-            Some(b) => self.fd.solve_limited(b),
-            None => self.fd.solve(),
+            Some(b) => fd.solve_limited(b),
+            None => fd.solve(),
         };
         match result {
             SatResult::Sat => {
                 self.have_model = true;
                 self.stats.solutions += 1;
                 let times: Vec<usize> = self
+                    .store
                     .vars
                     .iter()
-                    .map(|&v| self.fd.value(v) as usize)
+                    .map(|&v| fd.value(v) as usize)
                     .collect();
                 SolveOutcome::Solution(TimeSolution { ii: self.ii, times })
             }
@@ -607,7 +669,7 @@ impl<'a> TimeSolver<'a> {
     /// Panics if no schedule has been produced yet.
     pub fn next_outcome(&mut self) -> SolveOutcome {
         assert!(self.have_model, "next_outcome requires a current solution");
-        self.fd.block_current(&self.vars);
+        self.store.fd.block_current(&self.store.vars);
         self.have_model = false;
         self.solve_outcome()
     }

@@ -6,13 +6,14 @@
 //! the PE count per slot or the connectivity degree), so no stronger
 //! encoding is warranted.
 
-use cgra_sat::{Lit, Solver};
+use cgra_sat::{Lit, Solver, Var};
 
 /// Adds clauses enforcing that at most `k` of `lits` are true.
 ///
 /// Uses the sequential-counter (Sinz 2005) encoding with fresh auxiliary
 /// registers. `k == 0` forbids every literal; `k >= lits.len()` adds
-/// nothing.
+/// nothing. Allocates nothing itself: each row of registers is a run of
+/// `k` consecutive fresh variables, named by the first one's index.
 pub fn at_most_k(solver: &mut Solver, lits: &[Lit], k: usize) {
     let n = lits.len();
     if k >= n {
@@ -24,30 +25,34 @@ pub fn at_most_k(solver: &mut Solver, lits: &[Lit], k: usize) {
         }
         return;
     }
-    // registers[i][j] == true  =>  at least j+1 of lits[..=i] are true.
-    let mut prev: Vec<Lit> = Vec::with_capacity(k);
+    // R(row, j) == true  =>  at least j+1 of lits[..=i] are true, where
+    // `row` is the first variable index of row i.
+    let reg = |row: usize, j: usize| Var::from_index(row + j).pos();
+    let mut prev = 0;
     for (i, &x) in lits.iter().enumerate() {
         if i == n - 1 {
-            // Only the overflow clause matters for the last literal.
-            if let Some(&r_top) = prev.get(k - 1) {
-                solver.add_clause([!x, !r_top]);
-            }
+            // Only the overflow clause matters for the last literal
+            // (i ≥ 1 here, as n > k ≥ 1).
+            solver.add_clause([!x, !reg(prev, k - 1)]);
             break;
         }
-        let row: Vec<Lit> = (0..k).map(|_| solver.new_var().pos()).collect();
+        let row = solver.num_vars();
+        for _ in 0..k {
+            solver.new_var();
+        }
         // x_i -> R_i,1
-        solver.add_clause([!x, row[0]]);
+        solver.add_clause([!x, reg(row, 0)]);
         if i > 0 {
             for j in 0..k {
                 // R_{i-1},j -> R_i,j
-                solver.add_clause([!prev[j], row[j]]);
+                solver.add_clause([!reg(prev, j), reg(row, j)]);
             }
             for j in 1..k {
                 // x_i ∧ R_{i-1},j -> R_i,j+1
-                solver.add_clause([!x, !prev[j - 1], row[j]]);
+                solver.add_clause([!x, !reg(prev, j - 1), reg(row, j)]);
             }
             // overflow: x_i ∧ R_{i-1},k is forbidden
-            solver.add_clause([!x, !prev[k - 1]]);
+            solver.add_clause([!x, !reg(prev, k - 1)]);
         }
         prev = row;
     }
@@ -97,7 +102,7 @@ pub fn at_most_one(solver: &mut Solver, lits: &[Lit]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgra_sat::{SatResult, Solver, Var};
+    use cgra_sat::SatResult;
 
     /// Enumerates all models over `vars` and returns the set of
     /// true-counts observed.

@@ -26,9 +26,18 @@ impl fmt::Debug for IntVar {
     }
 }
 
-struct IntVarData {
-    domain: Vec<i64>,
-    lits: Vec<Lit>,
+/// Where an integer variable's domain lives in [`FdSolver`]'s flat
+/// `values`/`lits` arrays.
+#[derive(Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// Sizes of the encoded formula, for reporting and benchmarks.
@@ -46,10 +55,19 @@ pub struct FdStats {
 ///
 /// See the crate-level documentation for an example. All constraint
 /// methods add clauses immediately (eager encoding); the solver can then
-/// be queried repeatedly and incrementally.
+/// be queried repeatedly and incrementally. Every domain lives in two
+/// flat arrays shared by all variables, so [`FdSolver::clear`] can
+/// recycle the whole store for the next formula.
 pub struct FdSolver {
     sat: Solver,
-    vars: Vec<IntVarData>,
+    /// Per variable, its run of `values` and `lits`.
+    vars: Vec<Span>,
+    /// Sorted domain values, each variable's a contiguous run.
+    values: Vec<i64>,
+    /// The indicator literal `[x = value]` of each entry of `values`.
+    lits: Vec<Lit>,
+    /// Scratch clause for `block_current`.
+    buf: Vec<Lit>,
 }
 
 impl fmt::Debug for FdSolver {
@@ -73,6 +91,86 @@ impl FdSolver {
         FdSolver {
             sat: Solver::new(),
             vars: Vec::new(),
+            values: Vec::new(),
+            lits: Vec::new(),
+            buf: Vec::new(),
+        }
+    }
+
+    /// Returns the solver to the state of [`FdSolver::new`] (see
+    /// [`Solver::clear`]), keeping every buffer's capacity.
+    pub fn clear(&mut self) {
+        self.sat.clear();
+        self.vars.clear();
+        self.values.clear();
+        self.lits.clear();
+        self.buf.clear();
+    }
+
+    /// Appends `domain`, sorted and deduplicated, to `values`, and
+    /// returns where it starts.
+    fn push_domain<I>(&mut self, domain: I) -> usize
+    where
+        I: IntoIterator<Item = i64>,
+    {
+        let start = self.values.len();
+        self.values.extend(domain);
+        self.values[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..self.values.len() {
+            if kept == start || self.values[i] != self.values[kept - 1] {
+                self.values[kept] = self.values[i];
+                kept += 1;
+            }
+        }
+        self.values.truncate(kept);
+        start
+    }
+
+    /// Gives `values[start..]` fresh indicator literals and registers
+    /// them as a new variable.
+    fn push_var(&mut self, start: usize) -> IntVar {
+        assert!(
+            self.values.len() > start,
+            "integer variable needs a non-empty domain"
+        );
+        for _ in start..self.values.len() {
+            let l = self.sat.new_var().pos();
+            self.lits.push(l);
+        }
+        let v = IntVar(self.vars.len() as u32);
+        self.vars.push(Span {
+            start: start as u32,
+            len: (self.values.len() - start) as u32,
+        });
+        v
+    }
+
+    /// The domain values and indicator literals of `v`.
+    fn entries(&self, v: IntVar) -> (&[i64], &[Lit]) {
+        let range = self.vars[v.index()].range();
+        (&self.values[range.clone()], &self.lits[range])
+    }
+
+    /// Adds `[!a ∨ !b]`, with `!guard` when guarded, for every value
+    /// pair of `(a, b)` that `pred` rejects and `keep` selects by domain
+    /// index, in `a`-major order.
+    fn forbid_pairs<F, K>(&mut self, guard: Option<Lit>, a: IntVar, b: IntVar, keep: K, pred: F)
+    where
+        F: Fn(i64, i64) -> bool,
+        K: Fn(usize, usize) -> bool,
+    {
+        let (ra, rb) = (self.vars[a.index()].range(), self.vars[b.index()].range());
+        for ia in ra.clone() {
+            for ib in rb.clone() {
+                if keep(ia - ra.start, ib - rb.start) && !pred(self.values[ia], self.values[ib]) {
+                    let (la, lb) = (self.lits[ia], self.lits[ib]);
+                    match guard {
+                        Some(g) => self.sat.add_clause([!g, !la, !lb]),
+                        None => self.sat.add_clause([!la, !lb]),
+                    };
+                }
+            }
         }
     }
 
@@ -88,21 +186,11 @@ impl FdSolver {
     where
         I: IntoIterator<Item = i64>,
     {
-        let mut values: Vec<i64> = domain.into_iter().collect();
-        values.sort_unstable();
-        values.dedup();
-        assert!(
-            !values.is_empty(),
-            "integer variable needs a non-empty domain"
-        );
-        let lits: Vec<Lit> = values.iter().map(|_| self.sat.new_var().pos()).collect();
+        let start = self.push_domain(domain);
+        let v = self.push_var(start);
+        let lits = &self.lits[start..];
         self.sat.add_clause(lits.iter().copied());
-        cardinality::at_most_one(&mut self.sat, &lits);
-        let v = IntVar(self.vars.len() as u32);
-        self.vars.push(IntVarData {
-            domain: values,
-            lits,
-        });
+        cardinality::at_most_one(&mut self.sat, lits);
         v
     }
 
@@ -124,24 +212,12 @@ impl FdSolver {
     where
         I: IntoIterator<Item = i64>,
     {
-        let mut values: Vec<i64> = domain.into_iter().collect();
-        values.sort_unstable();
-        values.dedup();
-        assert!(
-            !values.is_empty(),
-            "integer variable needs a non-empty domain"
-        );
-        let lits: Vec<Lit> = values.iter().map(|_| self.sat.new_var().pos()).collect();
-        let mut alo = Vec::with_capacity(lits.len() + 1);
-        alo.push(!guard);
-        alo.extend_from_slice(&lits);
-        self.sat.add_clause(alo);
-        cardinality::at_most_one(&mut self.sat, &lits);
-        let v = IntVar(self.vars.len() as u32);
-        self.vars.push(IntVarData {
-            domain: values,
-            lits,
-        });
+        let start = self.push_domain(domain);
+        let v = self.push_var(start);
+        let lits = &self.lits[start..];
+        self.sat
+            .add_clause(std::iter::once(!guard).chain(lits.iter().copied()));
+        cardinality::at_most_one(&mut self.sat, lits);
         v
     }
 
@@ -170,37 +246,46 @@ impl FdSolver {
     where
         I: IntoIterator<Item = i64>,
     {
-        let mut values: Vec<i64> = new_values.into_iter().collect();
-        values.sort_unstable();
-        values.dedup();
-        let current_max = *self.vars[v.index()]
-            .domain
-            .last()
-            .expect("domains are never empty");
+        // The grown domain must stay one run: move the old one to the
+        // end of the arrays unless it is already there.
+        let mut span = self.vars[v.index()];
+        let old = span.range();
+        if old.end != self.values.len() {
+            span.start = self.values.len() as u32;
+            self.values.extend_from_within(old.clone());
+            self.lits.extend_from_within(old);
+        }
+        let current_max = *self.values.last().expect("domains are never empty");
+        let first_new = self.push_domain(new_values);
         assert!(
-            values.first().is_none_or(|&first| first > current_max),
+            self.values
+                .get(first_new)
+                .is_none_or(|&first| first > current_max),
             "extend_int must append values strictly above the current maximum"
         );
-        let added = values.len();
-        let new_lits: Vec<Lit> = values.iter().map(|_| self.sat.new_var().pos()).collect();
+        let added = self.values.len() - first_new;
+        for _ in 0..added {
+            let l = self.sat.new_var().pos();
+            self.lits.push(l);
+        }
         // At-most-one across the grown domain: the old encoding already
         // covers old×old pairs, so only pairs touching a new literal are
         // missing.
-        for (i, &nl) in new_lits.iter().enumerate() {
-            for &ol in &self.vars[v.index()].lits {
-                self.sat.add_clause([!ol, !nl]);
+        let old_lits = span.start as usize..first_new;
+        for i in first_new..self.lits.len() {
+            let nl = self.lits[i];
+            for k in old_lits.clone() {
+                self.sat.add_clause([!self.lits[k], !nl]);
             }
-            for &nl2 in &new_lits[i + 1..] {
-                self.sat.add_clause([!nl, !nl2]);
+            for k in i + 1..self.lits.len() {
+                self.sat.add_clause([!nl, !self.lits[k]]);
             }
         }
-        let data = &mut self.vars[v.index()];
-        data.domain.extend_from_slice(&values);
-        data.lits.extend_from_slice(&new_lits);
-        let mut alo = Vec::with_capacity(data.lits.len() + 1);
-        alo.push(!guard);
-        alo.extend_from_slice(&data.lits);
-        self.sat.add_clause(alo);
+        span.len += added as u32;
+        self.vars[v.index()] = span;
+        let lits = &self.lits[span.range()];
+        self.sat
+            .add_clause(std::iter::once(!guard).chain(lits.iter().copied()));
         added
     }
 
@@ -222,21 +307,7 @@ impl FdSolver {
     ) where
         F: Fn(i64, i64) -> bool,
     {
-        let mut forbidden = Vec::new();
-        {
-            let da = &self.vars[a.index()];
-            let db = &self.vars[b.index()];
-            for (ia, &va) in da.domain.iter().enumerate() {
-                for (ib, &vb) in db.domain.iter().enumerate() {
-                    if (ia >= from_a || ib >= from_b) && !pred(va, vb) {
-                        forbidden.push((da.lits[ia], db.lits[ib]));
-                    }
-                }
-            }
-        }
-        for (la, lb) in forbidden {
-            self.sat.add_clause([!la, !lb]);
-        }
+        self.forbid_pairs(None, a, b, |ia, ib| ia >= from_a || ib >= from_b, pred);
     }
 
     /// Creates a fresh free Boolean literal.
@@ -246,20 +317,20 @@ impl FdSolver {
 
     /// The sorted domain of a variable.
     pub fn domain(&self, v: IntVar) -> &[i64] {
-        &self.vars[v.index()].domain
+        self.entries(v).0
     }
 
     /// The indicator literal for `v == value`, if `value` is in the
     /// domain.
     pub fn eq_lit(&self, v: IntVar, value: i64) -> Option<Lit> {
-        let data = &self.vars[v.index()];
-        data.domain.binary_search(&value).ok().map(|i| data.lits[i])
+        let (values, lits) = self.entries(v);
+        values.binary_search(&value).ok().map(|i| lits[i])
     }
 
     /// Indicator literals of `v` paired with their domain values.
     pub fn indicator_lits(&self, v: IntVar) -> impl Iterator<Item = (i64, Lit)> + '_ {
-        let data = &self.vars[v.index()];
-        data.domain.iter().copied().zip(data.lits.iter().copied())
+        let (values, lits) = self.entries(v);
+        values.iter().copied().zip(lits.iter().copied())
     }
 
     /// Adds a raw clause over Boolean literals.
@@ -275,15 +346,10 @@ impl FdSolver {
     where
         F: Fn(i64) -> bool,
     {
-        let to_forbid: Vec<Lit> = self.vars[v.index()]
-            .domain
-            .iter()
-            .zip(&self.vars[v.index()].lits)
-            .filter(|(val, _)| !pred(**val))
-            .map(|(_, l)| *l)
-            .collect();
-        for l in to_forbid {
-            self.sat.add_clause([!l]);
+        for i in self.vars[v.index()].range() {
+            if !pred(self.values[i]) {
+                self.sat.add_clause([!self.lits[i]]);
+            }
         }
     }
 
@@ -297,21 +363,7 @@ impl FdSolver {
     where
         F: Fn(i64, i64) -> bool,
     {
-        let mut forbidden = Vec::new();
-        {
-            let da = &self.vars[a.index()];
-            let db = &self.vars[b.index()];
-            for (ia, &va) in da.domain.iter().enumerate() {
-                for (ib, &vb) in db.domain.iter().enumerate() {
-                    if !pred(va, vb) {
-                        forbidden.push((da.lits[ia], db.lits[ib]));
-                    }
-                }
-            }
-        }
-        for (la, lb) in forbidden {
-            self.sat.add_clause([!la, !lb]);
-        }
+        self.forbid_pairs(None, a, b, |_, _| true, pred);
     }
 
     /// Requires `pred(a, b)` to hold whenever `guard` is true.
@@ -319,21 +371,7 @@ impl FdSolver {
     where
         F: Fn(i64, i64) -> bool,
     {
-        let mut forbidden = Vec::new();
-        {
-            let da = &self.vars[a.index()];
-            let db = &self.vars[b.index()];
-            for (ia, &va) in da.domain.iter().enumerate() {
-                for (ib, &vb) in db.domain.iter().enumerate() {
-                    if !pred(va, vb) {
-                        forbidden.push((da.lits[ia], db.lits[ib]));
-                    }
-                }
-            }
-        }
-        for (la, lb) in forbidden {
-            self.sat.add_clause([!guard, !la, !lb]);
-        }
+        self.forbid_pairs(Some(guard), a, b, |_, _| true, pred);
     }
 
     /// Returns a literal defined (via Tseitin) to be the disjunction of
@@ -346,10 +384,8 @@ impl FdSolver {
         for &l in lits {
             self.sat.add_clause([!l, y]);
         }
-        let mut long = Vec::with_capacity(lits.len() + 1);
-        long.push(!y);
-        long.extend_from_slice(lits);
-        self.sat.add_clause(long);
+        self.sat
+            .add_clause(std::iter::once(!y).chain(lits.iter().copied()));
         y
     }
 
@@ -363,10 +399,8 @@ impl FdSolver {
         for &l in lits {
             self.sat.add_clause([!y, l]);
         }
-        let mut long = Vec::with_capacity(lits.len() + 1);
-        long.push(y);
-        long.extend(lits.iter().map(|&l| !l));
-        self.sat.add_clause(long);
+        self.sat
+            .add_clause(std::iter::once(y).chain(lits.iter().map(|&l| !l)));
         y
     }
 
@@ -430,13 +464,15 @@ impl FdSolver {
     /// Panics if the last `solve` did not return Sat, or if the model is
     /// no longer current (e.g. clauses were added since).
     pub fn value(&self, v: IntVar) -> i64 {
-        let data = &self.vars[v.index()];
-        for (i, &l) in data.lits.iter().enumerate() {
-            if self.sat.lit_value(l).is_true() {
-                return data.domain[i];
-            }
-        }
-        panic!("no model value for {v:?}: call solve() first");
+        self.values[self.model_index(v)]
+    }
+
+    /// The index in `values`/`lits` of `v`'s value in the current model.
+    fn model_index(&self, v: IntVar) -> usize {
+        self.vars[v.index()]
+            .range()
+            .find(|&i| self.sat.lit_value(self.lits[i]).is_true())
+            .unwrap_or_else(|| panic!("no model value for {v:?}: call solve() first"))
     }
 
     /// The truth value of a Boolean literal in the current model.
@@ -450,14 +486,11 @@ impl FdSolver {
     /// Must be called while a model is current; reads the model before
     /// modifying the clause database.
     pub fn block_current(&mut self, vars: &[IntVar]) {
-        let clause: Vec<Lit> = vars
-            .iter()
-            .map(|&v| {
-                let val = self.value(v);
-                !self.eq_lit(v, val).expect("model value is in the domain")
-            })
-            .collect();
-        self.sat.add_clause(clause);
+        let mut clause = std::mem::take(&mut self.buf);
+        clause.clear();
+        clause.extend(vars.iter().map(|&v| !self.lits[self.model_index(v)]));
+        self.sat.add_clause(clause.iter().copied());
+        self.buf = clause;
     }
 
     /// Sizes of the current encoding.
@@ -731,6 +764,56 @@ mod tests {
         assert_eq!(r, SatResult::Unknown);
         // The same instance still resolves once given room.
         assert_eq!(fd.solve_with_assumptions(&[g]), SatResult::Unsat);
+    }
+
+    /// A small scheduling-like formula: ordered variables over
+    /// overlapping windows, widened once, and a cardinality row.
+    /// Returns its stats and every solution in enumeration order.
+    fn enumerate_small_formula(fd: &mut FdSolver) -> (FdStats, Vec<Vec<i64>>) {
+        let xs: Vec<IntVar> = (0..5).map(|i| fd.new_int(i..i + 4)).collect();
+        for w in xs.windows(2) {
+            fd.require_binary(w[0], w[1], |a, b| b > a);
+        }
+        let g = fd.new_bool();
+        let y = fd.new_int_guarded([1, 3], g);
+        fd.extend_int(y, [5, 7], g);
+        fd.require_binary_if(g, xs[0], y, |a, b| b >= a);
+        let ones: Vec<Lit> = xs.iter().filter_map(|&x| fd.eq_lit(x, 4)).collect();
+        fd.at_most_k(&ones, 1);
+        let either = fd.or_lit(&ones);
+        fd.add_clause([either, g]);
+        let stats = fd.stats();
+        let mut all = xs.clone();
+        all.push(y);
+        let mut solutions = Vec::new();
+        while fd.solve_with_assumptions(&[g]) == SatResult::Sat {
+            solutions.push(all.iter().map(|&v| fd.value(v)).collect());
+            fd.block_current(&all);
+        }
+        (stats, solutions)
+    }
+
+    #[test]
+    fn a_cleared_solver_encodes_and_enumerates_as_a_new_one() {
+        let reference = enumerate_small_formula(&mut FdSolver::new());
+        assert!(reference.1.len() > 1);
+        let mut fd = FdSolver::new();
+        // Dirty the store: an Unsat formula with a raised cancel flag,
+        // then a Sat one with a model left on the trail.
+        let x = fd.new_int(0..6);
+        let y = fd.new_int(0..6);
+        fd.require_binary(x, y, |a, b| a + b == 20);
+        assert_eq!(fd.solve(), SatResult::Unsat);
+        fd.set_cancel_flag(Arc::new(AtomicBool::new(true)));
+        fd.clear();
+        enumerate_small_formula(&mut fd);
+        let z = fd.new_int(0..3);
+        assert_eq!(fd.solve(), SatResult::Sat);
+        let _ = fd.value(z);
+        for _ in 0..2 {
+            fd.clear();
+            assert_eq!(enumerate_small_formula(&mut fd), reference);
+        }
     }
 
     #[test]

@@ -41,5 +41,5 @@ mod cardinality;
 mod fd;
 
 pub use cardinality::{at_least_k, at_most_k, at_most_one, exactly_k};
-pub use cgra_sat::{LBool, Lit, SatResult, Var};
+pub use cgra_sat::{LBool, Lit, SatResult, SolverStats, Var};
 pub use fd::{FdSolver, FdStats, IntVar};
