@@ -144,7 +144,7 @@ fn constraint_families() {
                         Ok(s) => s,
                         Err(_) => return "error",
                     };
-                    match solver.solve_outcome() {
+                    match solver.next() {
                         SolveOutcome::Solution(sol) => {
                             let (space, _) = space_search(&dfg, &cgra, &sol, 2_000_000, None);
                             return match space {

@@ -11,7 +11,7 @@ use cgra_base::CancelFlag;
 use cgra_arch::{Cgra, MAX_ROUTE_HOPS};
 use cgra_dfg::Dfg;
 use cgra_sched::{
-    ims_schedule, min_ii, unsupported_op_class, EnumerationEnd, TimeSolution, TimeSolver,
+    ims_schedule, min_ii, unsupported_op_class, SolveOutcome, TimeSolution, TimeSolver,
     TimeSolverConfig, TimeSolverError,
 };
 
@@ -273,10 +273,6 @@ impl DecoupledMapper {
         self.cancel = Some(flag);
     }
 
-    fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelFlag::is_cancelled)
-    }
-
     /// Maps `dfg` onto the CGRA.
     ///
     /// Searches II values from `mII` upward; for each II tries window
@@ -348,20 +344,35 @@ impl DecoupledMapper {
             }
         }
         let max_ii = self.config.max_ii.unwrap_or(mii + 16);
-        let mut stats = MapStats {
-            mii,
-            time_strategy: Some(self.config.time_strategy),
-            ..MapStats::default()
-        };
+        let mut time_config = TimeSolverConfig::for_cgra(&self.cgra)
+            .with_strict_connectivity(self.config.strict_connectivity)
+            .with_capacity_constraints(self.config.capacity_constraints)
+            .with_connectivity_constraints(self.config.connectivity_constraints);
+        time_config.budget = self.config.time_budget.clone();
         let t0 = Instant::now();
         let engine = self.engine();
-        stats.space_phase_seconds += t0.elapsed().as_secs_f64();
+        let mut session = Session {
+            cgra: &self.cgra,
+            config: &self.config,
+            cancel: self.cancel.as_ref(),
+            dfg,
+            engine,
+            obs,
+            stats: MapStats {
+                mii,
+                time_strategy: Some(self.config.time_strategy),
+                space_phase_seconds: t0.elapsed().as_secs_f64(),
+                ..MapStats::default()
+            },
+            start,
+            time_config,
+        };
 
         for ii in mii..=max_ii {
-            stats.iis_tried += 1;
+            session.stats.iis_tried += 1;
             emit(obs, MapEvent::IiStarted { ii });
-            if let Some((sol, map, slack)) = self.ladder(dfg, ii, engine, &mut stats, obs)? {
-                return Ok(self.finish(dfg, &sol, map, ii, slack, start, stats));
+            if let Some((sol, map, slack)) = session.ladder(ii)? {
+                return Ok(session.finish(&sol, map, ii, slack));
             }
         }
         Err(MapError::NoSolution { mii, max_ii })
@@ -382,18 +393,41 @@ impl DecoupledMapper {
         );
         self.engines[hops - 1].get_or_init(|| SpaceEngine::with_route_hops(&self.cgra, hops))
     }
+}
 
-    /// The time-phase configuration of one slack level.
-    fn time_config(&self, slack: usize) -> TimeSolverConfig {
-        let mut ts_config = TimeSolverConfig::for_cgra(&self.cgra)
-            .with_window_slack(slack)
-            .with_strict_connectivity(self.config.strict_connectivity)
-            .with_capacity_constraints(self.config.capacity_constraints)
-            .with_connectivity_constraints(self.config.connectivity_constraints);
-        if let Some(b) = &self.config.time_budget {
-            ts_config = ts_config.with_budget(b.clone());
-        }
-        ts_config
+/// One map request: the mapper's CGRA, configuration and cancel flag,
+/// the DFG and its space engine, the observer, and the statistics the
+/// search books as it walks the II range.
+struct Session<'a> {
+    cgra: &'a Cgra,
+    config: &'a MapperConfig,
+    cancel: Option<&'a CancelFlag>,
+    dfg: &'a Dfg,
+    engine: &'a SpaceEngine,
+    obs: Option<&'a dyn MapObserver>,
+    stats: MapStats,
+    start: Instant,
+    /// The time-phase configuration at slack 0, built once per map;
+    /// each level takes a copy at its own slack.
+    time_config: TimeSolverConfig,
+}
+
+/// Where one `(II, slack)` level's schedules come from.
+// One lives on the stack per level; boxing the solver would add an
+// allocation per level for nothing.
+#[allow(clippy::large_enum_variant)]
+enum Source<'a> {
+    /// The level's SMT formula: every pull blocks the schedules before
+    /// it and solves again.
+    Smt(TimeSolver<'a>),
+    /// The IMS heuristic, one-shot: its schedule if it found one, then
+    /// `Unsat`.
+    Ims(Option<TimeSolution>),
+}
+
+impl<'a> Session<'a> {
+    fn cancelled(&self) -> bool {
+        self.cancel.is_some_and(CancelFlag::is_cancelled)
     }
 
     /// One II under a geometric ladder of step budgets — a thousandth, a
@@ -401,27 +435,20 @@ impl DecoupledMapper {
     /// limit itself (rungs a small limit rounds to zero are skipped).
     ///
     /// The first rung walks the slack levels `0..=max_window_slack`
-    /// through [`DecoupledMapper::level`], giving every enumerated
-    /// schedule the smallest budget: an embeddable schedule typically
-    /// needs tens of steps, so a schedule that would burn the whole
-    /// limit no longer stands in front of the next slack level's easy
-    /// one. A search that exhausts its space settles its schedule; one
-    /// that stops at the budget leaves it undecided, and only those are
-    /// kept. Every later rung searches the kept schedules again under
-    /// the next budget, without re-encoding or re-solving anything. The
-    /// II is given up only after the last rung, so every schedule has
-    /// been searched under the full limit before the II rises, and the
-    /// earlier rungs add at most 11.1 % to the work of the last.
+    /// through [`Session::level`], giving every enumerated schedule the
+    /// smallest budget: an embeddable schedule typically needs tens of
+    /// steps, so a schedule that would burn the whole limit no longer
+    /// stands in front of the next slack level's easy one. A search that
+    /// exhausts its space settles its schedule; one that stops at the
+    /// budget leaves it undecided, and only those are kept. Every later
+    /// rung searches the kept schedules again under the next budget,
+    /// without re-encoding or re-solving anything. The II is given up
+    /// only after the last rung, so every schedule has been searched
+    /// under the full limit before the II rises, and the earlier rungs
+    /// add at most 11.1 % to the work of the last.
     ///
     /// Returns the winning `(schedule, monomorphism, slack)`.
-    fn ladder(
-        &self,
-        dfg: &Dfg,
-        ii: usize,
-        engine: &SpaceEngine,
-        stats: &mut MapStats,
-        obs: Option<&dyn MapObserver>,
-    ) -> Result<Option<(TimeSolution, Vec<usize>, usize)>, MapError> {
+    fn ladder(&mut self, ii: usize) -> Result<Option<(TimeSolution, Vec<usize>, usize)>, MapError> {
         let limit = self.config.mono_step_limit;
         let mut budgets = [1000, 100, 10]
             .into_iter()
@@ -436,19 +463,17 @@ impl DecoupledMapper {
                 return Err(MapError::Timeout { ii });
             }
             let mut undecided = Vec::new();
-            if let Some((sol, map)) =
-                self.level(dfg, ii, slack, first, engine, &mut undecided, stats, obs)?
-            {
+            if let Some((sol, map)) = self.level(ii, slack, first, &mut undecided)? {
                 return Ok(Some((sol, map, slack)));
             }
-            emit(obs, MapEvent::Escalated { ii, slack });
+            emit(self.obs, MapEvent::Escalated { ii, slack });
             kept.push((slack, undecided));
         }
         for budget in budgets {
             for (slack, sols) in &mut kept {
                 let mut undecided = Vec::with_capacity(sols.len());
                 for sol in sols.drain(..) {
-                    match self.attempt(dfg, ii, *slack, &sol, budget, engine, stats, obs) {
+                    match self.attempt(ii, *slack, &sol, budget) {
                         SpaceOutcome::Found(map) => return Ok(Some((sol, map, *slack))),
                         SpaceOutcome::LimitReached => undecided.push(sol),
                         SpaceOutcome::Exhausted | SpaceOutcome::Cancelled => {}
@@ -463,150 +488,132 @@ impl DecoupledMapper {
         Ok(None)
     }
 
-    /// One `(II, slack)` level, the paper's §IV-D loop: take schedules
-    /// from the level's one source, search each for a monomorphism
+    /// One `(II, slack)` level, the paper's §IV-D loop: pull schedules
+    /// from the level's one [`Source`], search each for a monomorphism
     /// under `budget` steps, and block-and-enumerate on failure.
     ///
     /// The source is a [`TimeSolver`] encoded fresh for the level, or
     /// the single IMS schedule under [`TimeStrategy::Heuristic`]. The
     /// fresh solver is the mapper's only SMT path on purpose:
-    /// [`cgra_sched::IncrementalTimeSolver`] stays in `cgra-sched` (the
-    /// benchmark's `sched.*` probe drives it and learned-clause feedback
-    /// needs a live instance), but its encoding's model order embeds far
-    /// worse, and screening Unsat levels on it re-encodes more than it
-    /// saves (README, "The time phase", has both measurements).
+    /// [`cgra_sched::IncrementalTimeSolver`] stays in `cgra-sched` only
+    /// because the benchmark's `sched.*` probe drives it; its encoding's
+    /// model order embeds far worse, and screening Unsat levels on it
+    /// re-encodes more than it saves (README, "The time phase", has both
+    /// measurements).
     ///
     /// Schedules are pulled one at a time, never more than
-    /// [`MapperConfig::max_time_solutions`] per level, and each is one
-    /// [`DecoupledMapper::attempt`]: solve → search → block → solve, in
+    /// [`MapperConfig::max_time_solutions`] per level (but always the
+    /// first, even under a cap of 0), and each is one
+    /// [`Session::attempt`]: solve → search → block → solve, in
     /// enumeration order.
     ///
     /// Returns the winning `(schedule, monomorphism)`, or `None` when
     /// the level ended without one — no schedule left, the enumeration
     /// cap, or a per-solve budget running out. The schedules whose
     /// search stopped at `budget` are appended to `undecided`.
-    #[allow(clippy::too_many_arguments)]
     fn level(
-        &self,
-        dfg: &Dfg,
+        &mut self,
         ii: usize,
         slack: usize,
         budget: u64,
-        engine: &SpaceEngine,
         undecided: &mut Vec<TimeSolution>,
-        stats: &mut MapStats,
-        obs: Option<&dyn MapObserver>,
     ) -> Result<Option<(TimeSolution, Vec<usize>)>, MapError> {
-        let mut solver = match self.config.time_strategy {
-            TimeStrategy::Heuristic => None,
-            TimeStrategy::Smt => {
-                let t0 = Instant::now();
-                let mut solver = match TimeSolver::new(dfg, ii, self.time_config(slack)) {
-                    Ok(s) => s,
-                    Err(TimeSolverError::Dfg(e)) => return Err(MapError::InvalidDfg(e)),
-                    Err(_) => unreachable!("ii and capacity are positive"),
-                };
-                if let Some(flag) = &self.cancel {
-                    solver.set_cancel_flag(flag.arc());
-                }
-                let encode = t0.elapsed().as_secs_f64();
-                stats.time_phase_seconds += encode;
-                stats.time_encode_seconds += encode;
-                Some(solver)
-            }
-        };
-        // A level always tries its first schedule, even under a cap of 0.
+        let mut source = self.source(ii, slack)?;
         let mut remaining = self.config.max_time_solutions.max(1);
         while remaining > 0 {
             let t0 = Instant::now();
-            let (sol, end) = match &mut solver {
-                Some(solver) => {
-                    let (mut sols, end) = solver.enumerate_solutions(1);
-                    (sols.pop(), end)
-                }
-                // IMS is single-shot: one schedule at most, then the end.
-                None => (
-                    ims_schedule(dfg, ii, &self.time_config(slack)),
-                    EnumerationEnd::Unsat,
-                ),
+            let outcome = match &mut source {
+                Source::Smt(solver) => solver.next(),
+                Source::Ims(first) => first
+                    .take()
+                    .map_or(SolveOutcome::Unsat, SolveOutcome::Solution),
             };
             let solve = t0.elapsed().as_secs_f64();
-            stats.time_phase_seconds += solve;
-            if solver.is_some() {
-                stats.time_solve_seconds += solve;
+            self.stats.time_phase_seconds += solve;
+            if let Source::Smt(_) = source {
+                self.stats.time_solve_seconds += solve;
             }
-
-            if let Some(sol) = sol {
-                stats.time_solutions += 1;
-                remaining -= 1;
-                emit(obs, MapEvent::TimeSolutionFound { ii, slack });
-                match self.attempt(dfg, ii, slack, &sol, budget, engine, stats, obs) {
-                    SpaceOutcome::Found(map) => return Ok(Some((sol, map))),
-                    SpaceOutcome::LimitReached => undecided.push(sol),
-                    SpaceOutcome::Exhausted | SpaceOutcome::Cancelled => {}
+            match outcome {
+                SolveOutcome::Solution(sol) => {
+                    self.stats.time_solutions += 1;
+                    remaining -= 1;
+                    emit(self.obs, MapEvent::TimeSolutionFound { ii, slack });
+                    match self.attempt(ii, slack, &sol, budget) {
+                        SpaceOutcome::Found(map) => return Ok(Some((sol, map))),
+                        SpaceOutcome::LimitReached => undecided.push(sol),
+                        SpaceOutcome::Exhausted | SpaceOutcome::Cancelled => {}
+                    }
+                    if self.cancelled() {
+                        return Err(MapError::Timeout { ii });
+                    }
                 }
-                if self.cancelled() {
-                    return Err(MapError::Timeout { ii });
-                }
-            }
-            match end {
-                EnumerationEnd::CapReached => {}
-                EnumerationEnd::Unsat => return Ok(None),
+                SolveOutcome::Unsat => return Ok(None),
                 // The flag may have been raised while the SMT solve was
                 // blocked: user cancellation aborts the whole search, a
                 // per-solve budget running out ends only this level.
-                EnumerationEnd::Timeout if self.cancelled() => {
-                    return Err(MapError::Timeout { ii });
-                }
-                EnumerationEnd::Timeout => return Ok(None),
+                SolveOutcome::Timeout if self.cancelled() => return Err(MapError::Timeout { ii }),
+                SolveOutcome::Timeout => return Ok(None),
             }
         }
         Ok(None)
     }
 
+    /// The schedule source of one `(II, slack)` level. Building it is
+    /// time-phase work; an SMT encode is also booked as encode time.
+    fn source(&mut self, ii: usize, slack: usize) -> Result<Source<'a>, MapError> {
+        let t0 = Instant::now();
+        let config = self.time_config.clone().with_window_slack(slack);
+        let source = match self.config.time_strategy {
+            TimeStrategy::Heuristic => Source::Ims(ims_schedule(self.dfg, ii, &config)),
+            TimeStrategy::Smt => {
+                let mut solver = match TimeSolver::new(self.dfg, ii, config) {
+                    Ok(s) => s,
+                    Err(TimeSolverError::Dfg(e)) => return Err(MapError::InvalidDfg(e)),
+                    Err(_) => unreachable!("ii and capacity are positive"),
+                };
+                if let Some(flag) = self.cancel {
+                    solver.set_cancel_flag(flag.arc());
+                }
+                Source::Smt(solver)
+            }
+        };
+        let elapsed = t0.elapsed().as_secs_f64();
+        self.stats.time_phase_seconds += elapsed;
+        if let Source::Smt(_) = source {
+            self.stats.time_encode_seconds += elapsed;
+        }
+        Ok(source)
+    }
+
     /// Searches one schedule of `(ii, slack)` for a monomorphism under
-    /// `budget` steps, books the work in `stats` and reports it as one
-    /// [`MapEvent::SpaceAttempt`].
-    #[allow(clippy::too_many_arguments)]
+    /// `budget` steps, books the work in the statistics and reports it
+    /// as one [`MapEvent::SpaceAttempt`].
     fn attempt(
-        &self,
-        dfg: &Dfg,
+        &mut self,
         ii: usize,
         slack: usize,
         sol: &TimeSolution,
         budget: u64,
-        engine: &SpaceEngine,
-        stats: &mut MapStats,
-        obs: Option<&dyn MapObserver>,
     ) -> SpaceOutcome {
         let t0 = Instant::now();
-        let (outcome, steps) = engine.search(dfg, sol, budget, self.cancel.as_ref());
-        stats.space_phase_seconds += t0.elapsed().as_secs_f64();
-        stats.space_attempts += 1;
-        stats.mono_steps += steps;
+        let (outcome, steps) = self.engine.search(self.dfg, sol, budget, self.cancel);
+        self.stats.space_phase_seconds += t0.elapsed().as_secs_f64();
+        self.stats.space_attempts += 1;
+        self.stats.mono_steps += steps;
         let event = MapEvent::SpaceAttempt {
             ii,
             slack,
             outcome: SpaceAttemptOutcome::from(&outcome),
         };
-        emit(obs, event);
+        emit(self.obs, event);
         outcome
     }
 
     /// Converts a found monomorphism into the final [`Mapping`] and
     /// closes out the statistics.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        dfg: &Dfg,
-        sol: &TimeSolution,
-        map: Vec<usize>,
-        ii: usize,
-        slack: usize,
-        start: Instant,
-        mut stats: MapStats,
-    ) -> MapResult {
-        let n = self.cgra.num_pes();
+    fn finish(mut self, sol: &TimeSolution, map: Vec<usize>, ii: usize, slack: usize) -> MapResult {
+        let (dfg, cgra) = (self.dfg, self.cgra);
+        let n = cgra.num_pes();
         let placements: Vec<Placement> = dfg
             .nodes()
             .map(|v| {
@@ -619,9 +626,9 @@ impl DecoupledMapper {
                 }
             })
             .collect();
-        stats.achieved_ii = ii;
-        stats.window_slack = slack;
-        stats.total_seconds = start.elapsed().as_secs_f64();
+        self.stats.achieved_ii = ii;
+        self.stats.window_slack = slack;
+        self.stats.total_seconds = self.start.elapsed().as_secs_f64();
         // Chosen route length per dependence. The histogram is recorded
         // for every model (it costs a table lookup per edge); the
         // per-edge vector rides on the mapping only under a widened
@@ -633,23 +640,25 @@ impl DecoupledMapper {
                 if e.src == e.dst {
                     return 0;
                 }
-                self.cgra
-                    .hop_distance(placements[e.src.index()].pe, placements[e.dst.index()].pe)
+                cgra.hop_distance(placements[e.src.index()].pe, placements[e.dst.index()].pe)
                     .expect("embedded dependences are within the route bound")
             })
             .collect();
         for &hops in &route_hops {
-            stats.route_hops_histogram.record(hops);
+            self.stats.route_hops_histogram.record(hops);
         }
         let mut mapping = Mapping::new(dfg.name(), ii, placements);
         if self.config.max_route_hops > 1 {
             mapping = mapping.with_route_hops(route_hops);
         }
         debug_assert_eq!(
-            mapping.validate_routed(dfg, &self.cgra, self.config.max_route_hops),
+            mapping.validate_routed(dfg, cgra, self.config.max_route_hops),
             Ok(())
         );
-        MapResult { mapping, stats }
+        MapResult {
+            mapping,
+            stats: self.stats,
+        }
     }
 }
 
@@ -1037,6 +1046,51 @@ mod tests {
             mapping,
             r#"{"dfg_name":"unnamed","ii":4,"placements":[{"pe":0,"slot":1,"time":1},{"pe":0,"slot":3,"time":3},{"pe":0,"slot":0,"time":4},{"pe":1,"slot":1,"time":5},{"pe":2,"slot":1,"time":5},{"pe":0,"slot":2,"time":6},{"pe":1,"slot":2,"time":6},{"pe":1,"slot":0,"time":4},{"pe":2,"slot":0,"time":4},{"pe":2,"slot":2,"time":6}]}"#
         );
+    }
+
+    #[test]
+    fn heuristic_event_ladders_are_pinned() {
+        // The IMS source is one-shot per level: one schedule or none,
+        // then the level ends. Streams and counts as captured before
+        // the SMT and IMS sources shared one schedule loop.
+        use MapEvent::{Escalated, IiStarted};
+        let heuristic = |dfg: &Dfg| {
+            let collector = crate::api::EventCollector::new();
+            let cfg = MapperConfig::new().with_time_strategy(TimeStrategy::Heuristic);
+            let stats = DecoupledMapper::with_config(&Cgra::new(2, 2).unwrap(), cfg)
+                .map_observed(dfg, Some(&collector))
+                .unwrap()
+                .stats;
+            let counts = (stats.time_solutions, stats.space_attempts, stats.mono_steps);
+            (collector.events(), counts)
+        };
+
+        // IMS fails the razor-tight slack 0 and embeds slack 1's schedule.
+        let (events, counts) = heuristic(&running_example());
+        let mut expected = vec![IiStarted { ii: 4 }, Escalated { ii: 4, slack: 0 }];
+        expected.extend(mapped_at(4, 1));
+        assert_eq!(events, expected);
+        assert_eq!(counts, (1, 1, 14));
+
+        let (events, counts) = heuristic(&star_k(6));
+        let mut expected = vec![IiStarted { ii: 2 }];
+        expected.extend((0..=2).map(|slack| Escalated { ii: 2, slack }));
+        expected.extend([IiStarted { ii: 3 }, Escalated { ii: 3, slack: 0 }]);
+        expected.extend(mapped_at(3, 1));
+        assert_eq!(events, expected);
+        assert_eq!(counts, (1, 1, 8));
+
+        // star8: each II 3 level's single schedule fails to embed.
+        let (events, counts) = heuristic(&star_k(8));
+        let mut expected = vec![IiStarted { ii: 3 }, Escalated { ii: 3, slack: 0 }];
+        for slack in [1, 2] {
+            expected.extend(attempt(3, slack, SpaceAttemptOutcome::Exhausted));
+            expected.push(Escalated { ii: 3, slack });
+        }
+        expected.extend([IiStarted { ii: 4 }, Escalated { ii: 4, slack: 0 }]);
+        expected.extend(mapped_at(4, 1));
+        assert_eq!(events, expected);
+        assert_eq!(counts, (3, 3, 10));
     }
 
     #[test]

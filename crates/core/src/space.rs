@@ -237,7 +237,15 @@ mod tests {
     use super::*;
     use cgra_arch::Topology;
     use cgra_dfg::examples::running_example;
-    use cgra_sched::{TimeSolver, TimeSolverConfig};
+    use cgra_sched::{TimeSolution, TimeSolver, TimeSolverConfig};
+
+    fn first_schedule(dfg: &Dfg, ii: usize, cfg: TimeSolverConfig) -> TimeSolution {
+        TimeSolver::new(dfg, ii, cfg)
+            .unwrap()
+            .next()
+            .solution()
+            .unwrap()
+    }
 
     #[test]
     fn target_agrees_with_mrrg_oracle() {
@@ -281,7 +289,7 @@ mod tests {
         let dfg = running_example();
         let cgra = Cgra::new(2, 2).unwrap();
         let cfg = TimeSolverConfig::for_cgra(&cgra);
-        let sol = TimeSolver::new(&dfg, 4, cfg).unwrap().solve().unwrap();
+        let sol = first_schedule(&dfg, 4, cfg);
         let p = build_pattern(&dfg, &sol);
         assert_eq!(p.num_vertices(), 14);
         // 15 directed edges, no duplicates between the same pair, no
@@ -299,7 +307,7 @@ mod tests {
         let dfg = running_example();
         let cgra = Cgra::new(2, 2).unwrap();
         let cfg = TimeSolverConfig::for_cgra(&cgra);
-        let sol = TimeSolver::new(&dfg, 4, cfg).unwrap().solve().unwrap();
+        let sol = first_schedule(&dfg, 4, cfg);
         let (outcome, steps) = space_search(&dfg, &cgra, &sol, 1_000_000, None);
         assert!(matches!(outcome, SpaceOutcome::Found(_)), "{outcome:?}");
         assert!(steps > 0);
@@ -310,7 +318,7 @@ mod tests {
         let dfg = running_example();
         let cgra = Cgra::new(2, 2).unwrap();
         let cfg = TimeSolverConfig::for_cgra(&cgra);
-        let sol = TimeSolver::new(&dfg, 4, cfg).unwrap().solve().unwrap();
+        let sol = first_schedule(&dfg, 4, cfg);
         let engine = SpaceEngine::new(&cgra);
         let (a, steps_a) = engine.search(&dfg, &sol, 1_000_000, None);
         let (b, steps_b) = engine.search(&dfg, &sol, 1_000_000, None);
@@ -326,7 +334,7 @@ mod tests {
         let dfg = running_example();
         let cgra = Cgra::new(2, 2).unwrap();
         let cfg = TimeSolverConfig::for_cgra(&cgra);
-        let sol = TimeSolver::new(&dfg, 4, cfg).unwrap().solve().unwrap();
+        let sol = first_schedule(&dfg, 4, cfg);
         let flag = CancelFlag::new();
         flag.cancel();
         let engine = SpaceEngine::new(&cgra);
@@ -348,7 +356,7 @@ mod tests {
             .unwrap()
             .with_capability_profile(CapabilityProfile::MemLeftColumn);
         let cfg = TimeSolverConfig::for_cgra(&cgra).with_window_slack(1);
-        let sol = TimeSolver::new(&dfg, 2, cfg).unwrap().solve().unwrap();
+        let sol = first_schedule(&dfg, 2, cfg);
         let (outcome, _) = space_search(&dfg, &cgra, &sol, 1_000_000, None);
         let SpaceOutcome::Found(map) = outcome else {
             panic!("mem-left-column hosts one load: {outcome:?}");

@@ -40,15 +40,19 @@ pub fn ims_schedule(dfg: &Dfg, ii: usize, config: &TimeSolverConfig) -> Option<T
         .nodes()
         .map(|v| mobility.alap(v) + config.window_slack * ii)
         .collect();
-    // Height-based priority: deeper (smaller ALAP slack) first.
-    let height: Vec<usize> = dfg
-        .nodes()
-        .map(|v| mobility.length() - mobility.alap(v))
-        .collect();
-
     let adj = dfg.adjacency();
-    let neighbors: Vec<Vec<NodeId>> = dfg.nodes().map(|v| adj.undirected_neighbors(v)).collect();
-    let classes: Vec<OpClass> = dfg.nodes().map(|v| dfg.op(v).op_class()).collect();
+    let ims = Ims {
+        dfg,
+        neighbors: dfg.nodes().map(|v| adj.undirected_neighbors(v)).collect(),
+        classes: dfg.nodes().map(|v| dfg.op(v).op_class()).collect(),
+        // Height-based priority: deeper (smaller ALAP slack) first.
+        height: dfg
+            .nodes()
+            .map(|v| mobility.length() - mobility.alap(v))
+            .collect(),
+        config,
+        ii,
+    };
 
     let mut time: Vec<Option<usize>> = vec![None; n];
     let mut prev_time: Vec<Option<usize>> = vec![None; n];
@@ -58,7 +62,7 @@ pub fn ims_schedule(dfg: &Dfg, ii: usize, config: &TimeSolverConfig) -> Option<T
     loop {
         let next = (0..n)
             .filter(|&v| time[v].is_none())
-            .max_by_key(|&v| (height[v], usize::MAX - v));
+            .max_by_key(|&v| (ims.height[v], usize::MAX - v));
         let Some(v) = next else {
             break; // all scheduled
         };
@@ -104,7 +108,7 @@ pub fn ims_schedule(dfg: &Dfg, ii: usize, config: &TimeSolverConfig) -> Option<T
         // Scan the whole remaining window for an admissible time.
         let mut placed = false;
         for t in start..=hi[v] {
-            if admissible(dfg, &neighbors, &classes, &time, config, ii, v, t) {
+            if ims.admissible(&time, v, t) {
                 time[v] = Some(t);
                 prev_time[v] = Some(t);
                 placed = true;
@@ -123,9 +127,7 @@ pub fn ims_schedule(dfg: &Dfg, ii: usize, config: &TimeSolverConfig) -> Option<T
         let t = if forced > hi[v] { start } else { forced };
         time[v] = Some(t);
         prev_time[v] = Some(t);
-        evict_conflicts(
-            dfg, &neighbors, &classes, &mut time, config, ii, v, t, &height,
-        );
+        ims.evict_conflicts(&mut time, v, t);
     }
 
     // Final consistency pass (evictions guarantee local repairs; verify
@@ -139,191 +141,183 @@ pub fn ims_schedule(dfg: &Dfg, ii: usize, config: &TimeSolverConfig) -> Option<T
     }
 }
 
-/// Would scheduling `v` at `t` keep every constraint satisfied?
-#[allow(clippy::too_many_arguments)]
-fn admissible(
-    dfg: &Dfg,
-    neighbors: &[Vec<NodeId>],
-    classes: &[OpClass],
-    time: &[Option<usize>],
-    config: &TimeSolverConfig,
+/// What one IMS run schedules against: the DFG with its neighbour
+/// lists, operation classes and priority heights, the constraint
+/// families and the II.
+struct Ims<'a> {
+    dfg: &'a Dfg,
+    neighbors: Vec<Vec<NodeId>>,
+    classes: Vec<OpClass>,
+    height: Vec<usize>,
+    config: &'a TimeSolverConfig,
     ii: usize,
-    v: usize,
-    t: usize,
-) -> bool {
-    let slot = t % ii;
-    // Dependences against *all* scheduled partners (succs included —
-    // IMS schedules in priority order but windows overlap).
-    for e in dfg.edges() {
-        if e.src == e.dst {
-            continue;
-        }
-        let (u, w) = (e.src.index(), e.dst.index());
-        let (ts, td) = if u == v {
-            match time[w] {
-                Some(td) => (t as i64, td as i64),
-                None => continue,
+}
+
+impl Ims<'_> {
+    /// Would scheduling `v` at `t` keep every constraint satisfied?
+    fn admissible(&self, time: &[Option<usize>], v: usize, t: usize) -> bool {
+        let (config, ii, class) = (self.config, self.ii, self.classes[v]);
+        let slot = t % ii;
+        // Dependences against *all* scheduled partners (succs included —
+        // IMS schedules in priority order but windows overlap).
+        for e in self.dfg.edges() {
+            if e.src == e.dst {
+                continue;
             }
-        } else if w == v {
-            match time[u] {
-                Some(ts) => (ts as i64, t as i64),
-                None => continue,
-            }
-        } else {
-            continue;
-        };
-        let ok = match e.kind {
-            EdgeKind::Data => td > ts,
-            EdgeKind::LoopCarried { distance } => td >= ts + 1 - (distance as i64) * (ii as i64),
-        };
-        if !ok {
-            return false;
-        }
-    }
-    // Capacity: total, then v's operation class on restricted grids.
-    if config.capacity_constraints {
-        let count = time
-            .iter()
-            .enumerate()
-            .filter(|&(u, tu)| u != v && tu.map(|x| x % ii) == Some(slot))
-            .count();
-        if count + 1 > config.capacity {
-            return false;
-        }
-        if let Some(&(_, cap)) = config
-            .class_capacities
-            .iter()
-            .find(|&&(class, _)| class == classes[v])
-        {
-            let count = time
-                .iter()
-                .enumerate()
-                .filter(|&(u, tu)| {
-                    u != v && classes[u] == classes[v] && tu.map(|x| x % ii) == Some(slot)
-                })
-                .count();
-            if count + 1 > cap {
+            let (u, w) = (e.src.index(), e.dst.index());
+            let (ts, td) = if u == v {
+                match time[w] {
+                    Some(td) => (t as i64, td as i64),
+                    None => continue,
+                }
+            } else if w == v {
+                match time[u] {
+                    Some(ts) => (ts as i64, t as i64),
+                    None => continue,
+                }
+            } else {
+                continue;
+            };
+            let ok = match e.kind {
+                EdgeKind::Data => td > ts,
+                EdgeKind::LoopCarried { distance } => {
+                    td >= ts + 1 - (distance as i64) * (ii as i64)
+                }
+            };
+            if !ok {
                 return false;
             }
         }
-    }
-    // Connectivity: this placement adds v to S_u^slot for each
-    // neighbour u.
-    if config.connectivity_constraints {
-        for &u in &neighbors[v] {
-            let count = neighbors[u.index()]
+        // Capacity: total, then v's operation class on restricted grids.
+        if config.capacity_constraints {
+            let count = time
                 .iter()
-                .filter(|&&w| w.index() != v && time[w.index()].map(|x| x % ii) == Some(slot))
-                .count()
-                + 1;
-            let bound =
-                if config.strict_connectivity && time[u.index()].map(|x| x % ii) == Some(slot) {
+                .enumerate()
+                .filter(|&(u, tu)| u != v && tu.map(|x| x % ii) == Some(slot))
+                .count();
+            if count + 1 > config.capacity {
+                return false;
+            }
+            if let Some(&(_, cap)) = config.class_capacities.iter().find(|&&(c, _)| c == class) {
+                let count = time
+                    .iter()
+                    .enumerate()
+                    .filter(|&(u, tu)| {
+                        u != v && self.classes[u] == class && tu.map(|x| x % ii) == Some(slot)
+                    })
+                    .count();
+                if count + 1 > cap {
+                    return false;
+                }
+            }
+        }
+        // Connectivity: this placement adds v to S_u^slot for each
+        // neighbour u.
+        if config.connectivity_constraints {
+            for &u in &self.neighbors[v] {
+                let count = self.neighbors[u.index()]
+                    .iter()
+                    .filter(|&&w| w.index() != v && time[w.index()].map(|x| x % ii) == Some(slot))
+                    .count()
+                    + 1;
+                let bound = if config.strict_connectivity
+                    && time[u.index()].map(|x| x % ii) == Some(slot)
+                {
                     config.degree - 1
                 } else {
                     config.degree
                 };
-            if count > bound {
-                return false;
+                if count > bound {
+                    return false;
+                }
+            }
+            // And v's own row must already hold (it does not depend on t,
+            // but check the slot where strictness may newly bind).
+            if config.strict_connectivity {
+                let count = self.neighbors[v]
+                    .iter()
+                    .filter(|&&w| time[w.index()].map(|x| x % ii) == Some(slot))
+                    .count();
+                if count > config.degree - 1 {
+                    return false;
+                }
             }
         }
-        // And v's own row must already hold (it does not depend on t,
-        // but check the slot where strictness may newly bind).
-        if config.strict_connectivity {
-            let count = neighbors[v]
-                .iter()
-                .filter(|&&w| time[w.index()].map(|x| x % ii) == Some(slot))
-                .count();
-            if count > config.degree - 1 {
-                return false;
-            }
-        }
+        true
     }
-    true
-}
 
-/// After a forced placement of `v` at `t`, unschedule the cheapest
-/// conflicting operations (lowest height first).
-#[allow(clippy::too_many_arguments)]
-fn evict_conflicts(
-    dfg: &Dfg,
-    neighbors: &[Vec<NodeId>],
-    classes: &[OpClass],
-    time: &mut [Option<usize>],
-    config: &TimeSolverConfig,
-    ii: usize,
-    v: usize,
-    t: usize,
-    height: &[usize],
-) {
-    let slot = t % ii;
-    // Dependence violations involving v.
-    let mut to_evict: Vec<usize> = Vec::new();
-    for e in dfg.edges() {
-        if e.src == e.dst {
-            continue;
+    /// After a forced placement of `v` at `t`, unschedule the cheapest
+    /// conflicting operations (lowest height first).
+    fn evict_conflicts(&self, time: &mut [Option<usize>], v: usize, t: usize) {
+        let (config, ii, class) = (self.config, self.ii, self.classes[v]);
+        let slot = t % ii;
+        // Dependence violations involving v.
+        let mut to_evict: Vec<usize> = Vec::new();
+        for e in self.dfg.edges() {
+            if e.src == e.dst {
+                continue;
+            }
+            let (u, w) = (e.src.index(), e.dst.index());
+            let other = if u == v {
+                w
+            } else if w == v {
+                u
+            } else {
+                continue;
+            };
+            let Some(to) = time[other] else { continue };
+            let (ts, td) = if u == v {
+                (t as i64, to as i64)
+            } else {
+                (to as i64, t as i64)
+            };
+            let ok = match e.kind {
+                EdgeKind::Data => td > ts,
+                EdgeKind::LoopCarried { distance } => {
+                    td >= ts + 1 - (distance as i64) * (ii as i64)
+                }
+            };
+            if !ok {
+                to_evict.push(other);
+            }
         }
-        let (u, w) = (e.src.index(), e.dst.index());
-        let other = if u == v {
-            w
-        } else if w == v {
-            u
-        } else {
-            continue;
-        };
-        let Some(to) = time[other] else { continue };
-        let (ts, td) = if u == v {
-            (t as i64, to as i64)
-        } else {
-            (to as i64, t as i64)
-        };
-        let ok = match e.kind {
-            EdgeKind::Data => td > ts,
-            EdgeKind::LoopCarried { distance } => td >= ts + 1 - (distance as i64) * (ii as i64),
-        };
-        if !ok {
-            to_evict.push(other);
-        }
-    }
-    // Capacity overflow in v's slot: evict lowest-height co-residents.
-    if config.capacity_constraints {
-        let mut residents: Vec<usize> = (0..time.len())
-            .filter(|&u| u != v && time[u].map(|x| x % ii) == Some(slot))
-            .collect();
-        residents.sort_by_key(|&u| height[u]);
-        let overflow = (residents.len() + 1).saturating_sub(config.capacity);
-        to_evict.extend(residents.into_iter().take(overflow));
-        // Per-class overflow on restricted grids: evict same-class
-        // co-residents beyond the class's provider count.
-        if let Some(&(_, cap)) = config
-            .class_capacities
-            .iter()
-            .find(|&&(class, _)| class == classes[v])
-        {
-            let mut same_class: Vec<usize> = (0..time.len())
-                .filter(|&u| {
-                    u != v && classes[u] == classes[v] && time[u].map(|x| x % ii) == Some(slot)
-                })
+        // Capacity overflow in v's slot: evict lowest-height co-residents.
+        if config.capacity_constraints {
+            let mut residents: Vec<usize> = (0..time.len())
+                .filter(|&u| u != v && time[u].map(|x| x % ii) == Some(slot))
                 .collect();
-            same_class.sort_by_key(|&u| height[u]);
-            let overflow = (same_class.len() + 1).saturating_sub(cap);
-            to_evict.extend(same_class.into_iter().take(overflow));
+            residents.sort_by_key(|&u| self.height[u]);
+            let overflow = (residents.len() + 1).saturating_sub(config.capacity);
+            to_evict.extend(residents.into_iter().take(overflow));
+            // Per-class overflow on restricted grids: evict same-class
+            // co-residents beyond the class's provider count.
+            if let Some(&(_, cap)) = config.class_capacities.iter().find(|&&(c, _)| c == class) {
+                let mut same_class: Vec<usize> = (0..time.len())
+                    .filter(|&u| {
+                        u != v && self.classes[u] == class && time[u].map(|x| x % ii) == Some(slot)
+                    })
+                    .collect();
+                same_class.sort_by_key(|&u| self.height[u]);
+                let overflow = (same_class.len() + 1).saturating_sub(cap);
+                to_evict.extend(same_class.into_iter().take(overflow));
+            }
         }
-    }
-    // Connectivity overflow around v's neighbours.
-    if config.connectivity_constraints {
-        for &u in &neighbors[v] {
-            let mut same_slot: Vec<usize> = neighbors[u.index()]
-                .iter()
-                .map(|w| w.index())
-                .filter(|&w| w != v && time[w].map(|x| x % ii) == Some(slot))
-                .collect();
-            same_slot.sort_by_key(|&w| height[w]);
-            let overflow = (same_slot.len() + 1).saturating_sub(config.degree);
-            to_evict.extend(same_slot.into_iter().take(overflow));
+        // Connectivity overflow around v's neighbours.
+        if config.connectivity_constraints {
+            for &u in &self.neighbors[v] {
+                let mut same_slot: Vec<usize> = self.neighbors[u.index()]
+                    .iter()
+                    .map(|w| w.index())
+                    .filter(|&w| w != v && time[w].map(|x| x % ii) == Some(slot))
+                    .collect();
+                same_slot.sort_by_key(|&w| self.height[w]);
+                let overflow = (same_slot.len() + 1).saturating_sub(config.degree);
+                to_evict.extend(same_slot.into_iter().take(overflow));
+            }
         }
-    }
-    for u in to_evict {
-        time[u] = None;
+        for u in to_evict {
+            time[u] = None;
+        }
     }
 }
 

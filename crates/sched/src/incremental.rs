@@ -36,9 +36,8 @@
 //! The mapper does not use this solver: its model order embeds far
 //! worse than the fresh encoding's, and screening Unsat levels on a
 //! live instance re-encoded more than it saved (README, "The time
-//! phase"). It stays because the benchmark's `sched.*` probe measures
-//! it and because learned-clause feedback from the space phase needs a
-//! live instance to put clauses in.
+//! phase"). It stays only because the benchmark's `sched.*` probe
+//! measures it; it goes when that probe is re-aimed.
 
 use std::fmt;
 use std::sync::atomic::AtomicBool;
@@ -48,9 +47,20 @@ use cgra_dfg::{Dfg, EdgeKind, NodeId};
 use cgra_smt::{FdSolver, IntVar, Lit, SatResult};
 
 use crate::time_solver::{
-    EnumerationEnd, SolveOutcome, TimeSolution, TimeSolverConfig, TimeSolverError, TimeSolverStats,
+    SolveOutcome, TimeSolution, TimeSolverConfig, TimeSolverError, TimeSolverStats,
 };
 use crate::Mobility;
+
+/// Why [`IncrementalTimeSolver::enumerate_solutions`] stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EnumerationEnd {
+    /// The requested number of schedules was produced.
+    CapReached,
+    /// The formula admits no further schedule.
+    Unsat,
+    /// The budget or cancellation flag interrupted the search.
+    Timeout,
+}
 
 /// The per-`(DFG, II)` persistent time solver (see the module docs).
 ///
@@ -441,8 +451,10 @@ impl<'a> IncrementalTimeSolver<'a> {
     }
 
     /// Pulls up to `max` distinct schedules in one call, blocking each
-    /// before searching for the next (same contract as
-    /// [`crate::TimeSolver::enumerate_solutions`]).
+    /// before searching for the next.
+    ///
+    /// Returns the schedules found (possibly empty) together with why
+    /// enumeration stopped.
     pub fn enumerate_solutions(&mut self, max: usize) -> (Vec<TimeSolution>, EnumerationEnd) {
         let mut out = Vec::new();
         if max == 0 {
@@ -482,6 +494,18 @@ mod tests {
         TimeSolverConfig::for_cgra(&Cgra::new(2, 2).unwrap())
     }
 
+    /// Every schedule `solver` has left, in the order `next()` gives
+    /// them, and why they ran out.
+    fn pull_all(solver: &mut TimeSolver<'_>) -> (Vec<TimeSolution>, SolveOutcome) {
+        let mut sols = Vec::new();
+        loop {
+            match solver.next() {
+                SolveOutcome::Solution(sol) => sols.push(sol),
+                end => return (sols, end),
+            }
+        }
+    }
+
     fn times_set(sols: &[TimeSolution], dfg: &Dfg) -> BTreeSet<Vec<usize>> {
         sols.iter()
             .map(|s| dfg.nodes().map(|v| s.time(v)).collect())
@@ -500,7 +524,7 @@ mod tests {
                 let mut fresh =
                     TimeSolver::new(&dfg, ii, cfg2x2().with_window_slack(slack)).unwrap();
                 let inc_sat = matches!(inc.solve_outcome(), SolveOutcome::Solution(_));
-                let fresh_sat = matches!(fresh.solve_outcome(), SolveOutcome::Solution(_));
+                let fresh_sat = matches!(fresh.next(), SolveOutcome::Solution(_));
                 assert_eq!(inc_sat, fresh_sat, "ii={ii} slack={slack}");
             }
         }
@@ -545,9 +569,9 @@ mod tests {
         inc.widen_to(1);
         let (inc_sols, inc_end) = inc.enumerate_solutions(usize::MAX);
         let mut fresh = TimeSolver::new(&dfg, 2, cfg2x2().with_window_slack(1)).unwrap();
-        let (fresh_sols, fresh_end) = fresh.enumerate_solutions(usize::MAX);
+        let (fresh_sols, fresh_end) = pull_all(&mut fresh);
         assert_eq!(inc_end, EnumerationEnd::Unsat);
-        assert_eq!(fresh_end, EnumerationEnd::Unsat);
+        assert_eq!(fresh_end, SolveOutcome::Unsat);
         assert_eq!(times_set(&inc_sols, &dfg), times_set(&fresh_sols, &dfg));
     }
 
@@ -584,7 +608,7 @@ mod tests {
         );
         // Together they are exactly the fresh slack-1 solution set.
         let mut fresh = TimeSolver::new(&dfg, 2, cfg2x2().with_window_slack(1)).unwrap();
-        let (all, _) = fresh.enumerate_solutions(usize::MAX);
+        let (all, _) = pull_all(&mut fresh);
         let union: BTreeSet<Vec<usize>> = set0.union(&set1).cloned().collect();
         assert_eq!(union, times_set(&all, &dfg));
     }

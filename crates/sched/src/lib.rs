@@ -11,12 +11,15 @@
 //! * [`TimeSolver`] — the SMT formulation of the time dimension with the
 //!   paper's three constraint families (modulo-scheduling dependences,
 //!   CGRA capacity, CGRA connectivity), encoded through [`cgra_smt`] and
-//!   decided by the `cgra-sat` CDCL core, with solution enumeration for
-//!   the mapper's fall-back path,
+//!   decided by the `cgra-sat` CDCL core. [`TimeSolver::next`] is its
+//!   one way to pull a schedule: each call blocks the schedules returned
+//!   before and solves again, so the mapper's fall-back path enumerates
+//!   distinct schedules until [`SolveOutcome::Unsat`],
 //! * [`IncrementalTimeSolver`] — the same formulation kept live on one
 //!   CDCL instance per `(DFG, II)`: slack escalation widens windows via
 //!   assumption-guarded clause additions instead of rebuilding, so
-//!   learnt clauses and branching activity carry across levels.
+//!   learnt clauses and branching activity carry across levels. The
+//!   mapper does not use it; the benchmark's `sched.*` probe does.
 //!
 //! ## Example
 //!
@@ -30,8 +33,11 @@
 //! let mii = min_ii(&dfg, &cgra);
 //! assert_eq!(mii, 4); // the paper's running example
 //! let mut solver = TimeSolver::new(&dfg, mii, TimeSolverConfig::for_cgra(&cgra))?;
-//! let solution = solver.solve().expect("running example is schedulable at mII");
+//! let solution = solver.next().solution().expect("running example is schedulable at mII");
 //! assert!(solution.validate(&dfg, &TimeSolverConfig::for_cgra(&cgra)).is_ok());
+//! // The next pull excludes the first schedule.
+//! let other = solver.next().solution().expect("the example has more than one schedule");
+//! assert_ne!(solution, other);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -47,11 +53,11 @@ mod time_solver;
 
 pub use cgra_smt::SolverStats;
 pub use heuristic::ims_schedule;
-pub use incremental::IncrementalTimeSolver;
+pub use incremental::{EnumerationEnd, IncrementalTimeSolver};
 pub use kms::{Kms, KmsEntry};
 pub use mii::{min_ii, rec_ii, res_ii, unsupported_op_class};
 pub use mobility::Mobility;
 pub use time_solver::{
-    EnumerationEnd, SolveOutcome, TimeSolution, TimeSolutionError, TimeSolver, TimeSolverConfig,
-    TimeSolverError, TimeSolverStats,
+    SolveOutcome, TimeSolution, TimeSolutionError, TimeSolver, TimeSolverConfig, TimeSolverError,
+    TimeSolverStats,
 };

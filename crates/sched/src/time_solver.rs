@@ -435,9 +435,8 @@ impl Store {
 
 /// The SMT time-dimension search of the paper, for one `(DFG, II)` pair.
 ///
-/// Construct, then call [`TimeSolver::solve_outcome`]; enumerate further
-/// schedules for the mapper's fall-back path with
-/// [`TimeSolver::next_outcome`].
+/// Construct, then pull schedules one at a time with
+/// [`TimeSolver::next`].
 ///
 /// The SAT store is recycled per thread: dropping a solver keeps its
 /// storage for the next `TimeSolver::new` on the same thread, which
@@ -449,7 +448,6 @@ pub struct TimeSolver<'a> {
     config: TimeSolverConfig,
     store: Store,
     stats: TimeSolverStats,
-    have_model: bool,
 }
 
 impl Drop for TimeSolver<'_> {
@@ -606,7 +604,6 @@ impl<'a> TimeSolver<'a> {
                 clauses: fd_stats.clauses,
                 solutions: 0,
             },
-            have_model: false,
         })
     }
 
@@ -632,87 +629,36 @@ impl<'a> TimeSolver<'a> {
         self.store.fd.set_cancel_flag(flag);
     }
 
-    /// Attempts to find a schedule.
-    pub fn solve_outcome(&mut self) -> SolveOutcome {
-        let fd = &mut self.store.fd;
+    /// The next schedule: solves the formula with every schedule this
+    /// solver returned before excluded, so successive calls enumerate
+    /// distinct schedules (the mapper's fall-back when the space phase
+    /// fails) until [`SolveOutcome::Unsat`].
+    ///
+    /// Each schedule is blocked as it is returned, so the SAT core sees
+    /// solve, block, solve. After `Unsat` every call is `Unsat` again and
+    /// adds no clause. [`SolveOutcome::Timeout`] means the budget or the cancel
+    /// flag cut the solve; nothing is blocked, so a later call under a
+    /// lowered flag searches the same formula again.
+    // Not an `Iterator`: the sequence never ends, and a `Timeout` can be
+    // followed by more schedules.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> SolveOutcome {
+        let Store { fd, vars, .. } = &mut self.store;
         let result = match &self.config.budget {
             Some(b) => fd.solve_limited(b),
             None => fd.solve(),
         };
         match result {
             SatResult::Sat => {
-                self.have_model = true;
                 self.stats.solutions += 1;
-                let times: Vec<usize> = self
-                    .store
-                    .vars
-                    .iter()
-                    .map(|&v| fd.value(v) as usize)
-                    .collect();
+                let times = vars.iter().map(|&v| fd.value(v) as usize).collect();
+                fd.block_current(vars);
                 SolveOutcome::Solution(TimeSolution { ii: self.ii, times })
             }
             SatResult::Unsat => SolveOutcome::Unsat,
             SatResult::Unknown => SolveOutcome::Timeout,
         }
     }
-
-    /// Convenience wrapper returning just the solution.
-    pub fn solve(&mut self) -> Option<TimeSolution> {
-        self.solve_outcome().solution()
-    }
-
-    /// Blocks the current schedule and searches for a different one
-    /// (the mapper's fall-back when the space phase fails).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no schedule has been produced yet.
-    pub fn next_outcome(&mut self) -> SolveOutcome {
-        assert!(self.have_model, "next_outcome requires a current solution");
-        self.store.fd.block_current(&self.store.vars);
-        self.have_model = false;
-        self.solve_outcome()
-    }
-
-    /// Pulls up to `max` distinct schedules in one call, blocking each
-    /// before searching for the next.
-    ///
-    /// Returns the schedules found (possibly empty) together with why
-    /// enumeration stopped.
-    pub fn enumerate_solutions(&mut self, max: usize) -> (Vec<TimeSolution>, EnumerationEnd) {
-        let mut out = Vec::new();
-        if max == 0 {
-            return (out, EnumerationEnd::CapReached);
-        }
-        loop {
-            let outcome = if out.is_empty() && !self.have_model {
-                self.solve_outcome()
-            } else {
-                self.next_outcome()
-            };
-            match outcome {
-                SolveOutcome::Solution(sol) => {
-                    out.push(sol);
-                    if out.len() >= max {
-                        return (out, EnumerationEnd::CapReached);
-                    }
-                }
-                SolveOutcome::Unsat => return (out, EnumerationEnd::Unsat),
-                SolveOutcome::Timeout => return (out, EnumerationEnd::Timeout),
-            }
-        }
-    }
-}
-
-/// Why [`TimeSolver::enumerate_solutions`] stopped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EnumerationEnd {
-    /// The requested number of schedules was produced.
-    CapReached,
-    /// The formula admits no further schedule.
-    Unsat,
-    /// The budget or cancellation flag interrupted the search.
-    Timeout,
 }
 
 #[cfg(test)]
@@ -730,7 +676,10 @@ mod tests {
         let dfg = running_example();
         let cfg = cfg2x2();
         let mut solver = TimeSolver::new(&dfg, 4, cfg.clone()).unwrap();
-        let sol = solver.solve().expect("paper maps the example at II=4");
+        let sol = solver
+            .next()
+            .solution()
+            .expect("paper maps the example at II=4");
         assert_eq!(sol.ii(), 4);
         sol.validate(&dfg, &cfg).unwrap();
     }
@@ -739,7 +688,12 @@ mod tests {
     fn running_example_unsat_below_mii() {
         let dfg = running_example();
         let mut solver = TimeSolver::new(&dfg, 3, cfg2x2()).unwrap();
-        assert_eq!(solver.solve_outcome(), SolveOutcome::Unsat);
+        let clauses = solver.store.fd.stats().clauses;
+        // Unsat from the first pull on, and pulling again adds no clause.
+        for _ in 0..3 {
+            assert_eq!(solver.next(), SolveOutcome::Unsat);
+            assert_eq!(solver.store.fd.stats().clauses, clauses);
+        }
     }
 
     #[test]
@@ -747,7 +701,7 @@ mod tests {
         let dfg = accumulator();
         let cfg = cfg2x2();
         let mut solver = TimeSolver::new(&dfg, 2, cfg.clone()).unwrap();
-        let sol = solver.solve().unwrap();
+        let sol = solver.next().solution().unwrap();
         sol.validate(&dfg, &cfg).unwrap();
         // The loop-carried edge must hold: T_phi >= T_sum + 1 - 2.
         let phi = cgra_dfg::NodeId::from_index(1);
@@ -771,10 +725,10 @@ mod tests {
         let dfg = wide_independent(8);
         let cfg = cfg2x2();
         let mut s0 = TimeSolver::new(&dfg, 2, cfg.clone()).unwrap();
-        assert_eq!(s0.solve_outcome(), SolveOutcome::Unsat);
+        assert_eq!(s0.next(), SolveOutcome::Unsat);
         let cfg1 = cfg.with_window_slack(1);
         let mut s1 = TimeSolver::new(&dfg, 2, cfg1.clone()).unwrap();
-        let sol = s1.solve().expect("slack allows spreading");
+        let sol = s1.next().solution().expect("slack allows spreading");
         sol.validate(&dfg, &cfg1).unwrap();
     }
 
@@ -784,7 +738,7 @@ mod tests {
         let mut cfg = cfg2x2();
         cfg.capacity_constraints = false;
         let mut s = TimeSolver::new(&dfg, 2, cfg).unwrap();
-        assert!(matches!(s.solve_outcome(), SolveOutcome::Solution(_)));
+        assert!(matches!(s.next(), SolveOutcome::Solution(_)));
     }
 
     /// A node with four same-slot neighbours violates `D_M = 3` on 2×2.
@@ -805,19 +759,22 @@ mod tests {
         // consumers share slot 2 and c has degree bound 3.
         let cfg = cfg2x2();
         let mut s = TimeSolver::new(&dfg, 3, cfg).unwrap();
-        assert_eq!(s.solve_outcome(), SolveOutcome::Unsat);
+        assert_eq!(s.next(), SolveOutcome::Unsat);
 
         // Ablation: disabling connectivity makes it "solvable" in time —
         // the situation §IV-D proves cannot then be mapped in space.
         let mut cfg_off = cfg2x2();
         cfg_off.connectivity_constraints = false;
         let mut s = TimeSolver::new(&dfg, 3, cfg_off).unwrap();
-        assert!(matches!(s.solve_outcome(), SolveOutcome::Solution(_)));
+        assert!(matches!(s.next(), SolveOutcome::Solution(_)));
 
         // A 3×3 CGRA (D_M = 5) accommodates the star directly.
         let cfg3 = TimeSolverConfig::for_cgra(&Cgra::new(3, 3).unwrap());
         let mut s = TimeSolver::new(&dfg, 3, cfg3.clone()).unwrap();
-        let sol = s.solve().expect("D_M = 5 fits four same-slot neighbours");
+        let sol = s
+            .next()
+            .solution()
+            .expect("D_M = 5 fits four same-slot neighbours");
         sol.validate(&dfg, &cfg3).unwrap();
     }
 
@@ -828,7 +785,10 @@ mod tests {
         let dfg = star();
         let cfg = cfg2x2().with_window_slack(2);
         let mut s = TimeSolver::new(&dfg, 3, cfg.clone()).unwrap();
-        let sol = s.solve().expect("slack spreads the star consumers");
+        let sol = s
+            .next()
+            .solution()
+            .expect("slack spreads the star consumers");
         sol.validate(&dfg, &cfg).unwrap();
     }
 
@@ -849,7 +809,7 @@ mod tests {
         let base = TimeSolverConfig::for_cgra(&cgra).with_window_slack(0);
         let mut s = TimeSolver::new(&dfg, 1, base.clone()).unwrap();
         assert!(
-            matches!(s.solve_outcome(), SolveOutcome::Solution(_)),
+            matches!(s.next(), SolveOutcome::Solution(_)),
             "paper bound: 4 ≤ 5"
         );
         let strict = base.with_strict_connectivity(true);
@@ -857,7 +817,7 @@ mod tests {
         // Strict: at II=1 v shares slot 0 with everything; 4 > 5-1 = 4?
         // 4 <= 4 still holds, so strengthen: II=1 all five nodes in one
         // slot; c's neighbour count is 4, strict bound 4 — satisfiable.
-        assert!(matches!(s.solve_outcome(), SolveOutcome::Solution(_)));
+        assert!(matches!(s.next(), SolveOutcome::Solution(_)));
     }
 
     /// `loads` independent loads off one input.
@@ -884,7 +844,8 @@ mod tests {
         assert_eq!(cfg.class_capacities, vec![(OpClass::Mem, 3)]);
         let sol = TimeSolver::new(&dfg, 2, cfg.clone())
             .unwrap()
-            .solve()
+            .next()
+            .solution()
             .expect("three memory PEs hold three loads");
         sol.validate(&dfg, &cfg).unwrap();
 
@@ -897,7 +858,8 @@ mod tests {
         let cfg2 = TimeSolverConfig::for_cgra(&het2).with_window_slack(1);
         let sol = TimeSolver::new(&dfg, 2, cfg2.clone())
             .unwrap()
-            .solve()
+            .next()
+            .solution()
             .expect("slack lets the third load take the other slot");
         sol.validate(&dfg, &cfg2).unwrap();
         for slot in 0..2 {
@@ -946,7 +908,7 @@ mod tests {
         let cfg = cfg2x2().with_window_slack(1);
         let mut solver = TimeSolver::new(&dfg, 2, cfg.clone()).unwrap();
         let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
-        let mut outcome = solver.solve_outcome();
+        let mut outcome = solver.next();
         let mut count = 0;
         while let SolveOutcome::Solution(sol) = outcome {
             sol.validate(&dfg, &cfg).unwrap();
@@ -954,66 +916,41 @@ mod tests {
             assert!(seen.insert(times), "enumeration repeated a schedule");
             count += 1;
             assert!(count < 200, "runaway enumeration");
-            outcome = solver.next_outcome();
+            outcome = solver.next();
         }
         assert_eq!(outcome, SolveOutcome::Unsat);
         assert!(count > 1, "accumulator has multiple schedules with slack");
         assert_eq!(solver.stats().solutions, count);
-    }
-
-    #[test]
-    fn enumerate_solutions_caps_and_exhausts() {
-        let dfg = accumulator();
-        let cfg = cfg2x2().with_window_slack(1);
-        // Capped: exactly three distinct schedules.
-        let mut solver = TimeSolver::new(&dfg, 2, cfg.clone()).unwrap();
-        let (sols, end) = solver.enumerate_solutions(3);
-        assert_eq!(sols.len(), 3);
-        assert_eq!(end, EnumerationEnd::CapReached);
-        let distinct: std::collections::HashSet<Vec<usize>> = sols
-            .iter()
-            .map(|s| dfg.nodes().map(|v| s.time(v)).collect())
-            .collect();
-        assert_eq!(distinct.len(), 3);
-        for s in &sols {
-            s.validate(&dfg, &cfg).unwrap();
+        // Past the last schedule every pull is Unsat and adds no clause.
+        let clauses = solver.store.fd.stats().clauses;
+        for _ in 0..3 {
+            assert_eq!(solver.next(), SolveOutcome::Unsat);
+            assert_eq!(solver.store.fd.stats().clauses, clauses);
         }
-        // Uncapped: the same count the one-at-a-time loop produces.
-        let mut a = TimeSolver::new(&dfg, 2, cfg.clone()).unwrap();
-        let (all, end) = a.enumerate_solutions(usize::MAX);
-        assert_eq!(end, EnumerationEnd::Unsat);
-        let mut b = TimeSolver::new(&dfg, 2, cfg).unwrap();
-        let mut count = 0;
-        let mut outcome = b.solve_outcome();
-        while let SolveOutcome::Solution(_) = outcome {
-            count += 1;
-            outcome = b.next_outcome();
-        }
-        assert_eq!(all.len(), count);
-        // Zero cap is a no-op.
-        let mut c = TimeSolver::new(&dfg, 2, cfg2x2()).unwrap();
-        let (none, end) = c.enumerate_solutions(0);
-        assert!(none.is_empty());
-        assert_eq!(end, EnumerationEnd::CapReached);
-    }
-
-    #[test]
-    fn enumerate_solutions_reports_timeout_on_cancel() {
-        let dfg = running_example();
-        let mut solver = TimeSolver::new(&dfg, 4, cfg2x2()).unwrap();
-        solver.set_cancel_flag(Arc::new(AtomicBool::new(true)));
-        let (sols, end) = solver.enumerate_solutions(4);
-        assert!(sols.is_empty());
-        assert_eq!(end, EnumerationEnd::Timeout);
+        assert_eq!(solver.stats().solutions, count);
     }
 
     #[test]
     fn cancel_flag_reports_timeout() {
+        use std::sync::atomic::Ordering::SeqCst;
         let dfg = running_example();
         let mut solver = TimeSolver::new(&dfg, 4, cfg2x2()).unwrap();
         let flag = Arc::new(AtomicBool::new(true));
-        solver.set_cancel_flag(flag);
-        assert_eq!(solver.solve_outcome(), SolveOutcome::Timeout);
+        solver.set_cancel_flag(Arc::clone(&flag));
+        assert_eq!(solver.next(), SolveOutcome::Timeout);
+        assert_eq!(solver.stats().solutions, 0);
+
+        // After a model: a flag raised between pulls cuts each pull until
+        // it is lowered, and the first schedule stays blocked.
+        flag.store(false, SeqCst);
+        let first = solver.next().solution().expect("II 4 is feasible");
+        flag.store(true, SeqCst);
+        assert_eq!(solver.next(), SolveOutcome::Timeout);
+        assert_eq!(solver.next(), SolveOutcome::Timeout);
+        flag.store(false, SeqCst);
+        let second = solver.next().solution().expect("more than one schedule");
+        assert_ne!(first, second);
+        assert_eq!(solver.stats().solutions, 2);
     }
 
     #[test]
@@ -1040,7 +977,7 @@ mod tests {
         let dfg = b.build().unwrap();
         let cfg = cfg2x2();
         let mut s = TimeSolver::new(&dfg, 1, cfg.clone()).unwrap();
-        let sol = s.solve().expect("self accumulator at II=1");
+        let sol = s.next().solution().expect("self accumulator at II=1");
         sol.validate(&dfg, &cfg).unwrap();
     }
 
@@ -1058,7 +995,7 @@ mod tests {
     fn solution_labels_and_iterations() {
         let dfg = running_example();
         let mut solver = TimeSolver::new(&dfg, 4, cfg2x2()).unwrap();
-        let sol = solver.solve().unwrap();
+        let sol = solver.next().solution().unwrap();
         for v in dfg.nodes() {
             assert_eq!(sol.slot(v), sol.time(v) % 4);
             assert_eq!(sol.iteration(v), sol.time(v) / 4);

@@ -140,7 +140,7 @@ proptest! {
             let cfg = TimeSolverConfig::for_cgra(&cgra).with_window_slack(1);
             let Ok(mut solver) = TimeSolver::new(&dfg, ii, cfg) else { continue };
             let target = build_target(&cgra, ii, 1);
-            let mut outcome = solver.solve_outcome();
+            let mut outcome = solver.next();
             let mut tries = 0;
             while let SolveOutcome::Solution(sol) = outcome {
                 let pattern = build_pattern(&dfg, &sol);
@@ -151,7 +151,7 @@ proptest! {
                 if tries >= 24 {
                     continue 'outer; // escalate II like the mapper does
                 }
-                outcome = solver.next_outcome();
+                outcome = solver.next();
             }
         }
         // Cross-check: the full mapper (same fall-backs plus slack and

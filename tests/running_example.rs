@@ -60,7 +60,7 @@ fn below_mii_is_unsat() {
         let cfg = TimeSolverConfig::for_cgra(&cgra);
         if let Ok(mut solver) = TimeSolver::new(&dfg, ii, cfg) {
             assert!(
-                solver.solve().is_none(),
+                solver.next().solution().is_none(),
                 "no schedule may exist below mII (II={ii})"
             );
         }
@@ -77,7 +77,7 @@ fn figure4_monomorphism_into_mrrg() {
     let cfg = TimeSolverConfig::for_cgra(&cgra);
     let mut solver = TimeSolver::new(&dfg, 4, cfg).unwrap();
     let mut checked = 0;
-    let mut outcome = solver.solve_outcome();
+    let mut outcome = solver.next();
     while let monomap::sched::SolveOutcome::Solution(sol) = outcome {
         let pattern = build_pattern(&dfg, &sol);
         let target = build_target(&cgra, 4, 1);
@@ -88,7 +88,7 @@ fn figure4_monomorphism_into_mrrg() {
         if checked >= 12 {
             break; // a dozen schedules is convincing enough per run
         }
-        outcome = solver.next_outcome();
+        outcome = solver.next();
     }
     assert!(checked >= 1);
 }

@@ -5,8 +5,8 @@
 //! Each row of `tests/golden/time_formula.tsv` is one `(grid, kernel,
 //! II = mII, slack)` cell: the encoding's `TimeSolverStats` (`int_vars`,
 //! `sat_vars`, `clauses`) and an FNV-1a digest of the first 16 schedules
-//! `solve_outcome`/`next_outcome` enumerate (every node's time, in
-//! order) together with why enumeration ended. A change to the encoder
+//! `TimeSolver::next` enumerates (every node's time, in order) together
+//! with why enumeration ended. A change to the encoder
 //! or the SAT core that keeps every row has kept the formula and the
 //! search; one that moves a row has changed what the mapper sees.
 //!
@@ -55,7 +55,7 @@ fn row(grid: &str, kernel: &str, cgra: &Cgra, slack: usize) -> String {
     let stats = solver.stats();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut schedules = 0;
-    let mut outcome = solver.solve_outcome();
+    let mut outcome = solver.next();
     let end = loop {
         match outcome {
             SolveOutcome::Solution(sol) => {
@@ -67,7 +67,7 @@ fn row(grid: &str, kernel: &str, cgra: &Cgra, slack: usize) -> String {
                 if schedules == SCHEDULES {
                     break "cap";
                 }
-                outcome = solver.next_outcome();
+                outcome = solver.next();
             }
             SolveOutcome::Unsat => break "unsat",
             SolveOutcome::Timeout => break "timeout",

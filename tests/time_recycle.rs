@@ -2,7 +2,7 @@
 //!
 //! `TimeSolver` keeps each thread's last SAT store and clears it for
 //! the next encoding. Whatever the previous formula did to it — a Sat
-//! answer with a model on the trail, an Unsat proof, a search cut off
+//! answer and its blocking clause, an Unsat proof, a search cut off
 //! by a budget or a raised cancel flag, or a search long enough to
 //! reduce the learnt-clause database and compact the clause arena — the
 //! next formula must give the same encoding stats, the same 16
@@ -48,7 +48,7 @@ fn observe(kernel: &str, cgra: &Cgra, slack: usize) -> Observation {
     let config = TimeSolverConfig::for_cgra(cgra).with_window_slack(slack);
     let mut solver = TimeSolver::new(&dfg, min_ii(&dfg, cgra), config).unwrap();
     let mut schedules = Vec::new();
-    let mut outcome = solver.solve_outcome();
+    let mut outcome = solver.next();
     let end = loop {
         match outcome {
             SolveOutcome::Solution(sol) => {
@@ -56,7 +56,7 @@ fn observe(kernel: &str, cgra: &Cgra, slack: usize) -> Observation {
                 if schedules.len() == 16 {
                     break "cap";
                 }
-                outcome = solver.next_outcome();
+                outcome = solver.next();
             }
             SolveOutcome::Unsat => break "unsat",
             SolveOutcome::Timeout => break "timeout",
@@ -81,7 +81,7 @@ fn use_store(
     }
     let ii = min_ii(&dfg, &cgra) - below_mii;
     let mut solver = TimeSolver::new(&dfg, ii, config).unwrap();
-    let outcome = solver.solve_outcome();
+    let outcome = solver.next();
     (outcome, solver.sat_stats())
 }
 
@@ -114,7 +114,7 @@ fn previous_uses() -> Vec<(&'static str, fn())> {
                 thread::sleep(Duration::from_millis(20));
                 flag.store(true, Ordering::SeqCst);
             });
-            assert_eq!(solver.solve_outcome(), SolveOutcome::Timeout);
+            assert_eq!(solver.next(), SolveOutcome::Timeout);
             raiser.join().unwrap();
         }),
         ("reduced and compacted", || {
