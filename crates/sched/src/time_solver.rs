@@ -932,17 +932,22 @@ mod tests {
 
     #[test]
     fn cancel_flag_reports_timeout() {
+        let dfg = running_example();
+        let mut solver = TimeSolver::new(&dfg, 4, cfg2x2()).unwrap();
+        solver.set_cancel_flag(Arc::new(AtomicBool::new(true)));
+        assert_eq!(solver.next(), SolveOutcome::Timeout);
+        assert_eq!(solver.stats().solutions, 0);
+    }
+
+    #[test]
+    fn enumerate_solutions_reports_timeout_on_cancel() {
+        // Mid-enumeration: a flag raised between pulls cuts each pull until
+        // it is lowered, and the schedule already returned stays blocked.
         use std::sync::atomic::Ordering::SeqCst;
         let dfg = running_example();
         let mut solver = TimeSolver::new(&dfg, 4, cfg2x2()).unwrap();
-        let flag = Arc::new(AtomicBool::new(true));
+        let flag = Arc::new(AtomicBool::new(false));
         solver.set_cancel_flag(Arc::clone(&flag));
-        assert_eq!(solver.next(), SolveOutcome::Timeout);
-        assert_eq!(solver.stats().solutions, 0);
-
-        // After a model: a flag raised between pulls cuts each pull until
-        // it is lowered, and the first schedule stays blocked.
-        flag.store(false, SeqCst);
         let first = solver.next().solution().expect("II 4 is feasible");
         flag.store(true, SeqCst);
         assert_eq!(solver.next(), SolveOutcome::Timeout);
