@@ -1,5 +1,6 @@
 //! Helpers shared across the e2e integration-test binaries.
 
+pub mod json_corpus;
 pub mod reference;
 
 use monomap::dfg::{DfgError, Edge};

@@ -19,17 +19,18 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::fs;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use monomap::base::Budget;
 use monomap::prelude::*;
-use monomap::service::{DiskLog, TieredCache};
 use serde::de::Reader;
 use serde::{Deserialize, Serialize, Value};
 
 mod common;
+use common::json_corpus::{
+    corpus, dfg_body, disk_log_record, hostile_inputs, kernel_source, parent_format_report,
+    reports, Kind,
+};
 use common::{mutate, XorShift};
 
 #[cfg(debug_assertions)]
@@ -168,14 +169,6 @@ fn agree<T: Deserialize + Serialize>(text: &str, compiles: bool) -> (bool, bool)
 // The corpus
 // ---------------------------------------------------------------------
 
-/// What a corpus entry is decoded as.
-#[derive(Clone, Copy, Debug)]
-enum Kind {
-    Request,
-    Batch,
-    Report,
-}
-
 fn decode_as(kind: Kind, text: &str) -> (bool, bool) {
     agree::<Value>(text, false);
     match kind {
@@ -183,123 +176,6 @@ fn decode_as(kind: Kind, text: &str) -> (bool, bool) {
         Kind::Batch => agree::<Vec<MapRequest>>(text, true),
         Kind::Report => agree::<MapReport>(text, false),
     }
-}
-
-/// A suite `/map` body as the benchmark sends it.
-fn dfg_body(dfg: &Dfg) -> String {
-    let mut req = MapRequest::new(EngineId::Decoupled, dfg.clone());
-    req.deadline_seconds = Some(30.0);
-    serde_json::to_string(&req).unwrap()
-}
-
-fn source_body(name: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("kernels/{name}.mk"));
-    let source = fs::read_to_string(path).unwrap();
-    let mut req = MapRequest::from_source(EngineId::Decoupled, source).unwrap();
-    req.deadline_seconds = Some(30.0);
-    serde_json::to_string(&req).unwrap()
-}
-
-/// A report of each outcome kind: mapped with and without route hops,
-/// failed, rejected.
-fn reports() -> Vec<MapReport> {
-    let cgra = Cgra::new(2, 2).unwrap();
-    let service = standard_service(&cgra);
-    let mapped = service.map(&MapRequest::new(EngineId::Decoupled, running_example()));
-    let routed = service.map(
-        &MapRequest::new(EngineId::Decoupled, suite::generate("bitcount"))
-            .with_cgra(Cgra::new(4, 4).unwrap())
-            .with_config(MapperConfig::new().with_max_route_hops(2)),
-    );
-    assert!(mapped.outcome.is_mapped() && routed.outcome.is_mapped());
-    assert!(!routed.mapping.as_ref().unwrap().route_hops().is_empty());
-    let failed = MapReport::from_error(
-        EngineId::Coupled,
-        &accumulator(),
-        MapError::NoSolution { mii: 2, max_ii: 5 },
-        MapStats::default(),
-    );
-    let rejected = MapReport {
-        outcome: MapOutcome::Rejected {
-            reason: "engine \"annealing\" is not registered\n".into(),
-        },
-        ..failed.clone()
-    };
-    vec![mapped, routed, failed, rejected]
-}
-
-/// The report JSON of the one record a disk log holds after one miss,
-/// cut out of the log file along its documented record layout.
-fn disk_log_record() -> String {
-    let dir = std::env::temp_dir().join(format!("monomap-json-paths-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    {
-        let mut tiers = TieredCache::new(MapCache::new(4));
-        tiers.push_store(Box::new(DiskLog::open(&dir, 16).unwrap()));
-        let cgra = Cgra::new(2, 2).unwrap();
-        let service = CachedMappingService::with_tiers(standard_service(&cgra), tiers);
-        let (report, _) = service.map(&MapRequest::new(EngineId::Decoupled, accumulator()));
-        assert!(report.outcome.is_mapped());
-    }
-    let log = fs::read(dir.join(monomap::service::disklog::LOG_FILE)).unwrap();
-    fs::remove_dir_all(&dir).unwrap();
-    let u32_at = |at: usize| u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
-    // magic 8, payload_len 4, checksum 8, digest 16, engine 1, two
-    // fingerprints 16: then the canonical bytes and the report.
-    let canon_at = 8 + 4 + 8 + 16 + 1 + 16;
-    let report_at = canon_at + 4 + u32_at(canon_at);
-    let report_len = u32_at(report_at);
-    String::from_utf8(log[report_at + 4..report_at + 4 + report_len].to_vec()).unwrap()
-}
-
-/// A mapped report as the parent format wrote it, with the retired
-/// `space_parallelism` echo in its stats, and the report it must decode
-/// to: a disk log written by an older build replays.
-fn parent_format_report() -> (String, MapReport) {
-    let report = reports().swap_remove(0);
-    let text = serde_json::to_string(&report).unwrap().replacen(
-        ",\"sat_vars\":",
-        ",\"space_parallelism\":1,\"sat_vars\":",
-        1,
-    );
-    assert!(text.contains("\"space_parallelism\":1"), "{text}");
-    (text, report)
-}
-
-/// Every seed: the 17 suite `/map` bodies in both forms, the bodies of
-/// `tests/wire_golden.rs`, one report per outcome kind, a parent-format
-/// report and a disk-log record.
-fn corpus() -> Vec<(Kind, String)> {
-    let mut seeds = Vec::new();
-    for name in suite::names() {
-        seeds.push((Kind::Request, dfg_body(&suite::generate(name))));
-        seeds.push((Kind::Request, source_body(name)));
-    }
-    let golden =
-        serde_json::to_string(&MapRequest::new(EngineId::Decoupled, accumulator())).unwrap();
-    seeds.push((Kind::Batch, format!("[{golden},{golden}]")));
-    seeds.push((Kind::Request, golden));
-    let example = MapRequest::new(EngineId::Decoupled, running_example())
-        .with_cgra(
-            Cgra::with_topology(3, 3, Topology::Mesh)
-                .unwrap()
-                .with_capability_profile(CapabilityProfile::MemLeftMulCheckerboard),
-        )
-        .with_config(
-            MapperConfig::new()
-                .with_max_ii(9)
-                .with_time_budget(Budget::conflicts(1000))
-                .with_max_route_hops(3),
-        );
-    seeds.push((Kind::Request, serde_json::to_string(&example).unwrap()));
-    seeds.push((Kind::Request, "{\"engine\":\"decoupled\"}".into()));
-    seeds.push((Kind::Batch, "[{\"engine\":\"decoupled\"}]".into()));
-    for report in reports() {
-        seeds.push((Kind::Report, serde_json::to_string(&report).unwrap()));
-    }
-    seeds.push((Kind::Report, parent_format_report().0));
-    seeds.push((Kind::Report, disk_log_record()));
-    seeds
 }
 
 // ---------------------------------------------------------------------
@@ -329,10 +205,8 @@ fn write_json_is_emit_of_to_value_for_every_wire_type() {
         .with_cgra(hetero.clone())
         .with_config(budgeted.clone())
         .with_deadline(Duration::from_millis(2500));
-    let source =
-        fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("kernels/bitcount.mk"))
-            .unwrap();
-    let source_request = MapRequest::from_source(EngineId::Annealing, source).unwrap();
+    let source_request =
+        MapRequest::from_source(EngineId::Annealing, kernel_source("bitcount")).unwrap();
     assert_written_as_emitted("MapRequest with a dfg", &dfg_request);
     assert_written_as_emitted("MapRequest with a source", &source_request);
     assert_written_as_emitted("a batch", &vec![dfg_request, source_request]);
@@ -413,42 +287,7 @@ fn mutants_decode_the_same_on_both_paths() {
 
 #[test]
 fn hostile_inputs_stay_bounded() {
-    const MB: usize = 1 << 20;
-    let body = dfg_body(&suite::generate("cfd"));
-    let cases = [
-        "[".repeat(MB),
-        "{\"a\":".repeat(MB / 5),
-        format!("{}{}", "[".repeat(128), "]".repeat(128)),
-        format!("{}{}", "[".repeat(129), "]".repeat(129)),
-        body.replace(
-            "\"deadline_seconds\":30.0",
-            &format!("\"deadline_seconds\":{}", "7".repeat(MB)),
-        ),
-        body.replace(
-            "\"deadline_seconds\":30.0",
-            &format!("\"deadline_seconds\":0.{}", "1".repeat(MB)),
-        ),
-        body.replace(
-            "\"engine\":\"Decoupled\"",
-            &format!("\"engine\":{}", "9".repeat(MB)),
-        ),
-        body.replace(
-            "\"name\":\"cfd\"",
-            &format!("\"name\":\"{}\"", "s".repeat(MB)),
-        ),
-        body.replace(
-            "\"name\":\"cfd\"",
-            &format!("\"name\":\"{}\"", "\\u0041".repeat(MB / 6)),
-        ),
-        body.replace(
-            "\"cgra\":null",
-            &format!("\"cgra\":{}", "[1,".repeat(MB / 3)),
-        ),
-        body.replace(
-            "\"cgra\":null",
-            &format!("\"unknown\":\"{}\",\"cgra\":null", "\\n".repeat(MB / 2)),
-        ),
-    ];
+    let cases = hostile_inputs();
     for text in &cases {
         agree::<MapRequest>(text, true);
         agree::<Value>(text, false);
@@ -457,13 +296,29 @@ fn hostile_inputs_stay_bounded() {
 
 /// Decoding the `hotspot3D` `/map` body costs one allocation per node
 /// name, the growth of the node and edge vectors, and the kernel name:
-/// nothing per key, per number or per operation.
+/// nothing per key, per number or per operation. The counts are exact,
+/// with and without a heterogeneous `cgra`, so a decoder that starts to
+/// allocate more shows here.
 #[test]
 fn decoding_a_map_body_allocates_at_most_two_per_node() {
     let dfg = suite::generate("hotspot3D");
-    let body = dfg_body(&dfg);
-    let (request, (allocs, _, _)) = metered(|| serde_json::from_str::<MapRequest>(&body).unwrap());
-    assert_eq!(request.dfg.num_nodes(), dfg.num_nodes());
-    let bound = 2 * dfg.num_nodes() as u64 + 16;
-    assert!(allocs <= bound, "{allocs} allocations, bound {bound}");
+    let hetero = Cgra::new(4, 4)
+        .unwrap()
+        .with_capability_profile(CapabilityProfile::MemLeftMulCheckerboard);
+    let mut with_cgra = MapRequest::new(EngineId::Decoupled, dfg.clone()).with_cgra(hetero);
+    with_cgra.deadline_seconds = Some(30.0);
+    let cases = [
+        ("no cgra", dfg_body(&dfg), 69),
+        (
+            "heterogeneous 4x4 cgra",
+            serde_json::to_string(&with_cgra).unwrap(),
+            220,
+        ),
+    ];
+    for (what, body, want) in cases {
+        let (request, (allocs, _, _)) =
+            metered(|| serde_json::from_str::<MapRequest>(&body).unwrap());
+        assert_eq!(request.dfg.num_nodes(), dfg.num_nodes());
+        assert_eq!(allocs, want, "{what}: allocations");
+    }
 }
