@@ -81,8 +81,8 @@ pub struct OpClassSet(u8);
 /// load: a serialized mask like `8` would otherwise pass the
 /// empty-capability guard (`0 != 8`) while containing no class at all.
 impl Deserialize for OpClassSet {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let raw = u8::from_value(v)?;
+    fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
+        let raw = u8::from_json(r)?;
         Ok(OpClassSet(raw & Self::ALL_BITS))
     }
 }

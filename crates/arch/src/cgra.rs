@@ -114,41 +114,42 @@ struct CgraSpec {
 }
 
 impl Serialize for CgraSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("rows".to_string(), self.rows.to_value()),
-            ("cols".to_string(), self.cols.to_value()),
-            ("topology".to_string(), self.topology.to_value()),
-            (
-                "register_file_size".to_string(),
-                self.register_file_size.to_value(),
-            ),
-        ];
-        if let Some(caps) = &self.capabilities {
-            entries.push(("capabilities".to_string(), caps.to_value()));
-        }
-        serde::Value::Map(entries)
+    fn write_json(&self, out: &mut String) {
+        serde::ser::write_map(out, |entry| {
+            entry("rows", &self.rows);
+            entry("cols", &self.cols);
+            entry("topology", &self.topology);
+            entry("register_file_size", &self.register_file_size);
+            if let Some(caps) = &self.capabilities {
+                entry("capabilities", caps);
+            }
+        });
     }
 }
 
 impl Deserialize for CgraSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::expected("map", v))?;
+    fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
+        use serde::de::{field, optional, read_field};
+        if r.peek() != Some(b'{') {
+            return Err(r.expected("map"));
+        }
+        let (mut rows, mut cols, mut topology, mut register_file_size) = (None, None, None, None);
+        let mut capabilities = None;
+        r.map(|r, key| match &*key {
+            "rows" => read_field(&mut rows, r),
+            "cols" => read_field(&mut cols, r),
+            "topology" => read_field(&mut topology, r),
+            "register_file_size" => read_field(&mut register_file_size, r),
+            "capabilities" => read_field(&mut capabilities, r),
+            _ => r.skip_value(),
+        })?;
         Ok(CgraSpec {
-            rows: serde::de::field(entries, "rows")?,
-            cols: serde::de::field(entries, "cols")?,
-            topology: serde::de::field(entries, "topology")?,
-            register_file_size: serde::de::field(entries, "register_file_size")?,
-            // Absent and explicit-null both mean homogeneous (the
-            // Option impl maps Null to None).
-            capabilities: v
-                .get("capabilities")
-                .map(Option::<Vec<OpClassSet>>::from_value)
-                .transpose()
-                .map_err(|e| serde::de::Error::custom(format!("field `capabilities`: {e}")))?
-                .flatten(),
+            rows: field(rows, "rows")?,
+            cols: field(cols, "cols")?,
+            topology: field(topology, "topology")?,
+            register_file_size: field(register_file_size, "register_file_size")?,
+            // Absent and explicit-null both mean homogeneous.
+            capabilities: optional(capabilities, "capabilities")?,
         })
     }
 }

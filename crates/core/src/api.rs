@@ -372,86 +372,36 @@ impl fmt::Debug for MapRequest {
     }
 }
 
-impl MapRequest {
-    /// The wire entries, in order, listed once for both serialization
-    /// paths. A text-born request serializes back as `source` (the DFG
-    /// is re-derived on deserialization); a DFG-born request emits
-    /// exactly the entries it always has — no `source: null` — so
-    /// pre-frontend wire bytes are unchanged.
-    fn entries(&self, entry: serde::ser::Entry<'_>) {
-        entry("engine", &self.engine);
-        match &self.source {
-            Some(source) => entry("source", source),
-            None => entry("dfg", &self.dfg),
-        }
-        entry("cgra", &self.cgra);
-        entry("config", &self.config);
-        entry("deadline_seconds", &self.deadline_seconds);
-    }
-}
-
+// A text-born request serializes back as `source` (the DFG is
+// re-derived on deserialization); a DFG-born request emits exactly the
+// entries it always has — no `source: null` — so pre-frontend wire
+// bytes are unchanged.
 impl Serialize for MapRequest {
-    fn to_value(&self) -> serde::Value {
-        serde::ser::map_value(|entry| self.entries(entry))
-    }
-
     fn write_json(&self, out: &mut String) {
-        serde::ser::write_map(out, |entry| self.entries(entry));
+        serde::ser::write_map(out, |entry| {
+            entry("engine", &self.engine);
+            match &self.source {
+                Some(source) => entry("source", source),
+                None => entry("dfg", &self.dfg),
+            }
+            entry("cgra", &self.cgra);
+            entry("config", &self.config);
+            entry("deadline_seconds", &self.deadline_seconds);
+        });
     }
 }
 
 impl Deserialize for MapRequest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::expected("map", v))?;
-        let opt = |name: &str| v.get(name).filter(|f| **f != serde::Value::Null);
-        let source = opt("source")
-            .map(String::from_value)
-            .transpose()
-            .map_err(|e| serde::de::Error::custom(format!("field `source`: {e}")))?;
-        let dfg = match (&source, opt("dfg")) {
-            (Some(_), Some(_)) => {
-                return Err(serde::de::Error::custom(
-                    "request carries both `source` and `dfg`; send exactly one",
-                ));
-            }
-            (Some(source), None) => monomap_frontend::compile_one(source).map_err(|e| {
-                serde::de::Error::custom(format!("source:{}:{}: {}", e.line, e.col, e.message))
-            })?,
-            (None, _) => serde::de::field(entries, "dfg")?,
-        };
-        Ok(MapRequest {
-            engine: serde::de::field(entries, "engine")?,
-            dfg,
-            source,
-            cgra: opt("cgra")
-                .map(Cgra::from_value)
-                .transpose()
-                .map_err(|e| serde::de::Error::custom(format!("field `cgra`: {e}")))?,
-            config: opt("config")
-                .map(MapperConfig::from_value)
-                .transpose()
-                .map_err(|e| serde::de::Error::custom(format!("field `config`: {e}")))?
-                .unwrap_or_default(),
-            deadline_seconds: opt("deadline_seconds")
-                .map(f64::from_value)
-                .transpose()
-                .map_err(|e| serde::de::Error::custom(format!("field `deadline_seconds`: {e}")))?,
-            cancel: None,
-            observer: None,
-        })
-    }
-
     fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
-        use serde::de::read_field;
-        // Each slot is `Some(None)` for an explicit `null`.
-        let mut engine = None;
-        let mut dfg: Option<Option<Dfg>> = None;
-        let mut source: Option<Option<String>> = None;
-        let mut cgra: Option<Option<Cgra>> = None;
-        let mut config: Option<Option<MapperConfig>> = None;
-        let mut deadline: Option<Option<f64>> = None;
+        use serde::de::{field, optional, read_field, Error, Slot};
+        if r.peek() != Some(b'{') {
+            return Err(r.expected("map"));
+        }
+        // `dfg` is read as an `Option`: next to a `source`, `null` is
+        // as good as absent.
+        let mut dfg: Slot<Option<Dfg>> = None;
+        let (mut engine, mut source, mut cgra, mut config, mut deadline) =
+            (None, None, None, None, None);
         r.map(|r, key| match &*key {
             "engine" => read_field(&mut engine, r),
             "dfg" => read_field(&mut dfg, r),
@@ -461,24 +411,27 @@ impl Deserialize for MapRequest {
             "deadline_seconds" => read_field(&mut deadline, r),
             _ => r.skip_value(),
         })?;
-        let source = source.flatten();
-        let dfg = match (&source, dfg.flatten()) {
-            (None, Some(dfg)) => dfg,
-            (Some(source), None) => monomap_frontend::compile_one(source)
-                .map_err(|e| serde::de::Error::custom(e.message))?,
-            _ => {
-                return Err(serde::de::Error::custom(
-                    "not exactly one of `dfg`, `source`",
-                ))
+        let source: Option<String> = optional(source, "source")?;
+        let dfg = match (&source, dfg) {
+            (Some(_), Some(Ok(Some(_)) | Err(_))) => {
+                return Err(Error::custom(
+                    "request carries both `source` and `dfg`; send exactly one",
+                ));
             }
+            (Some(source), _) => monomap_frontend::compile_one(source).map_err(|e| {
+                Error::custom(format!("source:{}:{}: {}", e.line, e.col, e.message))
+            })?,
+            (None, dfg) => field(dfg, "dfg")?.ok_or_else(|| {
+                Error::custom("field `dfg`: expected map for struct Dfg, found null")
+            })?,
         };
         Ok(MapRequest {
-            engine: serde::de::required(engine, "engine")?,
+            engine: field(engine, "engine")?,
             dfg,
             source,
-            cgra: cgra.flatten(),
-            config: config.flatten().unwrap_or_default(),
-            deadline_seconds: deadline.flatten(),
+            cgra: optional(cgra, "cgra")?,
+            config: optional(config, "config")?.unwrap_or_default(),
+            deadline_seconds: optional(deadline, "deadline_seconds")?,
             cancel: None,
             observer: None,
         })
@@ -633,9 +586,8 @@ pub fn emit(obs: Option<&dyn MapObserver>, event: MapEvent) {
     }
 }
 
-/// A stable 64-bit fingerprint of any serializable value, computed over
-/// its serde data-model tree (FNV-1a; map entries hashed in their
-/// deterministic serialization order).
+/// A stable 64-bit fingerprint of any serializable value: FNV-1a over
+/// its compact JSON text (`write_json`).
 ///
 /// The `monomap-service` mapping cache keys entries by
 /// `(DFG digest, engine, fingerprint(CGRA), fingerprint(config))`:
@@ -653,39 +605,9 @@ pub fn emit(obs: Option<&dyn MapObserver>, event: MapEvent) {
 /// # Ok::<(), cgra_arch::ArchError>(())
 /// ```
 pub fn fingerprint<T: serde::Serialize>(value: &T) -> u64 {
-    hash_value(&value.to_value(), cgra_base::FNV64_OFFSET)
-}
-
-use cgra_base::fnv64;
-
-fn hash_value(v: &serde::Value, h: u64) -> u64 {
-    use serde::Value;
-    match v {
-        Value::Null => fnv64(h, b"\x00"),
-        Value::Bool(b) => fnv64(h, &[1, u8::from(*b)]),
-        Value::Int(i) => fnv64(fnv64(h, b"\x02"), &i.to_le_bytes()),
-        Value::UInt(u) => fnv64(fnv64(h, b"\x03"), &u.to_le_bytes()),
-        Value::Float(x) => fnv64(fnv64(h, b"\x04"), &x.to_bits().to_le_bytes()),
-        Value::Str(s) => {
-            let h = fnv64(fnv64(h, b"\x05"), &(s.len() as u64).to_le_bytes());
-            fnv64(h, s.as_bytes())
-        }
-        Value::Seq(items) => {
-            let mut h = fnv64(fnv64(h, b"\x06"), &(items.len() as u64).to_le_bytes());
-            for item in items {
-                h = hash_value(item, h);
-            }
-            h
-        }
-        Value::Map(entries) => {
-            let mut h = fnv64(fnv64(h, b"\x07"), &(entries.len() as u64).to_le_bytes());
-            for (k, val) in entries {
-                h = fnv64(fnv64(h, &(k.len() as u64).to_le_bytes()), k.as_bytes());
-                h = hash_value(val, h);
-            }
-            h
-        }
-    }
+    let mut json = String::new();
+    value.write_json(&mut json);
+    cgra_base::fnv64(cgra_base::FNV64_OFFSET, json.as_bytes())
 }
 
 /// How often the deadline watchdog re-checks the caller's cancellation
@@ -1011,9 +933,8 @@ mod tests {
     #[test]
     fn retired_config_keys_are_ignored() {
         // Old clients still send switches this build no longer has: the
-        // request parses on both JSON paths, maps, never re-emits the
-        // key, and shares the default config's cache identity.
-        use serde::de::Reader;
+        // request parses, maps, never re-emits the key, and shares the
+        // default config's cache identity.
         let dfg_json = serde_json::to_string(&running_example()).unwrap();
         let service = MappingService::new(&Cgra::new(2, 2).unwrap());
         for (key, value) in [
@@ -1025,18 +946,14 @@ mod tests {
             let json = format!(
                 r#"{{"engine":"Decoupled","dfg":{dfg_json},"config":{{"{key}":{value}}}}}"#
             );
-            let direct = MapRequest::from_json(&mut Reader::new(&json)).unwrap();
-            let tree: serde::Value = serde_json::from_str(&json).unwrap();
-            let tree = MapRequest::from_value(&tree).unwrap();
-            for req in [direct, tree] {
-                assert!(!serde_json::to_string(&req).unwrap().contains(key));
-                assert_eq!(
-                    fingerprint(&req.config),
-                    fingerprint(&MapperConfig::default()),
-                    "{key}: {value}"
-                );
-                assert_eq!(service.map(&req).outcome.ii(), Some(4), "{key}: {value}");
-            }
+            let req: MapRequest = serde_json::from_str(&json).unwrap();
+            assert!(!serde_json::to_string(&req).unwrap().contains(key));
+            assert_eq!(
+                fingerprint(&req.config),
+                fingerprint(&MapperConfig::default()),
+                "{key}: {value}"
+            );
+            assert_eq!(service.map(&req).outcome.ii(), Some(4), "{key}: {value}");
         }
     }
 
@@ -1255,6 +1172,22 @@ mod tests {
         let json = serde_json::to_string(&config).unwrap();
         let back: MapperConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(fingerprint(&back), fingerprint(&config));
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Cache keys, in memory and in the disk log, are these values: a
+        // change to the wire form that moves them makes every cached
+        // kernel miss once, so it must show here.
+        let het = Cgra::new(4, 4)
+            .unwrap()
+            .with_capability_profile(cgra_arch::CapabilityProfile::MemLeftMulCheckerboard);
+        assert_eq!(
+            fingerprint(&Cgra::new(4, 4).unwrap()),
+            0xcdd0_087a_9076_aa61
+        );
+        assert_eq!(fingerprint(&het), 0x9f13_dc96_1684_91b3);
+        assert_eq!(fingerprint(&MapperConfig::default()), 0x6376_3d1b_3f58_c15d);
     }
 
     #[test]

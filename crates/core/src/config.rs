@@ -174,135 +174,72 @@ impl MapperConfig {
 // vendored serde traits), and deserialisation should treat every absent
 // field as its default so request JSON only has to name the knobs it
 // overrides.
-impl MapperConfig {
-    /// The wire entries, in order, listed once for both serialization
-    /// paths.
-    fn entries(&self, entry: serde::ser::Entry<'_>) {
-        entry("max_ii", &self.max_ii);
-        entry("max_window_slack", &self.max_window_slack);
-        entry("max_time_solutions", &self.max_time_solutions);
-        entry("mono_step_limit", &self.mono_step_limit);
-        entry("capacity_constraints", &self.capacity_constraints);
-        entry("connectivity_constraints", &self.connectivity_constraints);
-        entry("strict_connectivity", &self.strict_connectivity);
-        entry("time_budget", &self.time_budget.as_ref().map(BudgetWire));
-        entry("time_strategy", &self.time_strategy);
-        // Emitted only when it departs from the default so that
-        // pre-routing wire messages — and their fingerprints — are
-        // byte-identical to what this build produces at `k = 1`.
-        if self.max_route_hops != 1 {
-            entry("max_route_hops", &self.max_route_hops);
-        }
+impl Serialize for MapperConfig {
+    fn write_json(&self, out: &mut String) {
+        serde::ser::write_map(out, |entry| {
+            entry("max_ii", &self.max_ii);
+            entry("max_window_slack", &self.max_window_slack);
+            entry("max_time_solutions", &self.max_time_solutions);
+            entry("mono_step_limit", &self.mono_step_limit);
+            entry("capacity_constraints", &self.capacity_constraints);
+            entry("connectivity_constraints", &self.connectivity_constraints);
+            entry("strict_connectivity", &self.strict_connectivity);
+            entry("time_budget", &self.time_budget.as_ref().map(BudgetWire));
+            entry("time_strategy", &self.time_strategy);
+            // Emitted only when it departs from the default so that
+            // pre-routing wire messages — and their fingerprints — are
+            // byte-identical to what this build produces at `k = 1`.
+            if self.max_route_hops != 1 {
+                entry("max_route_hops", &self.max_route_hops);
+            }
+        });
     }
 }
 
 /// A [`Budget`] as it crosses the wire.
 struct BudgetWire<'a>(&'a Budget);
 
-impl BudgetWire<'_> {
-    fn entries(&self, entry: serde::ser::Entry<'_>) {
-        entry("max_conflicts", &self.0.max_conflicts);
-        entry("max_propagations", &self.0.max_propagations);
-    }
-
-    /// The direct decoder of a `time_budget` value (`null` is `None`).
-    fn read(r: &mut serde::de::Reader<'_>) -> Result<Option<Budget>, serde::de::Error> {
-        if r.null() {
-            return Ok(None);
-        }
-        let mut conflicts: Option<Option<u64>> = None;
-        let mut propagations: Option<Option<u64>> = None;
-        r.map(|r, key| match &*key {
-            "max_conflicts" => serde::de::read_field(&mut conflicts, r),
-            "max_propagations" => serde::de::read_field(&mut propagations, r),
-            _ => r.skip_value(),
-        })?;
-        Ok(Some(Budget {
-            max_conflicts: conflicts.flatten(),
-            max_propagations: propagations.flatten(),
-        }))
-    }
-}
-
 impl Serialize for BudgetWire<'_> {
-    fn to_value(&self) -> serde::Value {
-        serde::ser::map_value(|entry| self.entries(entry))
-    }
-
     fn write_json(&self, out: &mut String) {
-        serde::ser::write_map(out, |entry| self.entries(entry));
+        serde::ser::write_map(out, |entry| {
+            entry("max_conflicts", &self.0.max_conflicts);
+            entry("max_propagations", &self.0.max_propagations);
+        });
     }
 }
 
-impl Serialize for MapperConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::ser::map_value(|entry| self.entries(entry))
+/// Reads a `time_budget` value: `null` is no budget, a map names
+/// either bound, and any other value is a budget with neither.
+fn read_budget(r: &mut serde::de::Reader<'_>) -> Result<Option<Budget>, serde::de::Error> {
+    use serde::de::{optional, read_field};
+    if r.null() {
+        return Ok(None);
     }
-
-    fn write_json(&self, out: &mut String) {
-        serde::ser::write_map(out, |entry| self.entries(entry));
+    if r.peek() != Some(b'{') {
+        r.skip_value()?;
+        return Ok(Some(Budget::unlimited()));
     }
-}
-
-/// Reads an optional field: absent and explicit-null both yield `None`.
-fn opt_field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<Option<T>, serde::de::Error> {
-    v.get(name)
-        .map(Option::<T>::from_value)
-        .transpose()
-        .map_err(|e| serde::de::Error::custom(format!("field `{name}`: {e}")))
-        .map(Option::flatten)
+    let (mut conflicts, mut propagations) = (None, None);
+    r.map(|r, key| match &*key {
+        "max_conflicts" => read_field(&mut conflicts, r),
+        "max_propagations" => read_field(&mut propagations, r),
+        _ => r.skip_value(),
+    })?;
+    Ok(Some(Budget {
+        max_conflicts: optional(conflicts, "max_conflicts")?,
+        max_propagations: optional(propagations, "max_propagations")?,
+    }))
 }
 
 impl Deserialize for MapperConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        if v.as_map().is_none() {
-            return Err(serde::de::Error::expected("map", v));
-        }
-        let d = MapperConfig::default();
-        let time_budget = match v.get("time_budget").filter(|b| **b != serde::Value::Null) {
-            Some(b) => Some(Budget {
-                max_conflicts: opt_field(b, "max_conflicts")?,
-                max_propagations: opt_field(b, "max_propagations")?,
-            }),
-            None => None,
-        };
-        // Absent on old-wire requests: the adjacency model.
-        let max_route_hops = opt_field::<usize>(v, "max_route_hops")?.unwrap_or(d.max_route_hops);
-        if !(1..=MAX_ROUTE_HOPS).contains(&max_route_hops) {
-            return Err(serde::de::Error::custom(format!(
-                "max_route_hops must be in 1..={MAX_ROUTE_HOPS}"
-            )));
-        }
-        Ok(MapperConfig {
-            max_ii: opt_field(v, "max_ii")?,
-            max_window_slack: opt_field(v, "max_window_slack")?.unwrap_or(d.max_window_slack),
-            max_time_solutions: opt_field(v, "max_time_solutions")?.unwrap_or(d.max_time_solutions),
-            mono_step_limit: opt_field(v, "mono_step_limit")?.unwrap_or(d.mono_step_limit),
-            capacity_constraints: opt_field(v, "capacity_constraints")?
-                .unwrap_or(d.capacity_constraints),
-            connectivity_constraints: opt_field(v, "connectivity_constraints")?
-                .unwrap_or(d.connectivity_constraints),
-            strict_connectivity: opt_field(v, "strict_connectivity")?
-                .unwrap_or(d.strict_connectivity),
-            time_budget,
-            time_strategy: opt_field(v, "time_strategy")?.unwrap_or(d.time_strategy),
-            max_route_hops,
-        })
-    }
-
     fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
-        use serde::de::read_field;
-        // Each slot is `Some(None)` for an explicit `null`.
-        let mut max_ii: Option<Option<usize>> = None;
-        let mut slack: Option<Option<usize>> = None;
-        let mut solutions: Option<Option<usize>> = None;
-        let mut steps: Option<Option<u64>> = None;
-        let mut capacity: Option<Option<bool>> = None;
-        let mut connectivity: Option<Option<bool>> = None;
-        let mut strict: Option<Option<bool>> = None;
-        let mut budget: Option<Option<Budget>> = None;
-        let mut strategy: Option<Option<TimeStrategy>> = None;
-        let mut hops: Option<Option<usize>> = None;
+        use serde::de::{optional, read_field, read_field_with};
+        if r.peek() != Some(b'{') {
+            return Err(r.expected("map"));
+        }
+        let (mut max_ii, mut slack, mut solutions, mut steps) = (None, None, None, None);
+        let (mut capacity, mut connectivity, mut strict) = (None, None, None);
+        let (mut budget, mut strategy, mut hops) = (None, None, None);
         r.map(|r, key| match &*key {
             "max_ii" => read_field(&mut max_ii, r),
             "max_window_slack" => read_field(&mut slack, r),
@@ -311,32 +248,37 @@ impl Deserialize for MapperConfig {
             "capacity_constraints" => read_field(&mut capacity, r),
             "connectivity_constraints" => read_field(&mut connectivity, r),
             "strict_connectivity" => read_field(&mut strict, r),
-            "time_budget" if budget.is_none() => {
-                budget = Some(BudgetWire::read(r)?);
-                Ok(())
-            }
+            "time_budget" => read_field_with(&mut budget, r, read_budget),
             "time_strategy" => read_field(&mut strategy, r),
             "max_route_hops" => read_field(&mut hops, r),
-            "time_budget" => Err(serde::de::Error::custom("duplicate field")),
             _ => r.skip_value(),
         })?;
+        // The budget's own fields name its errors, unprefixed.
+        let time_budget = budget.transpose()?.flatten();
         let d = MapperConfig::default();
-        let config = MapperConfig {
-            max_ii: max_ii.flatten(),
-            max_window_slack: slack.flatten().unwrap_or(d.max_window_slack),
-            max_time_solutions: solutions.flatten().unwrap_or(d.max_time_solutions),
-            mono_step_limit: steps.flatten().unwrap_or(d.mono_step_limit),
-            capacity_constraints: capacity.flatten().unwrap_or(d.capacity_constraints),
-            connectivity_constraints: connectivity.flatten().unwrap_or(d.connectivity_constraints),
-            strict_connectivity: strict.flatten().unwrap_or(d.strict_connectivity),
-            time_budget: budget.flatten(),
-            time_strategy: strategy.flatten().unwrap_or(d.time_strategy),
-            max_route_hops: hops.flatten().unwrap_or(d.max_route_hops),
-        };
-        if !(1..=MAX_ROUTE_HOPS).contains(&config.max_route_hops) {
-            return Err(serde::de::Error::custom("out of range"));
+        // Absent on old-wire requests: the adjacency model.
+        let max_route_hops = optional(hops, "max_route_hops")?.unwrap_or(d.max_route_hops);
+        if !(1..=MAX_ROUTE_HOPS).contains(&max_route_hops) {
+            return Err(serde::de::Error::custom(format!(
+                "max_route_hops must be in 1..={MAX_ROUTE_HOPS}"
+            )));
         }
-        Ok(config)
+        Ok(MapperConfig {
+            max_ii: optional(max_ii, "max_ii")?,
+            max_window_slack: optional(slack, "max_window_slack")?.unwrap_or(d.max_window_slack),
+            max_time_solutions: optional(solutions, "max_time_solutions")?
+                .unwrap_or(d.max_time_solutions),
+            mono_step_limit: optional(steps, "mono_step_limit")?.unwrap_or(d.mono_step_limit),
+            capacity_constraints: optional(capacity, "capacity_constraints")?
+                .unwrap_or(d.capacity_constraints),
+            connectivity_constraints: optional(connectivity, "connectivity_constraints")?
+                .unwrap_or(d.connectivity_constraints),
+            strict_connectivity: optional(strict, "strict_connectivity")?
+                .unwrap_or(d.strict_connectivity),
+            time_budget,
+            time_strategy: optional(strategy, "time_strategy")?.unwrap_or(d.time_strategy),
+            max_route_hops,
+        })
     }
 }
 

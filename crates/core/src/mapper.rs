@@ -64,10 +64,6 @@ impl RouteHopsHistogram {
 // impls: the histogram crosses the wire as a plain sequence of bucket
 // counts.
 impl Serialize for RouteHopsHistogram {
-    fn to_value(&self) -> serde::Value {
-        self.0.as_slice().to_value()
-    }
-
     fn write_json(&self, out: &mut String) {
         self.0.as_slice().write_json(out);
     }
@@ -87,10 +83,6 @@ impl RouteHopsHistogram {
 }
 
 impl Deserialize for RouteHopsHistogram {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        Self::from_counts(Vec::from_value(v)?)
-    }
-
     fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
         Self::from_counts(Vec::from_json(r)?)
     }
@@ -127,7 +119,10 @@ pub struct MapStats {
     pub achieved_ii: usize,
     /// Wall-clock total.
     pub total_seconds: f64,
-    /// Wall-clock spent in the SMT time search.
+    /// Wall-clock spent in the time phase: the SMT search, or under
+    /// [`TimeStrategy::Heuristic`] the IMS schedule (whose time is not
+    /// split into [`MapStats::time_encode_seconds`] and
+    /// [`MapStats::time_solve_seconds`], which stay 0).
     pub time_phase_seconds: f64,
     /// Wall-clock spent building the per-level time-phase encodings
     /// (decoupled SMT strategy only; part of

@@ -246,51 +246,26 @@ impl Mapping {
 // pre-routing wire form (the golden snapshots assert this byte for
 // byte), and pre-routing JSON decodes into a mapping with no recorded
 // routes.
-impl Mapping {
-    /// The wire entries, in order, listed once for both serialization
-    /// paths.
-    fn entries(&self, entry: serde::ser::Entry<'_>) {
-        entry("dfg_name", &self.dfg_name);
-        entry("ii", &self.ii);
-        entry("placements", &self.placements);
-        if !self.route_hops.is_empty() {
-            entry("route_hops", &self.route_hops);
-        }
-    }
-}
-
 impl Serialize for Mapping {
-    fn to_value(&self) -> serde::Value {
-        serde::ser::map_value(|entry| self.entries(entry))
-    }
-
     fn write_json(&self, out: &mut String) {
-        serde::ser::write_map(out, |entry| self.entries(entry));
+        serde::ser::write_map(out, |entry| {
+            entry("dfg_name", &self.dfg_name);
+            entry("ii", &self.ii);
+            entry("placements", &self.placements);
+            if !self.route_hops.is_empty() {
+                entry("route_hops", &self.route_hops);
+            }
+        });
     }
 }
 
 impl Deserialize for Mapping {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::expected("map", v))?;
-        let route_hops = match v.get("route_hops").filter(|f| **f != serde::Value::Null) {
-            Some(f) => Vec::<usize>::from_value(f)
-                .map_err(|e| serde::de::Error::custom(format!("field `route_hops`: {e}")))?,
-            None => Vec::new(),
-        };
-        Ok(Mapping {
-            dfg_name: serde::de::field(entries, "dfg_name")?,
-            ii: serde::de::field(entries, "ii")?,
-            placements: serde::de::field(entries, "placements")?,
-            route_hops,
-        })
-    }
-
     fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
-        use serde::de::{read_field, required};
-        let (mut dfg_name, mut ii, mut placements) = (None, None, None);
-        let mut route_hops: Option<Option<Vec<usize>>> = None;
+        use serde::de::{field, optional, read_field};
+        if r.peek() != Some(b'{') {
+            return Err(r.expected("map"));
+        }
+        let (mut dfg_name, mut ii, mut placements, mut route_hops) = (None, None, None, None);
         r.map(|r, key| match &*key {
             "dfg_name" => read_field(&mut dfg_name, r),
             "ii" => read_field(&mut ii, r),
@@ -298,11 +273,12 @@ impl Deserialize for Mapping {
             "route_hops" => read_field(&mut route_hops, r),
             _ => r.skip_value(),
         })?;
+        let route_hops = optional(route_hops, "route_hops")?.unwrap_or_default();
         Ok(Mapping {
-            dfg_name: required(dfg_name, "dfg_name")?,
-            ii: required(ii, "ii")?,
-            placements: required(placements, "placements")?,
-            route_hops: route_hops.flatten().unwrap_or_default(),
+            dfg_name: field(dfg_name, "dfg_name")?,
+            ii: field(ii, "ii")?,
+            placements: field(placements, "placements")?,
+            route_hops,
         })
     }
 }

@@ -108,20 +108,21 @@ impl fmt::Debug for DfgDigest {
     }
 }
 
-// The vendored serde data model has no 128-bit integers; the digest
-// travels as its hex string.
+// JSON has no 128-bit integers; the digest travels as its hex string.
 impl Serialize for DfgDigest {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_hex())
+    fn write_json(&self, out: &mut String) {
+        use std::fmt::Write;
+        let _ = write!(out, "\"{self}\"");
     }
 }
 
 impl Deserialize for DfgDigest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| serde::de::Error::expected("hex string", v))?;
-        DfgDigest::from_hex(s)
+    fn from_json(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
+        if r.peek() != Some(b'"') {
+            return Err(r.expected("hex string"));
+        }
+        let s = r.string()?;
+        DfgDigest::from_hex(&s)
             .ok_or_else(|| serde::de::Error::custom(format!("not a 32-digit hex digest: `{s}`")))
     }
 }

@@ -607,11 +607,6 @@ impl<'a> TimeSolver<'a> {
         })
     }
 
-    /// The iteration interval this solver targets.
-    pub fn ii(&self) -> usize {
-        self.ii
-    }
-
     /// Encoding and progress statistics.
     pub fn stats(&self) -> TimeSolverStats {
         self.stats

@@ -161,36 +161,25 @@ impl Client {
 
     /// `POST /map_batch`: maps many requests, reports in input order.
     pub fn map_batch(&self, requests: &[MapRequest]) -> Result<Vec<MapResponse>, ClientError> {
-        let items: Vec<serde::Value> = requests.iter().map(serde::Serialize::to_value).collect();
-        let body = serde_json::to_string(&serde::Value::Seq(items))
+        let body = serde_json::to_string(&requests)
             .map_err(|e| ClientError::Protocol(format!("serializing requests: {e}")))?;
         let (_, body) = self.call("POST", "/map_batch", Some(&body))?;
-        let envelope: serde::Value = serde_json::from_str(&body)
+        let envelope: BatchEnvelope = serde_json::from_str(&body)
             .map_err(|e| ClientError::Protocol(format!("parsing batch envelope: {e}")))?;
-        let reports = envelope
-            .get("reports")
-            .and_then(serde::Value::as_seq)
-            .ok_or_else(|| ClientError::Protocol("batch envelope missing `reports`".into()))?;
-        let cache = envelope
-            .get("cache")
-            .and_then(serde::Value::as_seq)
-            .ok_or_else(|| ClientError::Protocol("batch envelope missing `cache`".into()))?;
-        if reports.len() != cache.len() {
+        if envelope.reports.len() != envelope.cache.len() {
             return Err(ClientError::Protocol(
                 "batch envelope reports/cache length mismatch".into(),
             ));
         }
-        reports
-            .iter()
-            .zip(cache)
-            .map(|(r, c)| {
-                use serde::Deserialize;
-                let report = MapReport::from_value(r)
-                    .map_err(|e| ClientError::Protocol(format!("parsing report: {e}")))?;
-                let cache = c.as_str().and_then(CacheDisposition::from_name);
-                Ok(MapResponse { report, cache })
+        Ok(envelope
+            .reports
+            .into_iter()
+            .zip(envelope.cache)
+            .map(|(report, cache)| MapResponse {
+                report,
+                cache: CacheDisposition::from_name(&cache),
             })
-            .collect()
+            .collect())
     }
 
     /// `POST /compile`: compiles raw `.mk` source (exactly one kernel)
@@ -360,6 +349,14 @@ pub struct ClassDemand {
     pub mul: u64,
     /// Load/store nodes.
     pub mem: u64,
+}
+
+/// The `POST /map_batch` response body: one report and one cache
+/// disposition per request, in input order.
+#[derive(Debug, Deserialize)]
+struct BatchEnvelope {
+    reports: Vec<MapReport>,
+    cache: Vec<String>,
 }
 
 /// The `GET /cache/<digest>` response body.

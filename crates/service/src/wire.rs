@@ -312,11 +312,9 @@ impl Reply {
 
     /// The `{"error": message}` document under `status`.
     pub fn error(self, status: u16, message: &str) -> Response {
-        let body = serde_json::to_string(&serde::Value::Map(vec![(
-            "error".to_string(),
-            serde::Value::Str(message.to_string()),
-        )]))
-        .unwrap_or_else(|_| "{\"error\":\"internal\"}".to_string());
+        let mut body = String::from("{\"error\":");
+        serde::ser::write_str(&mut body, message);
+        body.push('}');
         self.json(status, &body, &[])
     }
 

@@ -1,18 +1,13 @@
-//! The two JSON paths of the vendored serde stub held to each other on
-//! every type that crosses the daemon's wire or its disk log.
+//! What the one JSON path of the vendored serde stub costs, and what
+//! it must still read, on every type that crosses the daemon's wire or
+//! its disk log. (Its answers are pinned by `tests/json_decode.rs`.)
 //!
-//! * Writing: `write_json` (what `serde_json::to_string` runs) must
-//!   produce exactly the text `serde::ser::emit` makes of `to_value()`.
-//! * Reading: a direct decoder (`Deserialize::from_json`) that succeeds
-//!   must return what the `Value` path returns, and
-//!   `serde_json::from_str` must answer exactly as the `Value` path
-//!   does — the same value, or an error with the same words.
-//!
-//! The reading half runs on the unmutated corpus (where the direct
-//! decoders must succeed, or the fast path is dead), on the six byte
-//! mutations of `frontend_fuzz` and the `wire` battery, and on hostile
-//! megabyte inputs, each under a bound on time and allocation. A
-//! counting allocator pins what decoding a `/map` body costs.
+//! * `serde_json::from_str` stays within a bound on time and
+//!   allocation on hostile megabyte inputs and on the byte mutants of
+//!   the corpus (the six mutations of `frontend_fuzz` and the `wire`
+//!   battery).
+//! * A counting allocator pins what decoding a `/map` body costs.
+//! * A report in an older format still decodes.
 //!
 //! Iteration counts are capped in debug builds; CI runs the full count
 //! (`cargo test --release -q --test json_paths`).
@@ -21,16 +16,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-use monomap::base::Budget;
 use monomap::prelude::*;
-use serde::de::Reader;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 
 mod common;
-use common::json_corpus::{
-    corpus, dfg_body, disk_log_record, hostile_inputs, kernel_source, parent_format_report,
-    reports, Kind,
-};
+use common::json_corpus::{corpus, dfg_body, hostile_inputs, parent_format_report, Kind};
 use common::{mutate, XorShift};
 
 #[cfg(debug_assertions)]
@@ -88,24 +78,8 @@ fn metered<T>(f: impl FnOnce() -> T) -> (T, (u64, u64, Duration)) {
 }
 
 // ---------------------------------------------------------------------
-// The two paths
+// Bounds
 // ---------------------------------------------------------------------
-
-/// The reference: parse the tree, then `from_value`.
-fn tree_path<T: Deserialize>(text: &str) -> Result<T, String> {
-    let mut r = Reader::new(text);
-    let tree = r.parse_value().map_err(|e| e.to_string())?;
-    r.finish().map_err(|e| e.to_string())?;
-    T::from_value(&tree).map_err(|e| e.to_string())
-}
-
-/// The direct decoder alone, without the fallback.
-fn direct_path<T: Deserialize>(text: &str) -> Option<T> {
-    let mut r = Reader::new(text);
-    let value = T::from_json(&mut r).ok()?;
-    r.finish().ok()?;
-    Some(value)
-}
 
 /// Largest cost one decode of `len` bytes may have: linear in the
 /// input, with room for debug builds and a busy machine. Requests may
@@ -133,137 +107,39 @@ fn within_bounds(what: &str, len: usize, cost: (u64, u64, Duration), compiles: b
     assert!(elapsed <= limit, "{what}: {elapsed:?} for {len} bytes");
 }
 
-/// Decodes `text` as `T` on every path and checks that they agree and
-/// stay within bounds (`compiles`: see [`within_bounds`]). Returns
-/// whether the direct decoder succeeded and whether the tree path did.
-fn agree<T: Deserialize + Serialize>(text: &str, compiles: bool) -> (bool, bool) {
-    let (tree, cost) = metered(|| tree_path::<T>(text));
-    within_bounds("tree path", text.len(), cost, compiles);
-    let (direct, cost) = metered(|| direct_path::<T>(text));
-    within_bounds("direct path", text.len(), cost, compiles);
-    let (public, cost) = metered(|| serde_json::from_str::<T>(text));
-    within_bounds("from_str", text.len(), cost, compiles);
-
-    let shown = |t: &T| t.to_value();
-    // Megabyte inputs would drown a failure message.
-    let text: String = text.chars().take(400).collect();
-    if let Some(direct) = &direct {
-        let tree = tree.as_ref().unwrap_or_else(|e| {
-            panic!("the direct decoder took text the tree path refuses ({e}): {text:?}")
-        });
-        assert_eq!(shown(direct), shown(tree), "paths disagree on {text:?}");
-    }
-    match (&public, &tree) {
-        (Ok(public), Ok(tree)) => assert_eq!(shown(public), shown(tree), "on {text:?}"),
-        (Err(public), Err(tree)) => assert_eq!(&public.to_string(), tree, "on {text:?}"),
-        _ => panic!(
-            "from_str answered {:?}, the tree path {:?}, on {text:?}",
-            public.as_ref().map(shown),
-            tree.as_ref().map(shown)
-        ),
-    }
-    (direct.is_some(), tree.is_ok())
-}
-
-// ---------------------------------------------------------------------
-// The corpus
-// ---------------------------------------------------------------------
-
-fn decode_as(kind: Kind, text: &str) -> (bool, bool) {
-    agree::<Value>(text, false);
-    match kind {
-        Kind::Request => agree::<MapRequest>(text, true),
-        Kind::Batch => agree::<Vec<MapRequest>>(text, true),
-        Kind::Report => agree::<MapReport>(text, false),
-    }
+/// Decodes `text` as `T` and checks the cost against
+/// [`within_bounds`].
+fn bounded<T: Deserialize>(text: &str, compiles: bool) {
+    let (_, cost) = metered(|| serde_json::from_str::<T>(text));
+    within_bounds(std::any::type_name::<T>(), text.len(), cost, compiles);
 }
 
 // ---------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------
 
-fn assert_written_as_emitted<T: Serialize>(what: &str, value: &T) {
-    let mut emitted = String::new();
-    serde::ser::emit(&value.to_value(), &mut emitted, None);
-    assert_eq!(serde_json::to_string(value).unwrap(), emitted, "{what}");
-}
-
-#[test]
-fn write_json_is_emit_of_to_value_for_every_wire_type() {
-    let bitcount = suite::generate("bitcount");
-    let hetero = Cgra::new(4, 4)
-        .unwrap()
-        .with_capability_profile(CapabilityProfile::MemLeftMulCheckerboard);
-    let budgeted = MapperConfig::new()
-        .with_max_ii(12)
-        .with_time_budget(Budget {
-            max_conflicts: Some(500),
-            max_propagations: Some(1 << 40),
-        })
-        .with_max_route_hops(2);
-    let dfg_request = MapRequest::new(EngineId::Decoupled, bitcount.clone())
-        .with_cgra(hetero.clone())
-        .with_config(budgeted.clone())
-        .with_deadline(Duration::from_millis(2500));
-    let source_request =
-        MapRequest::from_source(EngineId::Annealing, kernel_source("bitcount")).unwrap();
-    assert_written_as_emitted("MapRequest with a dfg", &dfg_request);
-    assert_written_as_emitted("MapRequest with a source", &source_request);
-    assert_written_as_emitted("a batch", &vec![dfg_request, source_request]);
-    assert_written_as_emitted("heterogeneous Cgra", &hetero);
-    assert_written_as_emitted("homogeneous Cgra", &Cgra::new(2, 3).unwrap());
-    assert_written_as_emitted("MapperConfig with budgets", &budgeted);
-    assert_written_as_emitted("default MapperConfig", &MapperConfig::default());
-    assert_written_as_emitted("Dfg", &bitcount);
-    for report in reports() {
-        assert_written_as_emitted(&format!("MapReport {:?}", report.outcome), &report);
-        assert_written_as_emitted("MapStats", &report.stats);
-        assert_written_as_emitted("Mapping", &report.mapping);
+/// Decodes `text` as a `Value` and as `kind`'s type, each within
+/// bounds.
+fn decode_as(kind: Kind, text: &str) {
+    bounded::<Value>(text, false);
+    match kind {
+        Kind::Request => bounded::<MapRequest>(text, true),
+        Kind::Batch => bounded::<Vec<MapRequest>>(text, true),
+        Kind::Report => bounded::<MapReport>(text, false),
     }
-    let floats = vec![
-        0.0,
-        -0.0,
-        1.5,
-        1e21,
-        1e-7,
-        f64::NAN,
-        f64::INFINITY,
-        123456789.0,
-    ];
-    assert_written_as_emitted("floats", &floats);
-    let strings = vec!["", "\"\\\n\r\t\u{1}\u{1f}", "π ≈ 3.14 — ok", "a/b"];
-    assert_written_as_emitted("strings", &strings);
-    assert_written_as_emitted("extreme integers", &(i64::MIN, u64::MAX));
-    assert_written_as_emitted(
-        "a tree",
-        &serde_json::from_str::<Value>(&disk_log_record()).unwrap(),
-    );
 }
 
 #[test]
-fn direct_decoders_take_every_seed_and_agree_with_the_tree() {
-    let mut valid = 0;
-    for (kind, text) in corpus() {
-        let (direct, tree) = decode_as(kind, &text);
-        assert_eq!(direct, tree, "the direct {kind:?} decoder on {text}");
-        valid += usize::from(tree);
-    }
-    assert!(valid >= 40, "only {valid} valid seeds");
-}
-
-#[test]
-fn parent_format_report_decodes_to_the_same_report_on_both_paths() {
+fn parent_format_report_decodes_to_the_same_report() {
     let (text, report) = parent_format_report();
-    assert_eq!(direct_path::<MapReport>(&text), Some(report.clone()));
-    assert_eq!(tree_path::<MapReport>(&text), Ok(report));
+    assert_eq!(serde_json::from_str::<MapReport>(&text), Ok(report));
 }
 
 #[test]
-fn mutants_decode_the_same_on_both_paths() {
+fn mutants_stay_bounded() {
     let corpus = corpus();
     let seeds: Vec<Vec<u8>> = corpus.iter().map(|(_, t)| t.clone().into_bytes()).collect();
     let mut rng = XorShift(0x4a50_4e5f_5041_5448);
-    let (mut direct, mut fallback) = (0u64, 0u64);
     for _ in 0..ITERATIONS {
         // Pick the seed here so the mutant keeps its seed's kind.
         let at = rng.below(seeds.len() as u64);
@@ -271,34 +147,24 @@ fn mutants_decode_the_same_on_both_paths() {
         if rng.below(2) == 0 {
             bytes = mutate(&mut rng, &[bytes]);
         }
-        let text = String::from_utf8_lossy(&bytes);
-        if decode_as(corpus[at].0, &text).0 {
-            direct += 1;
-        } else {
-            fallback += 1;
-        }
+        decode_as(corpus[at].0, &String::from_utf8_lossy(&bytes));
     }
-    // The mutations must reach both outcomes.
-    assert!(
-        direct > 0 && fallback > 0,
-        "{direct} direct, {fallback} fallback"
-    );
 }
 
 #[test]
 fn hostile_inputs_stay_bounded() {
-    let cases = hostile_inputs();
-    for text in &cases {
-        agree::<MapRequest>(text, true);
-        agree::<Value>(text, false);
+    for text in &hostile_inputs() {
+        decode_as(Kind::Request, text);
     }
 }
 
 /// Decoding the `hotspot3D` `/map` body costs one allocation per node
 /// name, the growth of the node and edge vectors, and the kernel name:
-/// nothing per key, per number or per operation. The counts are exact,
-/// with and without a heterogeneous `cgra`, so a decoder that starts to
-/// allocate more shows here.
+/// nothing per key, per number or per operation. A heterogeneous 4x4
+/// `cgra` adds the grid's own adjacency tables (its JSON costs only the
+/// capability vector's growth). The counts are exact, so a decoder that
+/// starts to allocate more shows here; through the `Value` tree the
+/// second body cost 220.
 #[test]
 fn decoding_a_map_body_allocates_at_most_two_per_node() {
     let dfg = suite::generate("hotspot3D");
@@ -312,7 +178,7 @@ fn decoding_a_map_body_allocates_at_most_two_per_node() {
         (
             "heterogeneous 4x4 cgra",
             serde_json::to_string(&with_cgra).unwrap(),
-            220,
+            209,
         ),
     ];
     for (what, body, want) in cases {
