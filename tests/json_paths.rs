@@ -8,6 +8,10 @@
 //!   battery).
 //! * A counting allocator pins what decoding a `/map` body costs.
 //! * A report in an older format still decodes.
+//! * Every seed of the corpus decodes directly (`from_json`, no second
+//!   try), and to the same value as the `Value` tree's re-emission of
+//!   its text; `write_json` writes what `emit` makes of the tree of
+//!   its own text, on every wire type.
 //!
 //! Iteration counts are capped in debug builds; CI runs the full count
 //! (`cargo test --release -q --test json_paths`).
@@ -16,11 +20,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
+use monomap::base::Budget;
 use monomap::prelude::*;
-use serde::{Deserialize, Value};
+use serde::de::Reader;
+use serde::{Deserialize, Serialize, Value};
 
 mod common;
-use common::json_corpus::{corpus, dfg_body, hostile_inputs, parent_format_report, Kind};
+use common::json_corpus::{
+    corpus, dfg_body, disk_log_record, hostile_inputs, kernel_source, parent_format_report,
+    reports, Kind,
+};
 use common::{mutate, XorShift};
 
 #[cfg(debug_assertions)]
@@ -127,6 +136,130 @@ fn decode_as(kind: Kind, text: &str) {
         Kind::Batch => bounded::<Vec<MapRequest>>(text, true),
         Kind::Report => bounded::<MapReport>(text, false),
     }
+}
+
+/// `text` parsed as a `Value` tree (the whole text), or the error.
+fn tree_of(text: &str) -> Result<Value, String> {
+    let mut r = Reader::new(text);
+    let tree = r.parse_value().map_err(|e| e.to_string())?;
+    r.finish().map_err(|e| e.to_string())?;
+    Ok(tree)
+}
+
+/// The direct decoder alone, without `from_str`'s rescan.
+fn direct_path<T: Deserialize>(text: &str) -> Option<T> {
+    let mut r = Reader::new(text);
+    let value = T::from_json(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(value)
+}
+
+/// Whether the direct `T` decoder takes `text`. When it does, the text
+/// must parse as a tree, and decoding the tree's compact re-emission
+/// must give the same value (compared through `write_json`) as
+/// decoding the text itself and as `from_str`.
+fn agrees_with_tree<T: Deserialize + Serialize>(text: &str) -> bool {
+    let Some(direct) = direct_path::<T>(text) else {
+        return false;
+    };
+    let tree = tree_of(text)
+        .unwrap_or_else(|e| panic!("the direct decoder took text the tree refuses ({e})"));
+    let mut emitted = String::new();
+    serde::ser::emit(&tree, &mut emitted, None);
+    let shown = |t: &T| serde_json::to_string(t).unwrap();
+    let from_tree = direct_path::<T>(&emitted)
+        .unwrap_or_else(|| panic!("the direct decoder refuses the tree's re-emission"));
+    assert_eq!(shown(&direct), shown(&from_tree), "text and tree disagree");
+    let public = serde_json::from_str::<T>(text).expect("from_str refuses what from_json took");
+    assert_eq!(
+        shown(&direct),
+        shown(&public),
+        "from_json and from_str disagree"
+    );
+    true
+}
+
+/// `value` writes as `emit` writes the tree of its own text.
+fn assert_written_as_emitted<T: Serialize>(what: &str, value: &T) {
+    let written = serde_json::to_string(value).unwrap();
+    let tree = tree_of(&written).unwrap_or_else(|e| panic!("{what}: wrote invalid JSON ({e})"));
+    let mut emitted = String::new();
+    serde::ser::emit(&tree, &mut emitted, None);
+    assert_eq!(written, emitted, "{what}");
+}
+
+#[test]
+fn write_json_is_emit_of_to_value_for_every_wire_type() {
+    let bitcount = suite::generate("bitcount");
+    let hetero = Cgra::new(4, 4)
+        .unwrap()
+        .with_capability_profile(CapabilityProfile::MemLeftMulCheckerboard);
+    let budgeted = MapperConfig::new()
+        .with_max_ii(12)
+        .with_time_budget(Budget {
+            max_conflicts: Some(500),
+            max_propagations: Some(1 << 40),
+        })
+        .with_max_route_hops(2);
+    let dfg_request = MapRequest::new(EngineId::Decoupled, bitcount.clone())
+        .with_cgra(hetero.clone())
+        .with_config(budgeted.clone())
+        .with_deadline(Duration::from_millis(2500));
+    let source_request =
+        MapRequest::from_source(EngineId::Annealing, kernel_source("bitcount")).unwrap();
+    assert_written_as_emitted("MapRequest with a dfg", &dfg_request);
+    assert_written_as_emitted("MapRequest with a source", &source_request);
+    assert_written_as_emitted("a batch", &vec![dfg_request, source_request]);
+    assert_written_as_emitted("heterogeneous Cgra", &hetero);
+    assert_written_as_emitted("homogeneous Cgra", &Cgra::new(2, 3).unwrap());
+    assert_written_as_emitted("MapperConfig with budgets", &budgeted);
+    assert_written_as_emitted("default MapperConfig", &MapperConfig::default());
+    assert_written_as_emitted("Dfg", &bitcount);
+    for report in reports() {
+        assert_written_as_emitted(&format!("MapReport {:?}", report.outcome), &report);
+        assert_written_as_emitted("MapStats", &report.stats);
+        assert_written_as_emitted("Mapping", &report.mapping);
+    }
+    let floats = vec![
+        0.0,
+        -0.0,
+        1.5,
+        1e21,
+        1e-7,
+        f64::NAN,
+        f64::INFINITY,
+        123456789.0,
+    ];
+    assert_written_as_emitted("floats", &floats);
+    let strings = vec!["", "\"\\\n\r\t\u{1}\u{1f}", "π ≈ 3.14 — ok", "a/b"];
+    assert_written_as_emitted("strings", &strings);
+    assert_written_as_emitted("extreme integers", &(i64::MIN, u64::MAX));
+    assert_written_as_emitted(
+        "a tree",
+        &serde_json::from_str::<Value>(&disk_log_record()).unwrap(),
+    );
+}
+
+#[test]
+fn direct_decoders_take_every_seed_and_agree_with_the_tree() {
+    let mut valid = 0;
+    for (kind, text) in corpus() {
+        assert!(tree_of(&text).is_ok(), "a seed is not JSON: {text}");
+        let direct = match kind {
+            Kind::Request => agrees_with_tree::<MapRequest>(&text),
+            Kind::Batch => agrees_with_tree::<Vec<MapRequest>>(&text),
+            Kind::Report => agrees_with_tree::<MapReport>(&text),
+        };
+        // A seed the type refuses must be refused by `from_str` too.
+        let public = match kind {
+            Kind::Request => serde_json::from_str::<MapRequest>(&text).is_ok(),
+            Kind::Batch => serde_json::from_str::<Vec<MapRequest>>(&text).is_ok(),
+            Kind::Report => serde_json::from_str::<MapReport>(&text).is_ok(),
+        };
+        assert_eq!(direct, public, "the direct {kind:?} decoder on {text}");
+        valid += usize::from(direct);
+    }
+    assert!(valid >= 40, "only {valid} valid seeds");
 }
 
 #[test]
