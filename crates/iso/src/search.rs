@@ -10,9 +10,11 @@ use crate::{LayeredTarget, Pattern, Target};
 ///
 /// An atomic load is cheap but `Instant::now` is not; polling every
 /// `2^10` placements keeps the overhead unmeasurable while bounding the
-/// reaction latency to about a millisecond of search work (a placement
-/// propagates, so it costs from a tenth of a microsecond on a 4×4 to a
-/// microsecond on a 20×20).
+/// reaction latency to well under a millisecond of search work (a
+/// placement narrows its unplaced neighbours' domains and updates the
+/// live counts of its class, then the next vertex is chosen from one
+/// count per unplaced vertex; that costs from a tenth of a microsecond
+/// on a 4×4 to a few tenths on a 20×20, whose domains are seven words).
 const POLL_MASK: u64 = (1 << 10) - 1;
 
 /// Limits applied to one search run.
@@ -269,6 +271,12 @@ struct Frame {
 ///
 /// The next vertex is the unplaced one with the fewest live candidates
 /// (ties: more placed neighbours, then higher degree, then lower index).
+/// Each vertex's live count is kept current as placements come and go
+/// (a used index decrements the class members whose domain holds it, a
+/// narrowed domain is recounted), so choosing the next vertex reads one
+/// number per unplaced vertex whatever the width of the domains, and a
+/// class's union is built only when none of its unplaced vertices alone
+/// has as many live candidates as the class has unplaced vertices.
 /// [`Target`]s and [`LayeredTarget`]s run through this one loop; all
 /// working storage is allocated at construction and reused across
 /// [`Searcher::run`] calls.
@@ -280,6 +288,10 @@ pub struct Searcher<'a> {
     roots: Option<&'a DenseBitSet>,
     /// Class of each pattern vertex.
     class: Vec<usize>,
+    /// The pattern vertices of class `c`:
+    /// `members[member_start[c]..member_start[c + 1]]`.
+    members: Vec<usize>,
+    member_start: Vec<usize>,
     /// Words per domain.
     words: usize,
     /// Initial domains (capability- and degree-compatible), `words` per
@@ -289,7 +301,12 @@ pub struct Searcher<'a> {
     dom: Vec<u64>,
     /// Used-mask per class.
     used: Vec<u64>,
-    /// Union of the live domains per class (scratch of `select`).
+    /// Live candidates per unplaced pattern vertex: the bits of its
+    /// domain outside its class's used-mask.
+    count: Vec<u32>,
+    /// Largest live count per class (scratch of `select`).
+    largest: Vec<u32>,
+    /// Union of one class's live domains (scratch of `select`).
     hall: Vec<u64>,
     /// Unplaced vertices per class.
     unplaced: Vec<usize>,
@@ -306,8 +323,9 @@ pub struct Searcher<'a> {
     frames: Vec<Frame>,
     /// Per-depth untried candidates, `words` each.
     cand: Vec<u64>,
-    /// Vertices whose domain words are saved on `trail_words`.
-    trail: Vec<usize>,
+    /// Vertices whose domain words are saved on `trail_words`, each
+    /// with its live count before the narrowing.
+    trail: Vec<(usize, u32)>,
     trail_words: Vec<u64>,
     stats: MonoStats,
 }
@@ -355,6 +373,15 @@ impl<'a> Searcher<'a> {
         let class: Vec<usize> = (0..np)
             .map(|u| labels.binary_search(&pattern.label(u)).expect("own label"))
             .collect();
+        let mut members: Vec<usize> = (0..np).collect();
+        members.sort_by_key(|&u| class[u]);
+        let mut member_start = vec![0; classes + 1];
+        for &c in &class {
+            member_start[c + 1] += 1;
+        }
+        for c in 0..classes {
+            member_start[c + 1] += member_start[c];
+        }
         // Initial domains: the vertices of `u`'s class that cover its
         // requirement mask and have, inside every class, at least as
         // many neighbours as `u` has there.
@@ -398,11 +425,15 @@ impl<'a> Searcher<'a> {
             config,
             roots,
             class,
+            members,
+            member_start,
             words,
             base,
             dom: vec![0; np * words],
             used: vec![0; classes * words],
-            hall: vec![0; classes * words],
+            count: vec![0; np],
+            largest: vec![0; classes],
+            hall: vec![0; words],
             unplaced: vec![0; classes],
             open: (0..np).collect(),
             at: (0..np).collect(),
@@ -474,6 +505,9 @@ impl<'a> Searcher<'a> {
         }
         self.dom.copy_from_slice(&self.base);
         self.used.fill(0);
+        for w in 0..np {
+            self.count[w] = self.recount(w);
+        }
         self.unplaced.fill(0);
         for &c in &self.class {
             self.unplaced[c] += 1;
@@ -498,7 +532,7 @@ impl<'a> Searcher<'a> {
                 }
                 depth -= 1;
                 self.stats.backtracks += 1;
-                self.unplace(self.frames[depth]);
+                self.unplace(self.frames[depth], true);
                 continue;
             };
             let bit = cand[wi].trailing_zeros() as usize;
@@ -528,8 +562,19 @@ impl<'a> Searcher<'a> {
             } else {
                 self.stats.backtracks += 1;
             }
-            self.unplace(Frame { vertex: u, mark });
+            self.unplace(Frame { vertex: u, mark }, alive);
         }
+    }
+
+    /// The live candidates of `w`, counted from its domain words.
+    fn recount(&self, w: usize) -> u32 {
+        let words = self.words;
+        let used = &self.used[self.class[w] * words..][..words];
+        self.dom[w * words..][..words]
+            .iter()
+            .zip(used)
+            .map(|(d, u)| (d & !u).count_ones())
+            .sum()
     }
 
     /// Chooses the vertex to place at `depth` and loads its candidates.
@@ -538,22 +583,17 @@ impl<'a> Searcher<'a> {
     /// candidates in total than unplaced vertices.
     fn select(&mut self, depth: usize) -> bool {
         let words = self.words;
-        self.hall.fill(0);
+        let open = &self.open[..self.open.len() - depth];
+        debug_assert!(open.iter().all(|&w| self.count[w] == self.recount(w)));
+        self.largest.fill(0);
         let mut best = None;
-        for &w in &self.open[..self.open.len() - depth] {
-            let c = self.class[w];
-            let dom = &self.dom[w * words..][..words];
-            let used = &self.used[c * words..][..words];
-            let hall = &mut self.hall[c * words..][..words];
-            let mut live = 0;
-            for ((d, u), h) in dom.iter().zip(used).zip(hall) {
-                let word = d & !u;
-                *h |= word;
-                live += word.count_ones();
-            }
+        for &w in open {
+            let live = self.count[w];
             if live == 0 {
                 return false;
             }
+            let largest = &mut self.largest[self.class[w]];
+            *largest = (*largest).max(live);
             // Fewest candidates, then most placed neighbours, then
             // highest degree, then lowest index.
             let key = (
@@ -566,11 +606,25 @@ impl<'a> Searcher<'a> {
                 best = Some(key);
             }
         }
+        // The unplaced vertices of a class need as many distinct live
+        // candidates. One vertex with that many settles it; otherwise
+        // count the union of their live domains.
         for (c, &open) in self.unplaced.iter().enumerate() {
-            let room: u32 = self.hall[c * words..][..words]
-                .iter()
-                .map(|w| w.count_ones())
-                .sum();
+            if self.largest[c] as usize >= open {
+                continue;
+            }
+            let used = &self.used[c * words..][..words];
+            self.hall.fill(0);
+            for &w in &self.members[self.member_start[c]..self.member_start[c + 1]] {
+                if self.map[w] != usize::MAX {
+                    continue;
+                }
+                let dom = &self.dom[w * words..][..words];
+                for ((h, d), u) in self.hall.iter_mut().zip(dom).zip(used) {
+                    *h |= d & !u;
+                }
+            }
+            let room: u32 = self.hall.iter().map(|w| w.count_ones()).sum();
             if (room as usize) < open {
                 return false;
             }
@@ -604,13 +658,16 @@ impl<'a> Searcher<'a> {
 
     /// Places `u` on index `t` of its class and narrows the domains of
     /// its unplaced neighbours. Returns `false` when one of them is left
-    /// without a live candidate.
+    /// without a live candidate; the other counts of the class are then
+    /// left as they were, and the placement must be undone with
+    /// `settled = false`.
     fn place(&mut self, u: usize, t: usize) -> bool {
         let words = self.words;
         let pattern = self.pattern;
         let cu = self.class[u];
+        let (wi, bit) = (t / 64, 1u64 << (t % 64));
         self.map[u] = t;
-        self.used[cu * words + t / 64] |= 1 << (t % 64);
+        self.used[cu * words + wi] |= bit;
         self.unplaced[cu] -= 1;
         let mut alive = true;
         for &w in pattern.neighbors(u) {
@@ -621,33 +678,59 @@ impl<'a> Searcher<'a> {
             let cw = self.class[w];
             let row = self.view.row(cu, t, cw).words();
             let dom = &mut self.dom[w * words..][..words];
-            self.trail.push(w);
+            self.trail.push((w, self.count[w]));
             self.trail_words.extend_from_slice(dom);
             let used = &self.used[cw * words..][..words];
             let mut live = 0;
             for ((d, r), u) in dom.iter_mut().zip(row).zip(used) {
                 *d &= r;
-                live |= *d & !u;
+                live += (*d & !u).count_ones();
             }
+            // Already out of the count; out of the domain too, so the
+            // class pass below does not take it away twice.
+            if cw == cu {
+                dom[wi] &= !bit;
+            }
+            self.count[w] = live;
             alive = live != 0;
+        }
+        if alive {
+            // `t` leaves the live candidates of every other unplaced
+            // vertex of the class whose domain holds it.
+            for &w in &self.members[self.member_start[cu]..self.member_start[cu + 1]] {
+                if self.map[w] == usize::MAX && self.dom[w * words + wi] & bit != 0 {
+                    self.count[w] -= 1;
+                }
+            }
         }
         alive
     }
 
-    /// Undoes the placement of `frame.vertex`: restores every domain
-    /// saved since `frame.mark` and frees its target index.
-    fn unplace(&mut self, frame: Frame) {
+    /// Undoes the placement of `frame.vertex`: gives its target index
+    /// back to the class members whose domain holds it (when the
+    /// placement `settled` their counts), restores every domain and
+    /// count saved since `frame.mark` and frees the index.
+    fn unplace(&mut self, frame: Frame, settled: bool) {
         let words = self.words;
         let pattern = self.pattern;
         let u = frame.vertex;
+        let (cu, t) = (self.class[u], self.map[u]);
+        let (wi, bit) = (t / 64, 1u64 << (t % 64));
+        if settled {
+            for &w in &self.members[self.member_start[cu]..self.member_start[cu + 1]] {
+                if self.map[w] == usize::MAX && self.dom[w * words + wi] & bit != 0 {
+                    self.count[w] += 1;
+                }
+            }
+        }
         while self.trail.len() > frame.mark {
-            let w = self.trail.pop().expect("trail above the mark");
+            let (w, count) = self.trail.pop().expect("trail above the mark");
             let saved = self.trail_words.len() - words;
             self.dom[w * words..][..words].copy_from_slice(&self.trail_words[saved..]);
             self.trail_words.truncate(saved);
+            self.count[w] = count;
         }
-        let (cu, t) = (self.class[u], self.map[u]);
-        self.used[cu * words + t / 64] &= !(1 << (t % 64));
+        self.used[cu * words + wi] &= !bit;
         self.unplaced[cu] += 1;
         self.map[u] = usize::MAX;
         for &w in pattern.neighbors(u) {
