@@ -11,7 +11,7 @@ use cgra_base::CancelFlag;
 use cgra_arch::{Cgra, MAX_ROUTE_HOPS};
 use cgra_dfg::Dfg;
 use cgra_sched::{
-    ims_schedule, min_ii, unsupported_op_class, SolveOutcome, TimeSolution, TimeSolver,
+    ims_schedule, min_ii, unsupported_op_class, Mobility, SolveOutcome, TimeSolution, TimeSolver,
     TimeSolverConfig, TimeSolverError,
 };
 
@@ -332,6 +332,7 @@ impl DecoupledMapper {
             return Err(MapError::UnsupportedOpClass { class });
         }
         let start = Instant::now();
+        let mobility = Mobility::compute(dfg)?;
         let mii = min_ii(dfg, &self.cgra);
         if let Some(cap) = self.config.max_ii {
             if cap < mii {
@@ -351,6 +352,7 @@ impl DecoupledMapper {
             config: &self.config,
             cancel: self.cancel.as_ref(),
             dfg,
+            mobility,
             engine,
             obs,
             stats: MapStats {
@@ -398,6 +400,9 @@ struct Session<'a> {
     config: &'a MapperConfig,
     cancel: Option<&'a CancelFlag>,
     dfg: &'a Dfg,
+    /// The DFG's ASAP/ALAP windows, which every level's dependence
+    /// screen starts from.
+    mobility: Mobility,
     engine: &'a SpaceEngine,
     obs: Option<&'a dyn MapObserver>,
     stats: MapStats,
@@ -502,6 +507,10 @@ impl<'a> Session<'a> {
     /// [`Session::attempt`]: solve → search → block → solve, in
     /// enumeration order.
     ///
+    /// A level whose dependences alone rule out every schedule
+    /// ([`Mobility::refutes`]) ends before its source is built, as an
+    /// `Unsat` first pull would end it: no encode, no solve, no event.
+    ///
     /// Returns the winning `(schedule, monomorphism)`, or `None` when
     /// the level ended without one — no schedule left, the enumeration
     /// cap, or a per-solve budget running out. The schedules whose
@@ -513,6 +522,9 @@ impl<'a> Session<'a> {
         budget: u64,
         undecided: &mut Vec<TimeSolution>,
     ) -> Result<Option<(TimeSolution, Vec<usize>)>, MapError> {
+        if self.mobility.refutes(self.dfg, ii, slack) {
+            return Ok(None);
+        }
         let mut source = self.source(ii, slack)?;
         let mut remaining = self.config.max_time_solutions.max(1);
         while remaining > 0 {

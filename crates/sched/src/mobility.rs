@@ -74,6 +74,47 @@ impl Mobility {
         self.alap[v.index()] - self.asap[v.index()]
     }
 
+    /// True when the dependences alone leave no schedule at `ii` whose
+    /// times lie in the KMS windows extended by `slack · ii` (see
+    /// [`crate::Kms::with_slack`]): pushing every node up from its ASAP
+    /// time along `T_d ≥ T_s + 1` (data edges) and
+    /// `T_d ≥ T_s + 1 − d·II` (loop-carried edges of distance `d`) drives
+    /// some node past `alap + slack · ii`.
+    ///
+    /// Every schedule the [`crate::TimeSolver`] formula or
+    /// [`crate::ims_schedule`] can return satisfies those windows and
+    /// edges, so a refuted level has none; without capacity and
+    /// connectivity constraints the converse holds too, as the pushed
+    /// times are then a schedule.
+    pub fn refutes(&self, dfg: &Dfg, ii: usize, slack: usize) -> bool {
+        let mut earliest = self.asap.clone();
+        loop {
+            let mut moved = false;
+            for e in dfg.edges() {
+                let lag = match e.kind {
+                    // A self loop-carried edge holds for any schedule.
+                    _ if e.src == e.dst => continue,
+                    EdgeKind::Data => 0,
+                    EdgeKind::LoopCarried { distance } => distance as usize * ii,
+                };
+                let (s, d) = (e.src.index(), e.dst.index());
+                let need = (earliest[s] + 1).saturating_sub(lag);
+                if need > earliest[d] {
+                    if need > self.alap[d] + slack * ii {
+                        return true;
+                    }
+                    earliest[d] = need;
+                    moved = true;
+                }
+            }
+            // Each pass that moves a node raises it within its bounded
+            // window, so the loop ends.
+            if !moved {
+                return false;
+            }
+        }
+    }
+
     /// Nodes whose mobility window contains time `t` (a MobS row).
     pub fn eligible_at(&self, t: usize) -> Vec<NodeId> {
         (0..self.asap.len())
@@ -218,6 +259,59 @@ mod tests {
         let m = Mobility::compute(&dfg).unwrap();
         assert_eq!(m.length(), 1);
         assert_eq!(m.window(cgra_dfg::NodeId::from_index(0)), 0..=0);
+    }
+
+    /// `φ → a → m → c` with `c → φ` loop-carried at distance 1: RecII 4.
+    fn recurrence() -> Dfg {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let phi = b.phi("phi", 0);
+        let a = b.binary("a", Op::Add, phi, x);
+        let m = b.unary("m", Op::Neg, a);
+        let c = b.unary("c", Op::Not, m);
+        b.loop_carried(c, phi, 1);
+        b.output("o", c);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn recurrence_is_refuted_below_rec_ii_only() {
+        let dfg = recurrence();
+        let m = Mobility::compute(&dfg).unwrap();
+        // Below II 4 the cycle gains a step per lap: no slack holds it.
+        for slack in 0..4 {
+            assert!(m.refutes(&dfg, 3, slack), "slack {slack}");
+        }
+        for ii in 4..7 {
+            assert!(!m.refutes(&dfg, ii, 0), "II {ii}");
+        }
+    }
+
+    #[test]
+    fn data_edges_alone_never_refute() {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let y = b.input("y");
+        let a = b.unary("a", Op::Neg, x);
+        let c = b.binary("c", Op::Add, a, y);
+        b.output("o", c);
+        let dfg = b.build().unwrap();
+        let m = Mobility::compute(&dfg).unwrap();
+        for ii in 1..8 {
+            assert!(!m.refutes(&dfg, ii, 0), "II {ii}");
+        }
+    }
+
+    #[test]
+    fn running_example_is_refuted_below_rec_ii() {
+        let dfg = running_example();
+        let m = Mobility::compute(&dfg).unwrap();
+        assert_eq!(crate::rec_ii(&dfg), 4);
+        for ii in 1..8 {
+            for slack in 0..3 {
+                assert_eq!(m.refutes(&dfg, ii, slack), ii < 4, "II {ii} slack {slack}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! * validation and canonical form of every compiled kernel (and of
 //!   renumbered and faulty variants) match the reference
 //!   implementations in `tests/common/reference.rs`;
+//! * every level the dependence screen refutes is unsatisfiable;
 //! * mappings of compiled random kernels satisfy every invariant in
 //!   `tests/common` and execute identically on the machine simulator
 //!   and the reference interpreter (the sim-validation corpus is
@@ -202,6 +203,42 @@ fn emit_then_reparse_is_a_canonical_fixpoint() {
             "seed {seed}: second round trip drifted"
         );
     }
+}
+
+/// The mapper skips an `(II, slack)` level whose dependences alone
+/// push a node out of its window (`Mobility::refutes`); every such
+/// level's formula must be unsatisfiable, on the first pull. Levels run
+/// over the II range the mapper starts with, mII..=mII+2, where about
+/// one kernel in sixty has a refuted level, so debug runs the release
+/// count too (only refuted levels are solved).
+#[test]
+fn dependence_screen_refutes_only_unsat_levels() {
+    let grids = [Cgra::new(2, 2).unwrap(), Cgra::new(4, 4).unwrap()];
+    let mut refuted = 0;
+    for seed in 1..=400u64 {
+        let mut rng = XorShift::new(seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        let source = random_kernel(&mut rng, true);
+        let dfg = compile_one(&source).expect("well-formed by construction");
+        let mobility = Mobility::compute(&dfg).unwrap();
+        for cgra in &grids {
+            let mii = min_ii(&dfg, cgra);
+            for ii in mii..=mii + 2 {
+                for slack in 0..=2 {
+                    if !mobility.refutes(&dfg, ii, slack) {
+                        continue;
+                    }
+                    refuted += 1;
+                    let config = TimeSolverConfig::for_cgra(cgra).with_window_slack(slack);
+                    let mut solver = TimeSolver::new(&dfg, ii, config).unwrap();
+                    assert!(
+                        matches!(solver.next(), monomap::sched::SolveOutcome::Unsat),
+                        "seed {seed}: II {ii} slack {slack} refuted but satisfiable\n{source}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(refuted > 0, "no level refuted — generator drifted?");
 }
 
 #[test]
