@@ -208,16 +208,18 @@ impl Serialize for BudgetWire<'_> {
     }
 }
 
-/// Reads a `time_budget` value: `null` is no budget, a map names
-/// either bound, and any other value is a budget with neither.
+/// Reads a `time_budget` value: `null` is no budget and a map names
+/// either bound; any other value is an error naming the field.
 fn read_budget(r: &mut serde::de::Reader<'_>) -> Result<Option<Budget>, serde::de::Error> {
     use serde::de::{optional, read_field};
     if r.null() {
         return Ok(None);
     }
     if r.peek() != Some(b'{') {
-        r.skip_value()?;
-        return Ok(Some(Budget::unlimited()));
+        let e = r.expected("map or null");
+        return Err(serde::de::Error::custom(format_args!(
+            "field `time_budget`: {e}"
+        )));
     }
     let (mut conflicts, mut propagations) = (None, None);
     r.map(|r, key| match &*key {
@@ -381,6 +383,22 @@ mod tests {
         assert!(serde_json::from_str::<MapperConfig>(r#"{"max_route_hops": 0}"#).is_err());
         let too_far = format!("{{\"max_route_hops\": {}}}", MAX_ROUTE_HOPS + 1);
         assert!(serde_json::from_str::<MapperConfig>(&too_far).is_err());
+    }
+
+    #[test]
+    fn serde_rejects_a_budget_that_is_not_a_map() {
+        for value in ["5", r#""x""#, "[]", "true"] {
+            let text = format!(r#"{{"time_budget": {value}}}"#);
+            let err = serde_json::from_str::<MapperConfig>(&text).unwrap_err();
+            assert!(
+                err.to_string().starts_with("field `time_budget`: "),
+                "{err}"
+            );
+        }
+        let c: MapperConfig = serde_json::from_str(r#"{"time_budget": null}"#).unwrap();
+        assert!(c.time_budget.is_none());
+        let c: MapperConfig = serde_json::from_str(r#"{"time_budget": {}}"#).unwrap();
+        assert_eq!(c.time_budget.unwrap().max_conflicts, None);
     }
 
     #[test]

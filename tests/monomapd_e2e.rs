@@ -954,3 +954,32 @@ fn malformed_source_is_a_400_with_a_positioned_diagnostic() {
     assert_eq!(ok.name, "wire_acc");
     server.shutdown().unwrap();
 }
+
+#[test]
+fn a_time_budget_that_is_not_a_map_is_a_400_naming_the_field() {
+    let (server, client) = start_server(1);
+    let request = MapRequest::new(EngineId::Decoupled, suite::generate("bitcount"))
+        .with_config(MapperConfig::default());
+    let body = serde_json::to_string(&request).unwrap();
+    assert!(body.contains(r#""time_budget":null"#), "{body}");
+    for value in ["5", r#""x""#, "[]"] {
+        let body = body.replace(
+            r#""time_budget":null"#,
+            &format!(r#""time_budget":{value}"#),
+        );
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        write!(
+            stream,
+            "POST /map HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut response = String::new();
+        use std::io::Read;
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 400"), "{value}: {response}");
+        assert!(response.contains("time_budget"), "{value}: {response}");
+    }
+    assert!(client.healthz().is_ok());
+    server.shutdown().unwrap();
+}
