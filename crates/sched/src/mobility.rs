@@ -74,8 +74,9 @@ impl Mobility {
         self.alap[v.index()] - self.asap[v.index()]
     }
 
-    /// True when the dependences alone leave no schedule at `ii` whose
-    /// times lie in the KMS windows extended by `slack · ii` (see
+    /// True when the dependences of `dfg`, the graph these windows were
+    /// computed from, leave no schedule at `ii` whose times lie in the
+    /// KMS windows extended by `slack · ii` (see
     /// [`crate::Kms::with_slack`]): pushing every node up from its ASAP
     /// time along `T_d ≥ T_s + 1` (data edges) and
     /// `T_d ≥ T_s + 1 − d·II` (loop-carried edges of distance `d`) drives
